@@ -101,8 +101,22 @@ def _out_path(cfg, name: str) -> Path:
     return Path(cfg.output_dir) / name
 
 
+def _check_ranges(cfg, positive=(), non_negative=()) -> None:
+    """Refuse settings out of range: each `positive` key must be > 0 and
+    each `non_negative` key >= 0 (NaN fails both); unset keys pass."""
+    for key in (*positive, *non_negative):
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        strict = key in positive
+        if not (value > 0 if strict else value >= 0):
+            rule = "> 0" if strict else ">= 0"
+            raise ConfigError(f"{key.replace('_', '-')} must be {rule}, got {value}")
+
+
 def cmd_analytic(args) -> int:
     cfg = Settings(args, {**_COMMON, "function": ("all", str), "stages": (10, int)})
+    _check_ranges(cfg, positive=("stages",))
     names = list(analytic.registry()) if cfg.function == "all" else [cfg.function]
     reg = analytic.registry()
     unknown = [n for n in names if n not in reg]
@@ -215,6 +229,12 @@ _POSE_HEADER = (
 
 def cmd_pose(args) -> int:
     cfg = Settings(args, _POSE_SCHEMA)
+    _check_ranges(
+        cfg,
+        positive=("stages", "train_rot_step", "train_trans_step", "test_rot_step",
+                  "test_trans_step"),
+        non_negative=("ridge", "noise", "subsample"),
+    )
     names = ["cube", "body", "face"] if cfg.model == "all" else [cfg.model]
     print(f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}")
     for name in names:
@@ -349,6 +369,8 @@ def cmd_train(args) -> int:
     cfg = Settings(args, _TRAIN_SCHEMA)
     if cfg.out is None:
         raise ConfigError("train requires --out <model-file>")
+    _check_ranges(cfg, positive=("stages", "train_rot_step", "train_trans_step"),
+                  non_negative=("ridge", "noise"))
     if cfg.problem == "pose":
         stages = 4 if cfg.stages is None else cfg.stages
         models = pose.builtin_models()

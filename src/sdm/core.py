@@ -25,7 +25,7 @@ def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
     arr = np.array(values, dtype=float, copy=True).reshape(-1)
     if arr.size < 1:
         raise ValueError(f"{name} must have length >= 1")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(name, expected=dim, got=arr.size)
@@ -38,7 +38,7 @@ def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -61,7 +61,10 @@ class SmoothMap:
     `fn` must be a pure function of its input. `jac` (m x p) and `hess`
     (m x p x p component second derivatives) are optional; when `jac` is
     absent, `jacobian` falls back to central finite differences with a
-    per-coordinate step of ``jacobian_fd_step * max(1, |x_i|)``.
+    per-coordinate step of ``jacobian_fd_step * max(1, |x_i|)``. `rows`
+    is an optional vectorized kernel taking an (N, p) array to the
+    (N, m) array of its rows' values; without it, `evaluate_rows` calls
+    `evaluate` row by row.
     """
 
     param_dim: int
@@ -71,6 +74,7 @@ class SmoothMap:
     hess: Callable[[Array], Array] | None = None
     jacobian_fd_step: float = 1e-6
     name: str = ""
+    rows: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
         if self.param_dim < 1 or self.feature_dim < 1:
@@ -87,9 +91,18 @@ class SmoothMap:
 
     __call__ = evaluate
 
-    @property
-    def has_jacobian(self) -> bool:
-        return self.jac is not None
+    def evaluate_rows(self, X) -> Array:
+        """Evaluate the map at every row of an (N, p) array; returns (N, m)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.param_dim:
+            raise ValueError(f"rows must have shape (N, {self.param_dim}), got {X.shape}")
+        if self.rows is None:
+            out = np.array([self.evaluate(x) for x in X]).reshape(len(X), self.feature_dim)
+        else:
+            out = np.asarray(self.rows(X), dtype=float)
+        if out.shape != (len(X), self.feature_dim):
+            raise DimensionMismatchError("feature", expected=self.feature_dim, got=out.shape[-1])
+        return out
 
     def jacobian(self, x: Array) -> Array:
         """Analytic Jacobian when supplied, otherwise central differences."""
@@ -157,13 +170,17 @@ def partition_coords(partition, param_dim: int) -> tuple[int, ...]:
     return coords
 
 
-def region_index(x, partition: tuple[int, ...], center) -> int:
+def region_index(x, partition: tuple[int, ...], center):
     """Region of the point `x` in a partition of parameter space.
 
     Bit j of the region index is set where coordinate ``partition[j]``
     of `x` exceeds ``center[j]``; a point at the center, and every point
-    when there are no partition coordinates, is in region 0.
+    when there are no partition coordinates, is in region 0. An (N, p)
+    array of points gives the length-N integer array of their regions.
     """
+    if np.ndim(x) == 2:
+        above = np.asarray(x)[:, list(partition)] > center
+        return above.astype(np.intp) @ (1 << np.arange(len(partition), dtype=np.intp))
     return sum(1 << j for j, (c, v) in enumerate(zip(partition, center)) if x[c] > v)
 
 

@@ -10,9 +10,15 @@ coordinates (uint32), the k-entry partition center (float64), and then
 `DescentSequence.steps`. An online-state file reuses the v1 layout and
 appends the forgetting factor, the sample weight, and one inverse
 information matrix per stage. Round-trips are exact.
+
+Loading checks the header's sizes against the bytes that follow before
+reading any array, and refuses a file with bytes left over, zero stages
+or dimensions, or a non-finite number; every malformed file raises
+ModelFormatError.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -51,9 +57,21 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        return np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape).copy()
+    def expect(self, n_floats: int) -> None:
+        """Require exactly `n_floats` float64 values to follow."""
+        left = len(self.data) - self.offset
+        if 8 * n_floats > left:
+            raise ModelFormatError(
+                f"model file truncated: header declares {8 * n_floats} more bytes, {left} left"
+            )
+        if 8 * n_floats < left:
+            raise ModelFormatError(f"{left - 8 * n_floats} trailing bytes at the end of the file")
+
+    def array(self, shape, name: str) -> np.ndarray:
+        arr = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"non-finite {name} in model file")
+        return arr
 
 
 def _read_header(reader: _Reader, magic: bytes, versions=(FORMAT_VERSION,)):
@@ -64,6 +82,8 @@ def _read_header(reader: _Reader, magic: bytes, versions=(FORMAT_VERSION,)):
         raise ModelFormatError(f"unsupported format version {version}")
     if mode_code not in _CODE_MODES:
         raise ModelFormatError(f"unknown mode code {mode_code}")
+    if min(p, m, stages) < 1:
+        raise ModelFormatError(f"header needs p, m and stages >= 1, got {p}, {m}, {stages}")
     return version, _CODE_MODES[mode_code], p, m, stages
 
 
@@ -97,11 +117,13 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
         if not 1 <= k <= p:
             raise ModelFormatError(f"partition needs 1 to {p} coordinates, file gives {k}")
         partition = reader.unpack(f"<{k}I")
-        center = reader.array((k,))
+        center = reader.array((k,), "partition center")
+    n_steps = stages << len(partition)
+    reader.expect(n_steps * (p * m + p))
     steps = []
-    for _ in range(stages << len(partition)):
-        gain = reader.array((p, m))
-        bias = reader.array((p,))
+    for _ in range(n_steps):
+        gain = reader.array((p, m), "gain")
+        bias = reader.array((p,), "bias")
         steps.append(DescentStep(gain=gain, bias=bias))
     try:
         return DescentSequence(steps=tuple(steps), param_dim=p, feature_dim=m, mode=mode,
@@ -134,15 +156,26 @@ def save_online_state(state: OnlineState, path) -> None:
 
 def load_online_state(path) -> OnlineState:
     with open(path, "rb") as f:
-        reader = _Reader(f.read())
+        return online_state_from_bytes(f.read())
+
+
+def online_state_from_bytes(data: bytes) -> OnlineState:
+    reader = _Reader(data)
     _, _, p, m, stages = _read_header(reader, ONLINE_MAGIC)
     forgetting, sample_weight = reader.unpack("<dd")
+    if not (0 < forgetting <= 1 and 0 < sample_weight < math.inf):
+        raise ModelFormatError(
+            f"forgetting {forgetting} must lie in (0, 1] and sample weight "
+            f"{sample_weight} must be finite and > 0"
+        )
+    reader.expect(stages * (p * m + p + (m + 1) ** 2))
     weights = []
     for _ in range(stages):
-        gain = reader.array((p, m))
-        bias = reader.array((p,))
+        gain = reader.array((p, m), "gain")
+        bias = reader.array((p,), "bias")
         weights.append(_weights_from_step(DescentStep(gain=gain, bias=bias)))
-    inv_cov = [reader.array((m + 1, m + 1)) for _ in range(stages)]
+    inv_cov = [reader.array((m + 1, m + 1), "inverse information matrix")
+               for _ in range(stages)]
     return OnlineState(
         weights=weights,
         inv_cov=inv_cov,

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import gauss_newton_minimize
 from .core import Array, DescentSequence, NlsProblem, SmoothMap, apply_sequence, as_vector
 from .errors import InvalidProjectionError
-from .trainer import SamplingSpec, TrainerConfig, TrainingSet, sample_initials, train
+from .trainer import SamplingSpec, TrainerConfig, TrainingSet, grid_points, train
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,13 @@ def _wrap_angle(a: float) -> float:
     return math.pi if w == -math.pi else w
 
 
+def _wrap_angles(angles: Array) -> Array:
+    """`_wrap_angle` of every entry of an array, into (-pi, pi]."""
+    w = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
+    w[w == -math.pi] = math.pi
+    return w
+
+
 @dataclass(frozen=True)
 class Pose:
     """Euler angles (yaw-z, pitch-y, roll-x, radians) and translation (mm)."""
@@ -125,9 +132,31 @@ def _rx(a):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def _plane_rotations(angles: Array, i: int, j: int) -> Array:
+    """(N, 3, 3) rotations by `angles` turning axis i toward axis j."""
+    c, s = np.cos(angles), np.sin(angles)
+    R = np.zeros((len(angles), 3, 3))
+    R[:, 3 - i - j, 3 - i - j] = 1.0
+    R[:, i, i] = R[:, j, j] = c
+    R[:, j, i] = s
+    R[:, i, j] = -s
+    return R
+
+
 def euler_to_rotation(euler) -> Array:
-    """Intrinsic Z-Y-X rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    e = np.asarray(euler, dtype=float).reshape(3)
+    """Intrinsic Z-Y-X rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll).
+
+    One angle triple gives a 3x3 matrix; an (N, 3) array gives the
+    (N, 3, 3) stack of its rows' rotations, built from the same entries
+    and products.
+    """
+    e = np.asarray(euler, dtype=float)
+    if e.ndim == 2:
+        Rz = _plane_rotations(e[:, 0], 0, 1)
+        Ry = _plane_rotations(e[:, 1], 2, 0)
+        Rx = _plane_rotations(e[:, 2], 1, 2)
+        return Rz @ Ry @ Rx
+    e = e.reshape(3)
     return _rz(e[0]) @ _ry(e[1]) @ _rx(e[2])
 
 
@@ -191,28 +220,43 @@ class Projection:
 
 
 def _camera_frame(pose_vec: Array, model: ObjectModel) -> Array:
-    Q = euler_to_rotation(pose_vec[:3])
-    return Q @ model.points + pose_vec[3:, None]
+    """The model's points in the camera frame: (3, n) for one pose
+    vector, (N, 3, n) for an (N, 6) array of them."""
+    Q = euler_to_rotation(pose_vec[..., :3])
+    return Q @ model.points + pose_vec[..., 3:, None]
+
+
+def _require_positive_depth(depth: Array, context: str = "") -> None:
+    bad = np.nonzero(depth <= 0)[0]
+    if bad.size:
+        raise InvalidProjectionError(
+            f"{context}non-positive depth for point indices {bad.tolist()}",
+            indices=bad.tolist(),
+        )
+
+
+def _pixels(C: Array, cam: CameraIntrinsics) -> Array:
+    """Pixel coordinates (..., 2, n) of camera-frame points (..., 3, n)."""
+    x, y, z = C[..., 0, :], C[..., 1, :], C[..., 2, :]
+    u = cam.fx * x / z + cam.skew * y / z + cam.u0
+    v = cam.fy * y / z + cam.v0
+    return np.stack([u, v], axis=-2)
 
 
 def project(pose: Pose, model: ObjectModel, cam: CameraIntrinsics) -> Projection:
     """Perspective projection; every point must have positive depth."""
     C = _camera_frame(pose.vector(), model)
-    bad = np.nonzero(C[2] <= 0)[0]
-    if bad.size:
-        raise InvalidProjectionError(
-            f"non-positive depth for point indices {bad.tolist()}", indices=bad.tolist()
-        )
-    u = cam.fx * C[0] / C[2] + cam.skew * C[1] / C[2] + cam.u0
-    v = cam.fy * C[1] / C[2] + cam.v0
-    px = np.stack([u, v])
-    normalized = np.stack([(u - cam.u0) / cam.fx, (v - cam.v0) / cam.fy])
-    return Projection(points2d=px, normalized=normalized)
+    _require_positive_depth(C[2])
+    px = _pixels(C, cam)
+    return Projection(points2d=px, normalized=normalize_pixels(px, cam))
 
 
 def normalize_pixels(points2d, cam: CameraIntrinsics) -> Array:
+    """Normalized image coordinates of pixels (..., 2, n)."""
     px = np.asarray(points2d, dtype=float)
-    return np.stack([(px[0] - cam.u0) / cam.fx, (px[1] - cam.v0) / cam.fy])
+    return np.stack(
+        [(px[..., 0, :] - cam.u0) / cam.fx, (px[..., 1, :] - cam.v0) / cam.fy], axis=-2
+    )
 
 
 def observe(
@@ -249,6 +293,13 @@ def projection_feature_map(model: ObjectModel) -> SmoothMap:
         uv[:, C[2] <= 0] = np.nan  # behind-camera points poison the feature
         return uv.ravel(order="F")
 
+    def rows(P):
+        C = _camera_frame(P, model)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uv = np.stack([C[:, 0] / C[:, 2], C[:, 1] / C[:, 2]], axis=-1)
+        uv[C[:, 2] <= 0] = np.nan
+        return uv.reshape(len(P), 2 * n)
+
     def jac(p):
         C = _camera_frame(p, model)
         dQ = _rotation_derivatives(p[:3])
@@ -267,7 +318,8 @@ def projection_feature_map(model: ObjectModel) -> SmoothMap:
             J[1::2, 5] = -C[1] / (z * z)
         return J
 
-    return SmoothMap(6, 2 * n, fn, jac=jac, name=f"projection-{model.name or 'model'}")
+    return SmoothMap(6, 2 * n, fn, jac=jac, name=f"projection-{model.name or 'model'}",
+                     rows=rows)
 
 
 def pose_grid_spec(
@@ -284,8 +336,12 @@ def pose_grid_spec(
     return SamplingSpec.grid(lo, hi, step)
 
 
-def grid_poses(spec: SamplingSpec, base_pose: Pose) -> list[Pose]:
-    return [Pose.from_vector(v) for v in sample_initials(spec, base_pose.vector())]
+def grid_poses(spec: SamplingSpec, base_pose: Pose) -> Array:
+    """The grid's poses around `base_pose` as an (N, 6) array of pose
+    vectors, angles wrapped as in `Pose`."""
+    poses = grid_points(spec, base_pose.vector())
+    poses[:, :3] = _wrap_angles(poses[:, :3])
+    return poses
 
 
 def train_pose_sdm(
@@ -301,27 +357,31 @@ def train_pose_sdm(
     """Train a reversed cascade on projections of a pose grid.
 
     Targets are the (optionally noisy) normalized projections of each
-    grid pose; the shared starting point is the base pose. Each stage
+    grid pose, equal to `observe` pose by pose in grid order from the
+    same `rng`; the shared starting point is the base pose. Each stage
     fits one step per region of `partition` (default: the signs of the
     three Euler angles relative to the base pose); pass ``()`` for one
     step per stage.
     """
     poses = grid_poses(train_grid, base_pose)
-    optima = []
-    targets = []
-    for pose in poses:
-        try:
-            obs = observe(pose, model, cam, rng=rng, noise_variance=noise_variance)
-        except InvalidProjectionError as exc:
-            raise InvalidProjectionError(
-                f"training pose euler={pose.euler.tolist()} t={pose.translation.tolist()}"
-                f" is invalid: {exc}",
-                indices=exc.indices,
-            ) from exc
-        optima.append(pose.vector())
-        targets.append(obs.feature())
+    C = _camera_frame(poses, model)
+    behind = np.flatnonzero((C[:, 2] <= 0).any(axis=1))
+    if behind.size:
+        i = behind[0]
+        _require_positive_depth(
+            C[i, 2],
+            f"training pose euler={poses[i, :3].tolist()} t={poses[i, 3:].tolist()} "
+            "is invalid: ",
+        )
+    px = _pixels(C, cam)
+    if noise_variance > 0:
+        if rng is None:
+            raise ValueError("noisy observation requires an rng")
+        px = px + rng.normal(0.0, math.sqrt(noise_variance), px.shape)
+    # point-major features (u1, v1, u2, ...), as Projection.feature
+    targets = normalize_pixels(px, cam).transpose(0, 2, 1).reshape(len(poses), -1)
     tset = TrainingSet.reversed_targets(
-        projection_feature_map(model), base_pose.vector(), optima, targets
+        projection_feature_map(model), base_pose.vector(), poses, targets
     )
     return train(tset, config, partition=partition)
 
@@ -442,9 +502,11 @@ def evaluate_test_poses(
     return records
 
 
-def subsample_poses(poses: list[Pose], count: int, rng: np.random.Generator) -> list[Pose]:
-    """Seeded subset without replacement; count 0 or >= len keeps all."""
+def subsample_poses(poses: Array, count: int, rng: np.random.Generator) -> list[Pose]:
+    """Seeded subset of the rows of an (N, 6) pose-vector array, without
+    replacement and in grid order, as Poses; count 0 or >= N keeps all."""
     if count <= 0 or count >= len(poses):
-        return list(poses)
-    idx = rng.choice(len(poses), size=count, replace=False)
-    return [poses[i] for i in sorted(idx)]
+        keep = range(len(poses))
+    else:
+        keep = sorted(rng.choice(len(poses), size=count, replace=False))
+    return [Pose.from_vector(poses[i]) for i in keep]

@@ -12,7 +12,6 @@ the shared start point.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +23,8 @@ from .core import (
     DescentStep,
     Mode,
     SmoothMap,
+    as_matrix,
     as_vector,
-    dm_update,
-    dm_update_biased,
     partition_coords,
     region_index,
 )
@@ -94,6 +92,17 @@ def _grid_axis(lo: float, hi: float, step: float) -> Array:
     return np.linspace(lo, lo + step * (n - 1), n)
 
 
+def grid_points(spec: SamplingSpec, around) -> Array:
+    """A grid spec's points as one (N, p) array of offsets added to
+    `around`, the last coordinate varying fastest."""
+    if spec.kind != "grid":
+        raise ValueError(f"grid_points needs a grid spec, got kind {spec.kind!r}")
+    around = as_vector(around, "around", dim=spec.lo.size)
+    axes = [_grid_axis(lo, hi, st) for lo, hi, st in zip(spec.lo, spec.hi, spec.step)]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, around.size)
+    return around + offsets
+
+
 def sample_initials(spec: SamplingSpec, around) -> list[Array]:
     """Materialize a SamplingSpec. Deterministic given the spec's seed.
 
@@ -107,67 +116,55 @@ def sample_initials(spec: SamplingSpec, around) -> list[Array]:
         draws = center + rng.standard_normal((spec.count, around.size)) * spec.stddev
         return [draws[i] for i in range(spec.count)]
     if spec.kind == "grid":
-        axes = [_grid_axis(lo, hi, st) for lo, hi, st in zip(spec.lo, spec.hi, spec.step)]
-        pts = [around + np.array(combo) for combo in itertools.product(*axes)]
-        return pts
+        return list(grid_points(spec, around))
     if spec.kind == "explicit":
         return [np.array(p) for p in spec.points]
     raise ValueError(f"unknown sampling kind {spec.kind!r}")
 
 
-@dataclass(frozen=True)
-class TrainingProblem:
-    """One training instance: its optimum, its target, and its map."""
-
-    x_opt: Array
-    target: Array
-    map: SmoothMap
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_opt", as_vector(self.x_opt, "x_opt", dim=self.map.param_dim))
-        object.__setattr__(self, "target", as_vector(self.target, "target", dim=self.map.feature_dim))
+def _rows(values, name: str, dim: int) -> Array:
+    arr = as_matrix(values, name)
+    if arr.shape[1] != dim:
+        raise DimensionMismatchError(name, expected=dim, got=arr.shape[1])
+    return arr
 
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Aligned problems and initial states for one training run."""
+    """One map and N aligned samples, one per row of each array: the
+    optima (N, p), the targets (N, m) and the initial states (N, p)."""
 
     mode: Mode
-    problems: tuple[TrainingProblem, ...]
-    initial_states: tuple[Array, ...]
+    map: SmoothMap
+    optima: Array
+    targets: Array
+    starts: Array
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
-        problems = tuple(self.problems)
-        states = tuple(as_vector(x, "initial state") for x in self.initial_states)
-        if not problems:
+        if len(self.optima) == 0:
             raise ValueError("training set must be nonempty")
-        if len(problems) != len(states):
-            raise ValueError("problems and initial_states must be aligned")
-        p = problems[0].map.param_dim
-        m = problems[0].map.feature_dim
-        for prob, x0 in zip(problems, states):
-            if prob.map.param_dim != p or prob.map.feature_dim != m:
-                raise DimensionMismatchError("map", expected=p, got=prob.map.param_dim)
-            if x0.size != p:
-                raise DimensionMismatchError("initial state", expected=p, got=x0.size)
-        if self.mode is Mode.REVERSED:
-            x0 = states[0]
-            if any(not np.array_equal(x, x0) for x in states):
-                raise ValueError("reversed mode requires one shared initial state")
-        object.__setattr__(self, "problems", problems)
-        object.__setattr__(self, "initial_states", states)
+        optima = _rows(self.optima, "optima", self.map.param_dim)
+        targets = _rows(self.targets, "targets", self.map.feature_dim)
+        starts = _rows(self.starts, "initial states", self.map.param_dim)
+        if not len(optima) == len(targets) == len(starts):
+            raise ValueError("optima, targets and initial states must be aligned")
+        if self.mode is Mode.REVERSED and not (starts == starts[0]).all():
+            raise ValueError("reversed mode requires one shared initial state")
+        object.__setattr__(self, "optima", optima)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "starts", starts)
 
     @property
     def param_dim(self) -> int:
-        return self.problems[0].map.param_dim
+        return self.map.param_dim
 
     @property
     def feature_dim(self) -> int:
-        return self.problems[0].map.feature_dim
+        return self.map.feature_dim
 
     def __len__(self) -> int:
-        return len(self.problems)
+        return len(self.optima)
 
     @classmethod
     def template(cls, map: SmoothMap, x_opt, initial_states, target=None) -> "TrainingSet":
@@ -175,35 +172,30 @@ class TrainingSet:
         x_opt = as_vector(x_opt, "x_opt", dim=map.param_dim)
         if target is None:
             target = map.evaluate(x_opt)
-        prob = TrainingProblem(x_opt=x_opt, target=target, map=map)
-        states = tuple(as_vector(x, "x0") for x in initial_states)
-        return cls(mode=Mode.TEMPLATE, problems=(prob,) * len(states), initial_states=states)
+        target = as_vector(target, "target", dim=map.feature_dim)
+        starts = _rows(initial_states, "initial states", map.param_dim)
+        n = len(starts)
+        return cls(Mode.TEMPLATE, map, np.tile(x_opt, (n, 1)), np.tile(target, (n, 1)), starts)
 
     @classmethod
     def reversed_targets(cls, map: SmoothMap, x0, optima, targets=None) -> "TrainingSet":
         """One shared start, many optima; targets default to map(x_opt)."""
         x0 = as_vector(x0, "x0", dim=map.param_dim)
-        optima = [as_vector(x, "x_opt", dim=map.param_dim) for x in optima]
+        optima = _rows(optima, "optima", map.param_dim)
         if targets is None:
-            targets = [map.evaluate(x) for x in optima]
-        if len(targets) != len(optima):
-            raise ValueError("optima and targets must be aligned")
-        probs = tuple(
-            TrainingProblem(x_opt=x, target=t, map=map) for x, t in zip(optima, targets)
-        )
-        return cls(mode=Mode.REVERSED, problems=probs, initial_states=(x0,) * len(probs))
+            targets = map.evaluate_rows(optima)
+        return cls(Mode.REVERSED, map, optima, targets, np.tile(x0, (len(optima), 1)))
 
     @classmethod
-    def generalized(cls, problems, initial_states) -> "TrainingSet":
-        """Per-problem data; targets stay in the set but never enter the
+    def generalized(cls, map: SmoothMap, optima, targets, initial_states) -> "TrainingSet":
+        """Per-sample data; targets stay in the set but never enter the
         regression (the learned bias absorbs them)."""
-        return cls(mode=Mode.GENERALIZED, problems=tuple(problems),
-                   initial_states=tuple(initial_states))
+        return cls(Mode.GENERALIZED, map, optima, targets, initial_states)
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Stage count, ridge strength, and loss recording.
+    """Stage count and ridge strength.
 
     ``ridge=None`` scales automatically per stage as
     ``1e-6 * sum(phi^2) / feature_dim``; pass 0.0 for the exact
@@ -212,7 +204,6 @@ class TrainerConfig:
 
     stages: int = 4
     ridge: float | None = None
-    record_loss: bool = True
 
     def __post_init__(self):
         if self.stages < 1:
@@ -301,8 +292,9 @@ def train(
 ) -> DescentSequence:
     """Learn a cascade of descent steps by alternating solve and update.
 
-    After each stage every sample is advanced with the new step using a
-    fresh map evaluation; the mean squared parameter residual before
+    Each stage evaluates the map once over all samples' current
+    estimates (`SmoothMap.evaluate_rows`), fits the stage, and advances
+    every sample with it; the mean squared parameter residual before
     training and after each stage is recorded in the sequence's
     training_report (non-increasing on the training set).
 
@@ -317,41 +309,32 @@ def train(
     partition = partition_coords(partition, p)
     if partition and tset.mode is not Mode.REVERSED:
         raise PartitionError("a partitioned cascade needs reversed mode (one shared start point)")
-    center = tset.initial_states[0][list(partition)]
+    center = tset.starts[0, list(partition)]
     n_regions = 1 << len(partition)
-    states = [np.array(x) for x in tset.initial_states]
-    optima = [prob.x_opt for prob in tset.problems]
+    generalized = tset.mode is Mode.GENERALIZED
+    X = tset.starts.copy()
 
     def mean_sq_residual():
-        errs = np.array([x_opt - x for x_opt, x in zip(optima, states)])
+        errs = tset.optima - X
         return float(np.mean(np.sum(errs * errs, axis=1)))
 
-    report = [mean_sq_residual()] if config.record_loss else []
+    report = [mean_sq_residual()]
     steps: list[DescentStep] = []
     for k in range(config.stages):
-        hvals = []
-        for i, (prob, x) in enumerate(zip(tset.problems, states)):
-            h = prob.map.evaluate(x)
-            if not np.all(np.isfinite(h)):
-                raise TrainingDivergedError(stage=k, sample=i)
-            hvals.append(h)
-        D = np.array([x_opt - x for x_opt, x in zip(optima, states)])
-        if tset.mode is Mode.GENERALIZED:
-            Phi = -np.array(hvals)
-        else:
-            Phi = np.array([prob.target - h for prob, h in zip(tset.problems, hvals)])
-        regions = np.array([region_index(x, partition, center) for x in states])
-        stage = _solve_regions(D, Phi, regions, n_regions,
-                               with_bias=(tset.mode is Mode.GENERALIZED), config=config)
+        H = tset.map.evaluate_rows(X)
+        diverged = np.flatnonzero(~np.isfinite(H).all(axis=1))
+        if diverged.size:
+            raise TrainingDivergedError(stage=k, sample=int(diverged[0]))
+        D = tset.optima - X
+        Phi = -H if generalized else tset.targets - H
+        regions = region_index(X, partition, center)
+        stage = _solve_regions(D, Phi, regions, n_regions, with_bias=generalized, config=config)
         steps.extend(stage)
-        for i, (prob, h) in enumerate(zip(tset.problems, hvals)):
-            step = stage[regions[i]]
-            if tset.mode is Mode.GENERALIZED:
-                states[i] = dm_update_biased(states[i], step, h)
-            else:
-                states[i] = dm_update(states[i], step, h, prob.target)
-        if config.record_loss:
-            report.append(mean_sq_residual())
+        # x - gain @ (h - y), or x - gain @ h + bias in generalized mode
+        for r, step in enumerate(stage):
+            rows = regions == r
+            X[rows] = X[rows] + Phi[rows] @ step.gain.T + step.bias
+        report.append(mean_sq_residual())
 
     return DescentSequence(
         steps=tuple(steps),

@@ -144,7 +144,7 @@ def test_criterion_3_linear_one_step(linear_one_step_runs):
     for run in linear_one_step_runs:
         A, smap, p = run["A"], run["smap"], run["p"]
         tset, seq = run["template"]
-        y = tset.problems[0].target
+        y = tset.targets[0]
         x_star = run["x_star"]
         for x0 in run["test_points"]:
             out = apply_sequence(seq, x0, smap, y=y)[-1]

@@ -53,13 +53,13 @@ class TestBuildTrainingSet:
         )
         tset = build_training_set(fn)
         assert tset.mode is Mode.REVERSED
-        pairs = [(p.x_opt[0], p.target[0]) for p in tset.problems]
+        pairs = [(x_opt[0], target[0]) for x_opt, target in zip(tset.optima, tset.targets)]
         assert pairs == [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0)]
 
     def test_cube_optima_match_cbrt_oracle(self):
         tset = build_training_set(registry()["cube"])
-        for prob in tset.problems:
-            assert prob.x_opt[0] == pytest.approx(np.cbrt(prob.target[0]), abs=1e-12)
+        for x_opt, target in zip(tset.optima, tset.targets):
+            assert x_opt[0] == pytest.approx(np.cbrt(target[0]), abs=1e-12)
 
     def test_erf_bisection_inverse_is_oracle_grade(self):
         fn = registry()["erf"]

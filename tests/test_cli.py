@@ -182,6 +182,34 @@ class TestTrainApply:
         assert main(["train", "--problem", "analytic", "--output-dir", str(tmp_path)]) == 2
 
 
+class TestOutOfRangeSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pose", "--stages", "0"],
+            ["analytic", "--stages", "0"],
+            ["train", "--stages", "0", "--out", "model.sdm"],
+            ["train", "--problem", "analytic", "--stages", "0", "--out", "model.sdm"],
+            ["pose", "--train-rot-step", "0"],
+            ["pose", "--train-trans-step", "0"],
+            ["pose", "--test-rot-step", "-7"],
+            ["pose", "--test-trans-step", "0"],
+            ["train", "--train-rot-step", "0", "--out", "model.sdm"],
+            ["pose", "--noise", "-1"],
+            ["pose", "--noise", "nan"],
+            ["train", "--noise", "-1", "--out", "model.sdm"],
+            ["pose", "--ridge", "-1"],
+            ["pose", "--subsample", "-1"],
+        ],
+    )
+    def test_exit_2_with_a_configuration_error(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a == "model.sdm" else a for a in argv]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "must be" in err
+        assert not (tmp_path / "model.sdm").exists()
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

@@ -2,12 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence
 from sdm.errors import ModelFormatError
 from sdm.model_io import (
     load_online_state,
     load_sequence,
+    online_state_from_bytes,
     save_online_state,
     save_sequence,
     sequence_bytes,
@@ -191,3 +194,100 @@ class TestOnlineFormat:
         save_online_state(state, path)
         with pytest.raises(ModelFormatError):
             load_sequence(path)
+
+
+def v1_bytes(p, m, stages, arrays, magic=b"SDMQ", mode=1):
+    head = magic + struct.pack("<HBIII", 1, mode, p, m, stages)
+    return head + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+
+
+def online_bytes(p, m, stages, forgetting=1.0, weight=1.0, fill=0.0):
+    floats = stages * (p * m + p + (m + 1) ** 2)
+    return (b"SDMO" + struct.pack("<HBIII", 1, 2, p, m, stages)
+            + struct.pack("<dd", forgetting, weight) + struct.pack(f"<{floats}d", *[fill] * floats))
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (v1_bytes(2, 3, 0, []), "stages"),
+            (v1_bytes(0, 3, 1, [np.zeros(0)]), "p, m"),
+            (v1_bytes(2, 0, 1, [np.zeros(2)]), "p, m"),
+            (v1_bytes(2, 3, 1, [np.full((2, 3), np.nan), np.zeros(2)]), "non-finite gain"),
+            (v1_bytes(2, 3, 1, [np.zeros((2, 3)), [0.0, np.inf]]), "non-finite bias"),
+            (v1_bytes(2, 3, 1, [np.zeros((2, 3)), np.zeros(2)]) + b"\0", "trailing"),
+            (v1_bytes(2, 3, 1, [np.zeros((2, 3)), np.zeros(3)]), "trailing"),
+            (v2_bytes(3, 2, 1, (0,), (np.nan,), [np.zeros((3, 2)), np.zeros(3)] * 2),
+             "non-finite partition center"),
+            (v2_bytes(3, 2, 1, (0,), (0.0,), [np.zeros((3, 2)), [np.nan, 0, 0]] * 2),
+             "non-finite bias"),
+            (v2_bytes(3, 2, 1, (0,), (0.0,), [np.zeros((3, 2)), np.zeros(3)] * 3),
+             "trailing"),
+            # sizes in the header are checked before anything is allocated
+            (v1_bytes(2**32 - 1, 2**32 - 1, 2**32 - 1, [np.zeros(4)]), "truncated"),
+        ],
+        ids=["zero-stages", "zero-p", "zero-m", "nan-gain", "inf-bias", "trailing-byte",
+             "extra-bias-entry", "v2-nan-center", "v2-nan-bias", "v2-extra-step",
+             "huge-header"],
+    )
+    def test_sequence_loader_raises_model_format_error(self, data, match):
+        with pytest.raises(ModelFormatError, match=match):
+            sequence_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (online_bytes(2, 3, 0), "stages"),
+            (online_bytes(0, 3, 1), "p, m"),
+            (online_bytes(2, 3, 1, fill=np.nan), "non-finite gain"),
+            (online_bytes(2, 3, 1, forgetting=0.0), "forgetting"),
+            (online_bytes(2, 3, 1, weight=np.inf), "sample weight"),
+            (online_bytes(2, 3, 1) + b"\0" * 8, "trailing"),
+            (online_bytes(2, 3, 1)[:-8], "truncated"),
+        ],
+        ids=["zero-stages", "zero-p", "nan-gain", "zero-forgetting", "inf-weight",
+             "trailing-float", "truncated"],
+    )
+    def test_online_loader_raises_model_format_error(self, data, match):
+        with pytest.raises(ModelFormatError, match=match):
+            online_state_from_bytes(data)
+
+    def test_non_finite_inverse_information_matrix_rejected(self):
+        data = bytearray(online_bytes(1, 1, 1))
+        data[-8:] = struct.pack("<d", np.nan)
+        with pytest.raises(ModelFormatError, match="non-finite inverse information"):
+            online_state_from_bytes(bytes(data))
+
+    def test_valid_online_bytes_load(self):
+        state = online_state_from_bytes(online_bytes(2, 3, 2, forgetting=0.5, weight=2.0))
+        assert (state.n_stages, state.forgetting, state.sample_weight) == (2, 0.5, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([b"", b"SDMQ", b"SDMO"]), st.binary(max_size=160))
+    def test_arbitrary_bytes_raise_only_model_format_error(self, magic, tail):
+        for load in (sequence_from_bytes, online_state_from_bytes):
+            try:
+                load(magic + tail)
+            except ModelFormatError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corrupted_valid_files_raise_only_model_format_error(self, data):
+        rng = np.random.default_rng(10)
+        files = [sequence_bytes(random_sequence(rng, p=2, m=2, stages=2)),
+                 sequence_bytes(partitioned_sequence(rng, p=2, m=2, stages=1, partition=(1,)))]
+        original = data.draw(st.sampled_from(files))
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(original) - 1),
+                                             st.integers(0, 255)), max_size=4))
+        cut = data.draw(st.integers(0, len(original) + 8))
+        corrupted = bytearray(original + bytes(8))[:cut]
+        for pos, value in edits:
+            if pos < len(corrupted):
+                corrupted[pos] = value
+        try:
+            seq = sequence_from_bytes(bytes(corrupted))
+        except ModelFormatError:
+            return
+        assert sequence_bytes(seq) == bytes(corrupted)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdm import pose as pose_module
 from sdm.errors import DivergedError, InvalidProjectionError
 from sdm.core import DescentSequence, DescentStep, Mode, region_index
 from sdm.pose import (
@@ -27,6 +30,8 @@ from sdm.pose import (
     rotation_to_euler,
     subsample_poses,
     train_pose_sdm,
+    _wrap_angle,
+    _wrap_angles,
 )
 from sdm.seeds import stream
 from sdm.trainer import TrainerConfig, sample_initials
@@ -64,6 +69,20 @@ class TestRotations:
             )
             back = rotation_to_euler(euler_to_rotation(e))
             assert back == pytest.approx(e, abs=1e-10)
+
+    def test_stacked_rotations_equal_single_ones_bit_for_bit(self):
+        E = np.random.default_rng(4).uniform(-np.pi, np.pi, (300, 3))
+        assert np.array_equal(euler_to_rotation(E), [euler_to_rotation(e) for e in E])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+    def test_array_wrap_equals_scalar_wrap_bit_for_bit(self, angles):
+        edges = [np.pi, -np.pi, 0.0, -0.0, 2 * np.pi, -2 * np.pi, 3 * np.pi, -3 * np.pi,
+                 np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0),
+                 np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0)]
+        a = np.array(edges + angles)
+        want = np.array([_wrap_angle(float(v)) for v in a])
+        assert _wrap_angles(a).tobytes() == want.tobytes()
 
 
 class TestProjection:
@@ -108,6 +127,19 @@ class TestProjection:
         assert fmap.jacobian(pose.vector()) == pytest.approx(
             fmap.fd_jacobian(pose.vector()), rel=1e-5, abs=1e-9
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+                              st.floats(-np.pi, np.pi), st.floats(-500.0, 500.0),
+                              st.floats(-500.0, 500.0), st.floats(-3000.0, 3000.0)),
+                    min_size=1, max_size=10))
+    def test_row_evaluation_equals_per_row_evaluate(self, poses):
+        P = np.array(poses)
+        fmap = projection_feature_map(builtin_models()["cube"])
+        want = np.array([fmap.evaluate(p) for p in P])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = fmap.evaluate_rows(P)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_behind_camera_features_are_nan(self):
         fmap = projection_feature_map(tetra_model())
@@ -184,6 +216,32 @@ class TestTrainingGrid:
         seq = train_pose_sdm(cube, DEFAULT_CAMERA, grid, config=TrainerConfig(stages=2))
         for step in seq.steps:
             assert step.gain == pytest.approx(np.zeros_like(step.gain), abs=1e-12)
+
+    def test_grid_poses_are_the_wrapped_grid_vectors(self):
+        spec = pose_grid_spec(30.0, 11.0, 400.0, 270.0)
+        want = [Pose.from_vector(v).vector()
+                for v in sample_initials(spec, DEFAULT_BASE_POSE.vector())]
+        poses = grid_poses(spec, DEFAULT_BASE_POSE)
+        assert np.array_equal(poses, want)
+        kept = subsample_poses(poses, 50, stream(9, "sub"))
+        idx = sorted(stream(9, "sub").choice(len(want), size=50, replace=False))
+        assert np.array_equal([p.vector() for p in kept], [want[i] for i in idx])
+
+    @pytest.mark.parametrize("noise", [0.0, 4.0])
+    def test_training_targets_equal_per_pose_observations(self, monkeypatch, noise):
+        captured = []
+        monkeypatch.setattr(pose_module, "train", lambda tset, *a, **k: captured.append(tset))
+        cube = builtin_models()["cube"]
+        grid = pose_grid_spec(30.0, 15.0, 400.0, 400.0)
+        train_pose_sdm(cube, DEFAULT_CAMERA, grid, noise_variance=noise,
+                       rng=stream(3, "targets"))
+        rng = stream(3, "targets")
+        poses = [Pose.from_vector(v) for v in sample_initials(grid, DEFAULT_BASE_POSE.vector())]
+        want = [observe(p, cube, DEFAULT_CAMERA, rng=rng, noise_variance=noise).feature()
+                for p in poses]
+        (tset,) = captured
+        assert np.array_equal(tset.targets, want)
+        assert np.array_equal(tset.optima, [p.vector() for p in poses])
 
     def test_invalid_training_pose_names_the_pose(self):
         cube = builtin_models()["cube"]

@@ -1,12 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdm.core import Mode, SmoothMap, apply_sequence
-from sdm.errors import PartitionError, RankDeficiencyError, TrainingDivergedError
+from sdm.core import Mode, SmoothMap, apply_sequence, dm_update, dm_update_biased, region_index
+from sdm.errors import (
+    DimensionMismatchError,
+    PartitionError,
+    RankDeficiencyError,
+    TrainingDivergedError,
+)
 from sdm.trainer import (
     SamplingSpec,
     TrainerConfig,
     TrainingSet,
+    grid_points,
     sample_initials,
     solve_stage,
     train,
@@ -96,7 +106,7 @@ class TestTrain:
         starts = sample_initials(SamplingSpec.gaussian(stddev=[0.3], count=300, seed=5), x_star)
         tset = TrainingSet.template(smap, x_star, starts)
         seq = train(tset, TrainerConfig(stages=4, ridge=0.0))
-        final = [apply_sequence(seq, x0, smap, y=tset.problems[0].target)[-1] for x0 in starts]
+        final = [apply_sequence(seq, x0, smap, y=tset.targets[0])[-1] for x0 in starts]
         mean_final = np.mean([abs(x[0] - 1.0) for x in final])
         mean_init = np.mean([abs(x0[0] - 1.0) for x0 in starts])
         assert mean_final < 0.01 * mean_init
@@ -122,10 +132,8 @@ class TestTrain:
         starts = [rng.normal(size=2) for _ in range(30)]
         template = train(TrainingSet.template(smap, x_star, starts),
                          TrainerConfig(stages=2, ridge=0.0))
-        problems = [
-            TrainingSet.template(smap, x_star, [x0]).problems[0] for x0 in starts
-        ]
-        generalized = train(TrainingSet.generalized(problems, starts),
+        shared = TrainingSet.template(smap, x_star, starts)
+        generalized = train(TrainingSet.generalized(smap, shared.optima, shared.targets, starts),
                             TrainerConfig(stages=2, ridge=0.0))
         gstep = generalized.steps[0]
         assert gstep.bias == pytest.approx(gstep.gain @ y, rel=1e-8, abs=1e-10)
@@ -170,10 +178,13 @@ class TestTrain:
     def test_reversed_mode_requires_shared_start(self):
         smap = linear_map(np.eye(1))
         with pytest.raises(ValueError, match="shared initial state"):
+            shared = TrainingSet.reversed_targets(smap, [0.0], [[1.0], [2.0]])
             TrainingSet(
                 mode=Mode.REVERSED,
-                problems=TrainingSet.reversed_targets(smap, [0.0], [[1.0], [2.0]]).problems,
-                initial_states=(np.array([0.0]), np.array([1.0])),
+                map=smap,
+                optima=shared.optima,
+                targets=shared.targets,
+                starts=(np.array([0.0]), np.array([1.0])),
             )
 
 
@@ -222,3 +233,127 @@ class TestPartitionedTrain:
         reversed_set = TrainingSet.reversed_targets(smap, [0.0], [[0.5], [1.5]])
         with pytest.raises(PartitionError, match="distinct"):
             train(reversed_set, TrainerConfig(stages=1), partition=(1,))
+
+
+def loop_train(tset, config, partition=()):
+    """Reference trainer: the same cascade, one sample at a time.
+
+    Per stage: evaluate every sample with `evaluate`, fit each region as
+    `train` does, then move each sample with the single-point update.
+    Returns the steps and the training report.
+    """
+    center = tset.starts[0][list(partition)]
+    generalized = tset.mode is Mode.GENERALIZED
+    states = [np.array(x) for x in tset.starts]
+
+    def mean_sq_residual():
+        errs = np.array([x_opt - x for x_opt, x in zip(tset.optima, states)])
+        return float(np.mean(np.sum(errs * errs, axis=1)))
+
+    def fit(D, Phi):
+        ridge = config.ridge
+        if ridge is None:
+            ridge = 1e-6 * float(np.sum(Phi * Phi)) / Phi.shape[1]
+        return solve_stage(D, Phi, with_bias=generalized, ridge=ridge)
+
+    report, steps = [mean_sq_residual()], []
+    for _ in range(config.stages):
+        hvals = [tset.map.evaluate(x) for x in states]
+        D = np.array([x_opt - x for x_opt, x in zip(tset.optima, states)])
+        if generalized:
+            Phi = -np.array(hvals)
+        else:
+            Phi = np.array([y - h for y, h in zip(tset.targets, hvals)])
+        regions = [region_index(x, tuple(partition), center) for x in states]
+        fit_all = fit(D, Phi)
+        stage = []
+        for r in range(1 << len(partition)):
+            idx = [i for i, region in enumerate(regions) if region == r]
+            stage.append(fit(D[idx], Phi[idx]) if 0 < len(idx) < len(states) else fit_all)
+        steps.extend(stage)
+        for i, h in enumerate(hvals):
+            step = stage[regions[i]]
+            if generalized:
+                states[i] = dm_update_biased(states[i], step, h)
+            else:
+                states[i] = dm_update(states[i], step, h, tset.targets[i])
+        report.append(mean_sq_residual())
+    return steps, report
+
+
+def generic_map(rows_kernel: bool):
+    A = np.array([[0.9, -0.4, 0.3], [0.2, 1.1, -0.5], [-0.3, 0.2, 0.8],
+                  [0.5, 0.5, 0.5], [0.1, -0.7, 0.4]])
+
+    def rows(X):
+        return np.tanh(X @ A.T) + 0.1 * (X @ A.T) ** 2
+
+    return SmoothMap(3, 5, lambda x: rows(x[None, :])[0],
+                     rows=rows if rows_kernel else None, name="generic")
+
+
+class TestArrayTrainMatchesLoopReference:
+    """The array trainer against the per-sample reference on noisy data."""
+
+    @staticmethod
+    def training_sets(smap):
+        """(training set, partition, stages) per run. Template and
+        generalized clouds collapse onto their optima, so their later
+        fits are ill-conditioned whatever the trainer: two stages."""
+        rng = np.random.default_rng(31)
+        n = 240
+        x_star = np.array([0.3, -0.2, 0.5])
+        starts = x_star + 1.5 * rng.normal(size=(n, 3))
+        optima = x_star + 0.5 * rng.normal(size=(n, 3))
+        noisy = smap.evaluate_rows(optima) + 0.01 * rng.normal(size=(n, 5))
+        reversed_set = TrainingSet.reversed_targets(smap, np.zeros(3), optima, noisy)
+        return {
+            "template": (TrainingSet.template(smap, x_star, starts), (), 2),
+            "reversed": (reversed_set, (), 4),
+            "generalized": (TrainingSet.generalized(smap, optima, noisy, starts), (), 2),
+            "partitioned": (reversed_set, (0, 2), 4),
+        }
+
+    @pytest.mark.parametrize("rows_kernel", [False, True])
+    @pytest.mark.parametrize("name", ["template", "reversed", "generalized", "partitioned"])
+    def test_steps_and_report_match(self, name, rows_kernel):
+        tset, partition, stages = self.training_sets(generic_map(rows_kernel))[name]
+        config = TrainerConfig(stages=stages)
+        seq = train(tset, config, partition=partition)
+        want_steps, want_report = loop_train(tset, config, partition)
+        assert len(seq.steps) == len(want_steps) == stages << len(partition)
+        for got, want in zip(seq.steps, want_steps):
+            for a, b in ((got.gain, want.gain), (got.bias, want.bias)):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        got_report = np.array(seq.training_report)
+        assert np.all(np.abs(got_report - want_report) <= 1e-12 * np.abs(want_report))
+
+
+class TestEvaluateRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                    min_size=1, max_size=12))
+    def test_rows_equal_per_row_evaluate(self, points):
+        X = np.array(points)
+        want = np.array([generic_map(False).evaluate(x) for x in X])
+        assert np.array_equal(generic_map(False).evaluate_rows(X), want)
+        # the vectorized kernel sums its matrix products in another order
+        assert np.allclose(generic_map(True).evaluate_rows(X), want, rtol=1e-13, atol=1e-15)
+
+    def test_row_shapes_checked(self):
+        smap = generic_map(False)
+        with pytest.raises(ValueError, match="shape"):
+            smap.evaluate_rows(np.zeros(3))
+        bad = SmoothMap(3, 5, smap.fn, rows=lambda X: np.zeros((len(X), 4)))
+        with pytest.raises(DimensionMismatchError):
+            bad.evaluate_rows(np.zeros((2, 3)))
+
+
+class TestGridPoints:
+    def test_grid_points_are_the_grid_in_product_order(self):
+        spec = SamplingSpec.grid([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0], [0.5, 0.25, 1.0])
+        around = np.array([0.1, -0.2, 0.3])
+        want = [around + np.array(c) for c in itertools.product(
+            *[np.linspace(lo, hi, n) for lo, hi, n in ((-1, 1, 5), (0, 0.5, 3), (2, 3, 2))]
+        )]
+        assert np.array_equal(grid_points(spec, around), np.array(want))
