@@ -8,8 +8,6 @@ from .core import (
     NlsProblem,
     SmoothMap,
     apply_sequence,
-    dm_update,
-    dm_update_biased,
 )
 from .baselines import DescentRun, RunStatus, gauss_newton_minimize, newton_minimize
 from .online import OnlineState, init_online, rls_ingest
@@ -23,7 +21,7 @@ from .theory import (
     monotone_anchored_1d,
     monotone_operator_check,
 )
-from .trainer import SamplingSpec, TrainerConfig, TrainingSet, sample_initials, solve_stage, train
+from .trainer import TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
 
 __all__ = [
     "ContractionCertificate",
@@ -35,24 +33,21 @@ __all__ = [
     "NlsProblem",
     "OnlineState",
     "RunStatus",
-    "SamplingSpec",
     "SmoothMap",
     "TrainerConfig",
     "TrainingSet",
     "apply_sequence",
     "contraction_certify",
-    "dm_update",
-    "dm_update_biased",
     "frobenius_dm_bound",
     "gauss_newton_minimize",
     "generic_dm_1d",
+    "grid_offsets",
     "init_online",
     "lipschitz_anchored",
     "monotone_anchored_1d",
     "monotone_operator_check",
     "newton_minimize",
     "rls_ingest",
-    "sample_initials",
     "solve_stage",
     "train",
 ]

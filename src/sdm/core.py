@@ -1,11 +1,13 @@
-"""Core types and update kernels for learned-descent-map optimization.
+"""Core types and the update rule for learned-descent-map optimization.
 
 Parameter and feature vectors are plain 1-D float64 numpy arrays. The
 helpers here validate shape and finiteness at API boundaries; hot loops
 operate on the validated arrays directly. A DescentStep is one learned
-linear update (gain matrix plus optional bias), and a DescentSequence
-is the trained cascade that gets applied at test time; a partitioned
-cascade holds one step per region of parameter space at every stage.
+linear update, ``x <- x + R (y - h(x)) + b`` (`DescentStep.advance`;
+generalized mode has y = 0 and a learned bias b, the other modes b = 0),
+and a DescentSequence is the trained cascade that gets applied at test
+time; a partitioned cascade holds one step per region of parameter
+space at every stage.
 """
 from __future__ import annotations
 
@@ -130,10 +132,12 @@ class SmoothMap:
 
 @dataclass(frozen=True)
 class DescentStep:
-    """One learned update: a gain matrix (p x m) and a bias (length p).
+    """One learned update: a gain matrix R (p x m) and a bias b (length p).
 
-    The bias is all zeros except in generalized mode, where it absorbs
-    the unknown target.
+    `advance` is the one update rule of the package, used in training,
+    at test time and by the contraction certificates. The bias is all
+    zeros except in generalized mode, where it absorbs the unknown
+    target.
     """
 
     gain: Array
@@ -157,6 +161,12 @@ class DescentStep:
     @property
     def feature_dim(self) -> int:
         return self.gain.shape[1]
+
+    def advance(self, X, Phi) -> Array:
+        """``X + R (y - h) + b``: one point X (p,) with its feature
+        residual Phi = y - h (m,), or (N, p) points with (N, m)
+        residuals, one per row. Generalized mode passes y = 0."""
+        return X + Phi @ self.gain.T + self.bias
 
 
 def partition_coords(partition, param_dim: int) -> tuple[int, ...]:
@@ -196,7 +206,8 @@ class DescentSequence:
     ``x[partition[j]] - center[j]`` (see `region_index`) and holds one
     step per region at every stage. `steps` is stage-major: stage k's
     step for region r is ``steps[k * n_regions + r]``. Without partition
-    coordinates there is one region and one step per stage.
+    coordinates there is one region and one step per stage. Outside
+    generalized mode the steps are applied without their biases.
     """
 
     steps: tuple[DescentStep, ...]
@@ -227,8 +238,16 @@ class DescentSequence:
             raise PartitionError(
                 f"{len(steps)} steps do not split into stages of {1 << len(partition)} regions"
             )
+        mode = Mode(self.mode)
+        # Only generalized mode learns a bias. A template or reversed model
+        # read from a file may still hold one: it is kept, so the file is
+        # written back as it was read, but not applied.
+        applied = steps if mode is Mode.GENERALIZED else tuple(
+            DescentStep.from_gain(s.gain) if s.bias.any() else s for s in steps
+        )
+        object.__setattr__(self, "_applied", applied)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "mode", Mode(self.mode))
+        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "training_report", tuple(float(v) for v in self.training_report))
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "center", center)
@@ -241,8 +260,9 @@ class DescentSequence:
         return len(self.steps) // self.n_regions
 
     def step_at(self, stage: int, x) -> DescentStep:
-        """The step that stage `stage` applies at the point `x`."""
-        return self.steps[stage * self.n_regions + region_index(x, self.partition, self.center)]
+        """The step that stage `stage` applies at the point `x` (its
+        bias dropped outside generalized mode)."""
+        return self._applied[stage * self.n_regions + region_index(x, self.partition, self.center)]
 
 
 @dataclass(frozen=True)
@@ -270,39 +290,6 @@ class NlsProblem:
         return float(np.linalg.norm(self.map.evaluate(x) - self.target))
 
 
-def _check_update_dims(x_prev: Array, step: DescentStep, h_val: Array, y: Array | None):
-    if x_prev.size != step.param_dim:
-        raise DimensionMismatchError("param", expected=step.param_dim, got=x_prev.size)
-    if h_val.size != step.feature_dim:
-        raise DimensionMismatchError("feature", expected=step.feature_dim, got=h_val.size)
-    if y is not None and y.size != step.feature_dim:
-        raise DimensionMismatchError("target", expected=step.feature_dim, got=y.size)
-
-
-def dm_update(x_prev, step: DescentStep, h_val, y) -> Array:
-    """One descent-map update: ``x_prev - gain @ (h_val - y)``.
-
-    Pure function; the step's bias is ignored (it is zero outside
-    generalized mode by construction).
-    """
-    x_prev = np.asarray(x_prev, dtype=float).reshape(-1)
-    h_val = np.asarray(h_val, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_update_dims(x_prev, step, h_val, y)
-    return x_prev - step.gain @ (h_val - y)
-
-
-def dm_update_biased(x_prev, step: DescentStep, h_val) -> Array:
-    """Target-free update: ``x_prev - gain @ h_val + bias``.
-
-    Equals `dm_update` whenever ``bias == gain @ y``.
-    """
-    x_prev = np.asarray(x_prev, dtype=float).reshape(-1)
-    h_val = np.asarray(h_val, dtype=float).reshape(-1)
-    _check_update_dims(x_prev, step, h_val, None)
-    return x_prev - step.gain @ h_val + step.bias
-
-
 def apply_sequence(
     seq: DescentSequence,
     x0,
@@ -313,14 +300,19 @@ def apply_sequence(
 
     Returns the full trajectory, ``len(seq) + 1`` iterates starting at
     `x0`. Each stage applies its step for the region holding the current
-    iterate. In generalized mode `y` must be omitted; otherwise it is the
-    target for the residual. A non-finite evaluation raises
-    DivergedError carrying the partial trajectory.
+    iterate, as ``x = step.advance(x, y - h(x))``. In generalized mode
+    `y` must be omitted and is taken as zero (the steps' biases stand in
+    for it); otherwise it is the target for the residual. A non-finite
+    evaluation raises DivergedError carrying the partial trajectory.
     """
     x = as_vector(x0, "x0", dim=seq.param_dim)
+    if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
+        raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
+                                     (map.param_dim, map.feature_dim))
     if seq.mode is Mode.GENERALIZED:
         if y is not None:
             raise ValueError("generalized-mode sequences take no target")
+        y = np.zeros(seq.feature_dim)
     else:
         if y is None:
             raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
@@ -328,13 +320,8 @@ def apply_sequence(
 
     trajectory = [np.array(x)]
     for k in range(len(seq)):
-        step = seq.step_at(k, trajectory[-1])
         h = map.evaluate(trajectory[-1])
         if not np.all(np.isfinite(h)):
             raise DivergedError("map produced a non-finite value mid-trajectory", trajectory)
-        if seq.mode is Mode.GENERALIZED:
-            x_next = dm_update_biased(trajectory[-1], step, h)
-        else:
-            x_next = dm_update(trajectory[-1], step, h, y)
-        trajectory.append(x_next)
+        trajectory.append(seq.step_at(k, trajectory[-1]).advance(trajectory[-1], y - h))
     return trajectory

@@ -1,12 +1,13 @@
 """Online refresh of a trained cascade via recursive least squares.
 
 The state keeps, per stage, an inverse information matrix over
-bias-augmented features ([h; 1]) and the stage's weight matrix in the
-additive convention ``x_next = x + W @ [h; 1]``. Publicly the stages
-are still exposed as DescentStep objects (``gain = -W[:, :m]``,
-``bias = W[:, m]``), matching the subtractive update used everywhere
-else. Each ingest is a rank-one update: no matrix is ever inverted, so
-the per-stage cost is O(m^2).
+bias-augmented features ([h; 1]) and the stage's weight matrix W, the
+regression coefficients of the parameter residual on [h; 1]. Publicly
+the stages are DescentStep objects (``gain = -W[:, :m]``,
+``bias = W[:, m]``) of a generalized-mode sequence, so that
+``x + W @ [h; 1]`` is the package's one update ``step.advance(x, -h)``.
+Each ingest is a rank-one update: no matrix is ever inverted, so the
+per-stage cost is O(m^2).
 """
 from __future__ import annotations
 
@@ -147,16 +148,13 @@ def rls_ingest(
     x_opt,
     x0,
     map: SmoothMap,
-    literal_eval_point: bool = False,
 ) -> OnlineState:
     """Fold one labeled sample (optimum, start) into every stage.
 
     Per stage: rank-one downdate of the inverse information matrix,
     weight refresh from the prediction error, then the next stage's
-    residual/feature pair generated with the just-updated weights. The
-    default evaluates features at the current iterate
-    ``x_opt - dx_k``; `literal_eval_point` flips that to
-    ``x_opt + dx_k`` (the mirrored reading, kept for comparison).
+    residual/feature pair generated with the just-updated weights, the
+    features being evaluated at the current iterate ``x_opt - dx_k``.
 
     Updates `state` in place and returns it.
     """
@@ -172,8 +170,7 @@ def rls_ingest(
     new_weights: list[Array] = []
     new_inv_cov: list[Array] = []
     for k in range(state.n_stages):
-        x_eval = x_opt + dx if literal_eval_point else x_opt - dx
-        phi = _augment(map.evaluate(x_eval))
+        phi = _augment(map.evaluate(x_opt - dx))
 
         S = state.inv_cov[k]
         Sphi = S @ phi

@@ -20,20 +20,27 @@ from importlib import resources
 import numpy as np
 
 from .baselines import gauss_newton_minimize
-from .core import Array, DescentSequence, NlsProblem, SmoothMap, apply_sequence, as_vector
-from .errors import InvalidProjectionError
-from .trainer import SamplingSpec, TrainerConfig, TrainingSet, grid_points, train
+from .core import (
+    Array,
+    DescentSequence,
+    NlsProblem,
+    SmoothMap,
+    apply_sequence,
+    as_matrix,
+    as_vector,
+)
+from .errors import DimensionMismatchError, InvalidProjectionError
+from .trainer import TrainerConfig, TrainingSet, grid_offsets, train
 
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics in pixels; skew is fixed at zero."""
+    """Pinhole intrinsics in pixels, without skew."""
 
     fx: float
     fy: float
     u0: float
     v0: float
-    skew: float = 0.0
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
@@ -64,12 +71,6 @@ class ObjectModel:
     @property
     def n_points(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def coplanar(self) -> bool:
-        centered = self.points - self.points.mean(axis=1, keepdims=True)
-        s = np.linalg.svd(centered, compute_uv=False)
-        return bool(s[2] < 1e-9 * max(s[0], 1.0))
 
 
 def _wrap_angle(a: float) -> float:
@@ -160,23 +161,6 @@ def euler_to_rotation(euler) -> Array:
     return _rz(e[0]) @ _ry(e[1]) @ _rx(e[2])
 
 
-def rotation_to_euler(Q) -> Array:
-    """Inverse of euler_to_rotation on the principal domain
-    (pitch strictly inside (-pi/2, pi/2); yaw/roll in (-pi, pi])."""
-    Q = np.asarray(Q, dtype=float)
-    sy = -Q[2, 0]
-    sy = min(1.0, max(-1.0, sy))
-    pitch = math.asin(sy)
-    if abs(abs(sy) - 1.0) < 1e-12:
-        # gimbal lock: yaw and roll are not separable; put it all in roll
-        yaw = 0.0
-        roll = math.atan2(-Q[0, 1], Q[1, 1])
-    else:
-        yaw = math.atan2(Q[1, 0], Q[0, 0])
-        roll = math.atan2(Q[2, 1], Q[2, 2])
-    return np.array([yaw, pitch, roll])
-
-
 def _rotation_derivatives(euler) -> Array:
     """(3, 3, 3) array, entry k the derivative of Q wrt angle k."""
     e = np.asarray(euler, dtype=float).reshape(3)
@@ -238,7 +222,7 @@ def _require_positive_depth(depth: Array, context: str = "") -> None:
 def _pixels(C: Array, cam: CameraIntrinsics) -> Array:
     """Pixel coordinates (..., 2, n) of camera-frame points (..., 3, n)."""
     x, y, z = C[..., 0, :], C[..., 1, :], C[..., 2, :]
-    u = cam.fx * x / z + cam.skew * y / z + cam.u0
+    u = cam.fx * x / z + cam.u0
     v = cam.fy * y / z + cam.v0
     return np.stack([u, v], axis=-2)
 
@@ -327,19 +311,23 @@ def pose_grid_spec(
     rot_step_deg: float = 10.0,
     trans_extent_mm: float = 400.0,
     trans_step_mm: float = 200.0,
-) -> SamplingSpec:
-    """Cartesian pose-offset grid over all six parameters."""
+) -> Array:
+    """Cartesian pose-offset grid over all six parameters, as an (N, 6)
+    array of offsets (see `trainer.grid_offsets`)."""
     r = math.radians(rot_extent_deg)
     lo = np.array([-r] * 3 + [-trans_extent_mm] * 3)
     hi = -lo
     step = np.array([math.radians(rot_step_deg)] * 3 + [trans_step_mm] * 3)
-    return SamplingSpec.grid(lo, hi, step)
+    return grid_offsets(lo, hi, step)
 
 
-def grid_poses(spec: SamplingSpec, base_pose: Pose) -> Array:
-    """The grid's poses around `base_pose` as an (N, 6) array of pose
-    vectors, angles wrapped as in `Pose`."""
-    poses = grid_points(spec, base_pose.vector())
+def grid_poses(offsets: Array, base_pose: Pose) -> Array:
+    """The poses at `offsets` (see `pose_grid_spec`) from `base_pose` as
+    an (N, 6) array of pose vectors, angles wrapped as in `Pose`."""
+    offsets = as_matrix(offsets, "pose offsets")
+    if offsets.shape[1] != 6:
+        raise DimensionMismatchError("pose offsets", expected=6, got=offsets.shape[1])
+    poses = base_pose.vector() + offsets
     poses[:, :3] = _wrap_angles(poses[:, :3])
     return poses
 
@@ -347,7 +335,7 @@ def grid_poses(spec: SamplingSpec, base_pose: Pose) -> Array:
 def train_pose_sdm(
     model: ObjectModel,
     cam: CameraIntrinsics,
-    train_grid: SamplingSpec,
+    train_grid: Array,
     base_pose: Pose = DEFAULT_BASE_POSE,
     noise_variance: float = 0.0,
     config: TrainerConfig = TrainerConfig(),
@@ -392,8 +380,12 @@ def estimate_pose(
     model: ObjectModel,
     cam: CameraIntrinsics,
     base_pose: Pose = DEFAULT_BASE_POSE,
-) -> tuple[Pose, list[Pose]]:
-    """Run the cascade from the base pose against an observed projection."""
+) -> tuple[Pose, list[Array]]:
+    """Run the cascade from the base pose against an observed projection.
+
+    Returns the last iterate as a Pose and the cascade's trajectory of
+    pose vectors (see `apply_sequence`).
+    """
     if observed.n_points != model.n_points:
         raise ValueError(
             f"observation has {observed.n_points} points, model has {model.n_points}"
@@ -401,8 +393,7 @@ def estimate_pose(
     traj = apply_sequence(
         seq, base_pose.vector(), projection_feature_map(model), y=observed.feature()
     )
-    poses = [Pose.from_vector(v) for v in traj]
-    return poses[-1], poses
+    return Pose.from_vector(traj[-1]), traj
 
 
 def pose_error(estimated: Pose, truth: Pose) -> tuple[float, float]:

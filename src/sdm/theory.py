@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DescentStep, SmoothMap, as_vector, dm_update
+from .core import Array, DescentStep, SmoothMap, as_vector
 from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError
 
 # Total sample budget for multi-dimensional lattices; beyond the largest
@@ -113,7 +113,7 @@ def _anchored_values(map: SmoothMap, nbhd: Neighborhood, seed: int = 0):
     if pts.shape[0] == 0:
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
     h0 = map.evaluate(nbhd.anchor)
-    hv = np.array([map.evaluate(x) for x in pts])
+    hv = map.evaluate_rows(pts)
     return pts, dist, hv, h0
 
 
@@ -209,8 +209,7 @@ def contraction_certify(
         y = map.evaluate(nbhd.anchor)
     pts, dist, hv, _ = _anchored_values(map, nbhd)
     y = as_vector(y, "y", dim=map.feature_dim)
-    # row i equals dm_update(pts[i], step, hv[i], y)
-    nxt = pts - (hv - y) @ step.gain.T
+    nxt = step.advance(pts, y - hv)
     ratios = np.linalg.norm(nbhd.anchor - nxt, axis=1) / dist
     worst = int(np.argmax(ratios))
     return ContractionCertificate(

@@ -1,14 +1,15 @@
 """Batch training of descent-map cascades.
 
 Each stage solves one linear least-squares problem (parameter residuals
-against feature residuals), then advances every sample with the freshly
-learned step before the next stage. Three data conventions are
-supported: a fixed shared target (template), a fixed start with
-per-sample targets (reversed), and target-free regression with a
-learned bias (generalized). A reversed cascade can also be partitioned:
-each stage then fits one step per region of parameter space, the region
-of a sample being given by where its current estimate lies relative to
-the shared start point.
+against feature residuals Phi = y - h), then advances every sample with
+the freshly learned step's `DescentStep.advance`, the same update
+`apply_sequence` applies at test time, before the next stage. Three
+data conventions are supported: a fixed shared target (template), a
+fixed start with per-sample targets (reversed), and target-free
+regression with a learned bias (generalized, Phi = -h). A reversed
+cascade can also be partitioned: each stage then fits one step per
+region of parameter space, the region of a sample being given by where
+its current estimate lies relative to the shared start point.
 """
 from __future__ import annotations
 
@@ -36,90 +37,28 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    """How to draw initial parameter vectors (or target optima).
-
-    Three kinds: seeded Gaussian draws around a center, a full Cartesian
-    grid of per-dimension offsets, or an explicit list. `count` only
-    applies to the Gaussian kind.
-    """
-
-    kind: str
-    mean: Array | None = None
-    stddev: Array | None = None
-    count: int = 1
-    seed: int = 0
-    lo: Array | None = None
-    hi: Array | None = None
-    step: Array | None = None
-    points: tuple[Array, ...] | None = None
-
-    @classmethod
-    def gaussian(cls, stddev, count: int, seed: int = 0, mean=None) -> "SamplingSpec":
-        stddev = as_vector(stddev, "stddev")
-        if np.any(stddev < 0):
-            raise ValueError("stddev entries must be >= 0")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if mean is None:
-            mean = np.zeros(stddev.size)
-        return cls(kind="gaussian", mean=as_vector(mean, "mean", dim=stddev.size),
-                   stddev=stddev, count=count, seed=seed)
-
-    @classmethod
-    def grid(cls, lo, hi, step) -> "SamplingSpec":
-        lo = as_vector(lo, "lo")
-        hi = as_vector(hi, "hi", dim=lo.size)
-        step = as_vector(step, "step", dim=lo.size)
-        if np.any(step <= 0):
-            raise ValueError("grid step entries must be > 0")
-        if np.any(lo > hi):
-            raise ValueError("grid needs lo <= hi per dimension")
-        return cls(kind="grid", lo=lo, hi=hi, step=step)
-
-    @classmethod
-    def explicit(cls, points) -> "SamplingSpec":
-        pts = tuple(as_vector(p, "point") for p in points)
-        if not pts:
-            raise ValueError("explicit sampling needs at least one point")
-        return cls(kind="explicit", points=pts)
-
-
 def _grid_axis(lo: float, hi: float, step: float) -> Array:
     # arange semantics: last value is the largest lo + k*step <= hi
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return np.linspace(lo, lo + step * (n - 1), n)
 
 
-def grid_points(spec: SamplingSpec, around) -> Array:
-    """A grid spec's points as one (N, p) array of offsets added to
-    `around`, the last coordinate varying fastest."""
-    if spec.kind != "grid":
-        raise ValueError(f"grid_points needs a grid spec, got kind {spec.kind!r}")
-    around = as_vector(around, "around", dim=spec.lo.size)
-    axes = [_grid_axis(lo, hi, st) for lo, hi, st in zip(spec.lo, spec.hi, spec.step)]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, around.size)
-    return around + offsets
+def grid_offsets(lo, hi, step) -> Array:
+    """The Cartesian grid from `lo` to `hi` by `step` per dimension, as
+    an (N, p) array of offsets with the last coordinate varying fastest.
 
-
-def sample_initials(spec: SamplingSpec, around) -> list[Array]:
-    """Materialize a SamplingSpec. Deterministic given the spec's seed.
-
-    Gaussian draws are centered at ``around + spec.mean``; grid offsets
-    are added to `around`; explicit points are returned verbatim.
+    Each axis runs ``lo, lo + step, ...`` up to the largest value not
+    above `hi`. Steps must be positive and ``lo <= hi``.
     """
-    around = as_vector(around, "around")
-    if spec.kind == "gaussian":
-        rng = np.random.default_rng(spec.seed)
-        center = around + spec.mean
-        draws = center + rng.standard_normal((spec.count, around.size)) * spec.stddev
-        return [draws[i] for i in range(spec.count)]
-    if spec.kind == "grid":
-        return list(grid_points(spec, around))
-    if spec.kind == "explicit":
-        return [np.array(p) for p in spec.points]
-    raise ValueError(f"unknown sampling kind {spec.kind!r}")
+    lo = as_vector(lo, "lo")
+    hi = as_vector(hi, "hi", dim=lo.size)
+    step = as_vector(step, "step", dim=lo.size)
+    if np.any(step <= 0):
+        raise ValueError("grid step entries must be > 0")
+    if np.any(lo > hi):
+        raise ValueError("grid needs lo <= hi per dimension")
+    axes = [_grid_axis(a, b, st) for a, b, st in zip(lo, hi, step)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
 
 
 def _rows(values, name: str, dim: int) -> Array:
@@ -330,10 +269,9 @@ def train(
         regions = region_index(X, partition, center)
         stage = _solve_regions(D, Phi, regions, n_regions, with_bias=generalized, config=config)
         steps.extend(stage)
-        # x - gain @ (h - y), or x - gain @ h + bias in generalized mode
         for r, step in enumerate(stage):
             rows = regions == r
-            X[rows] = X[rows] + Phi[rows] @ step.gain.T + step.bias
+            X[rows] = step.advance(X[rows], Phi[rows])
         report.append(mean_sq_residual())
 
     return DescentSequence(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sdm
 from sdm.core import (
     DescentSequence,
     DescentStep,
@@ -9,8 +10,6 @@ from sdm.core import (
     SmoothMap,
     apply_sequence,
     as_vector,
-    dm_update,
-    dm_update_biased,
     region_index,
 )
 from sdm.errors import DimensionMismatchError, DivergedError, PartitionError
@@ -21,16 +20,25 @@ def linear_map(A):
     return SmoothMap(A.shape[1], A.shape[0], lambda x: A @ x, jac=lambda x: A, name="linear")
 
 
+def one_step(step, mode=Mode.TEMPLATE):
+    return DescentSequence(steps=(step,), param_dim=step.param_dim,
+                           feature_dim=step.feature_dim, mode=mode)
+
+
 class TestDmUpdate:
+    """The descent-map update ``DescentStep.advance``, alone and as the
+    step `apply_sequence` takes."""
+
     def test_identity_map_one_exact_step(self):
         step = DescentStep.from_gain([[1.0]])
-        out = dm_update([0.5], step, [0.5], [0.0])
+        out = step.advance(np.array([0.5]), np.array([-0.5]))  # y - h = 0 - 0.5
         assert out == pytest.approx([0.0], abs=0)
 
     def test_hand_evaluated_cubic_step(self):
         # 0.5 - 0.4 * (0.125 - 1.0) = 0.85
         step = DescentStep.from_gain([[0.4]])
-        out = dm_update([0.5], step, [0.125], [1.0])
+        cube = SmoothMap(1, 1, lambda x: x**3)
+        out = apply_sequence(one_step(step), [0.5], cube, y=[1.0])[-1]
         assert out[0] == pytest.approx(0.85, abs=1e-15)
 
     def test_zero_residual_is_fixed_point(self):
@@ -39,8 +47,9 @@ class TestDmUpdate:
             p, m = rng.integers(1, 5), rng.integers(1, 5)
             step = DescentStep.from_gain(rng.normal(size=(p, m)))
             x = rng.normal(size=p)
-            h = rng.normal(size=m)
-            assert dm_update(x, step, h, h) == pytest.approx(x, abs=0)
+            assert step.advance(x, np.zeros(m)) == pytest.approx(x, abs=0)
+            X = rng.normal(size=(6, p))
+            assert np.array_equal(step.advance(X, np.zeros((6, m))), X)
 
     def test_affine_in_h_val(self):
         rng = np.random.default_rng(1)
@@ -49,42 +58,59 @@ class TestDmUpdate:
         y = rng.normal(size=2)
         a, b = rng.normal(size=2), rng.normal(size=2)
         for alpha in (0.0, 0.3, 1.0, -0.7):
-            mixed = dm_update(x, step, alpha * a + (1 - alpha) * b, y)
-            combo = alpha * dm_update(x, step, a, y) + (1 - alpha) * dm_update(x, step, b, y)
+            mixed = step.advance(x, y - (alpha * a + (1 - alpha) * b))
+            combo = alpha * step.advance(x, y - a) + (1 - alpha) * step.advance(x, y - b)
             assert mixed == pytest.approx(combo, rel=1e-12, abs=1e-12)
+
+    def test_rows_advance_like_single_points(self):
+        rng = np.random.default_rng(5)
+        step = DescentStep(gain=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
+        X, Phi = rng.normal(size=(9, 3)), rng.normal(size=(9, 4))
+        want = [step.advance(x, phi) for x, phi in zip(X, Phi)]
+        assert np.allclose(step.advance(X, Phi), want, rtol=1e-14, atol=1e-14)
 
     def test_dimension_mismatch_names_axis(self):
         step = DescentStep.from_gain([[1.0, 2.0]])  # p=1, m=2
-        with pytest.raises(DimensionMismatchError, match="param"):
-            dm_update([1.0, 2.0], step, [1.0, 2.0], [0.0, 0.0])
-        with pytest.raises(DimensionMismatchError, match="feature"):
-            dm_update([1.0], step, [1.0], [0.0])
-        with pytest.raises(DimensionMismatchError, match="target"):
-            dm_update([1.0], step, [1.0, 2.0], [0.0])
+        seq = one_step(step)
+        smap = SmoothMap(1, 2, lambda x: np.array([x[0], x[0]]))
+        with pytest.raises(DimensionMismatchError, match="x0"):
+            apply_sequence(seq, [1.0, 2.0], smap, y=[0.0, 0.0])
+        with pytest.raises(DimensionMismatchError, match="y"):
+            apply_sequence(seq, [1.0], smap, y=[0.0])
+        for wrong in (SmoothMap(1, 1, lambda x: x), SmoothMap(2, 2, lambda x: x)):
+            with pytest.raises(DimensionMismatchError, match="map"):
+                apply_sequence(seq, [1.0], wrong, y=[0.0, 0.0])
 
 
 class TestDmUpdateBiased:
+    """The generalized-mode update: zero target, learned bias."""
+
     def test_zero_step_is_identity(self):
         step = DescentStep(gain=np.zeros((2, 3)), bias=np.zeros(2))
         x = np.array([1.5, -2.0])
-        assert dm_update_biased(x, step, [9.0, 9.0, 9.0]) == pytest.approx(x, abs=0)
+        assert step.advance(x, -np.array([9.0, 9.0, 9.0])) == pytest.approx(x, abs=0)
 
     def test_bias_equals_gain_times_target_matches_dm_update(self):
+        # a generalized step with bias = gain @ y is the template step for y
         rng = np.random.default_rng(2)
         for _ in range(20):
             gain = rng.normal(size=(3, 4))
             y = rng.normal(size=4)
-            biased = DescentStep(gain=gain, bias=gain @ y)
-            plain = DescentStep.from_gain(gain)
+            A = rng.normal(size=(4, 3))
+            smap = SmoothMap(3, 4, lambda x, A=A: A @ x)
+            biased = one_step(DescentStep(gain=gain, bias=gain @ y), Mode.GENERALIZED)
+            plain = one_step(DescentStep.from_gain(gain))
             x = rng.normal(size=3)
-            h = rng.normal(size=4)
-            lhs = dm_update_biased(x, biased, h)
-            rhs = dm_update(x, plain, h, y)
+            lhs = apply_sequence(biased, x, smap)[-1]
+            rhs = apply_sequence(plain, x, smap, y=y)[-1]
             assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
 
     def test_hand_evaluated_scalar(self):
+        # 0.5 - 0.4 * 0.125 + 0.4 = 0.85
         step = DescentStep(gain=[[0.4]], bias=[0.4])
-        assert dm_update_biased([0.5], step, [0.125])[0] == pytest.approx(0.85, abs=1e-15)
+        cube = SmoothMap(1, 1, lambda x: x**3)
+        out = apply_sequence(one_step(step, Mode.GENERALIZED), [0.5], cube)[-1]
+        assert out[0] == pytest.approx(0.85, abs=1e-15)
 
 
 class TestApplySequence:
@@ -245,3 +271,9 @@ class TestTypes:
         step = DescentStep.from_gain([[1.0]])
         with pytest.raises(ValueError):
             step.gain[0, 0] = 2.0
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in sdm.__all__ if not hasattr(sdm, name)]
+        assert missing == []

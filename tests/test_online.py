@@ -164,17 +164,6 @@ class TestRlsIngest:
             assert state.weights[k] == pytest.approx(W[k], rel=1e-12, abs=1e-12)
             assert state.inv_cov[k] == pytest.approx(S[k], rel=1e-12, abs=1e-12)
 
-    def test_literal_eval_point_differs(self):
-        rng = np.random.default_rng(6)
-        p, m = 2, 3
-        smap = linear_map(rng.normal(size=(m, p)))
-        s1 = init_online(empty_sequence(p, m), ridge=1e-2)
-        s2 = init_online(empty_sequence(p, m), ridge=1e-2)
-        x0, x_opt = rng.normal(size=p), rng.normal(size=p)
-        rls_ingest(s1, x_opt, x0, smap)
-        rls_ingest(s2, x_opt, x0, smap, literal_eval_point=True)
-        assert not np.allclose(s1.weights[0], s2.weights[0])
-
     def test_steps_expose_subtractive_convention(self):
         rng = np.random.default_rng(7)
         p, m = 2, 3

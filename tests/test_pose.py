@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdm import pose as pose_module
-from sdm.errors import DivergedError, InvalidProjectionError
+from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
 from sdm.core import DescentSequence, DescentStep, Mode, region_index
 from sdm.pose import (
     DEFAULT_BASE_POSE,
@@ -27,14 +27,13 @@ from sdm.pose import (
     pose_grid_spec,
     project,
     projection_feature_map,
-    rotation_to_euler,
     subsample_poses,
     train_pose_sdm,
     _wrap_angle,
     _wrap_angles,
 )
 from sdm.seeds import stream
-from sdm.trainer import TrainerConfig, sample_initials
+from sdm.trainer import TrainerConfig
 
 
 def tetra_model():
@@ -56,19 +55,6 @@ class TestRotations:
     def test_quarter_turn_about_z_maps_x_to_y(self):
         Q = euler_to_rotation([np.pi / 2, 0.0, 0.0])
         assert Q @ np.array([1.0, 0.0, 0.0]) == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-
-    def test_euler_round_trip_on_principal_domain(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            e = np.array(
-                [
-                    rng.uniform(-np.pi, np.pi),
-                    rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01),
-                    rng.uniform(-np.pi, np.pi),
-                ]
-            )
-            back = rotation_to_euler(euler_to_rotation(e))
-            assert back == pytest.approx(e, abs=1e-10)
 
     def test_stacked_rotations_equal_single_ones_bit_for_bit(self):
         E = np.random.default_rng(4).uniform(-np.pi, np.pi, (300, 3))
@@ -176,14 +162,6 @@ class TestModels:
         assert models["cube"].n_points == 8
         assert models["body"].n_points == 14
         assert models["face"].n_points == 12
-        assert not models["cube"].coplanar
-
-    def test_coplanar_flag(self):
-        square = ObjectModel(
-            points=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float).T,
-            name="square",
-        )
-        assert square.coplanar
 
     def test_minimum_point_count(self):
         with pytest.raises(ValueError, match="at least 4"):
@@ -205,10 +183,8 @@ class TestModels:
 
 class TestTrainingGrid:
     def test_full_grid_counts(self):
-        train = pose_grid_spec()
-        assert len(sample_initials(train, np.zeros(6))) == 7**3 * 5**3  # 42875
-        test = pose_grid_spec(30.0, 7.0, 400.0, 170.0)
-        assert len(sample_initials(test, np.zeros(6))) == 9**3 * 5**3  # 91125
+        assert len(pose_grid_spec()) == 7**3 * 5**3  # 42875
+        assert len(pose_grid_spec(30.0, 7.0, 400.0, 170.0)) == 9**3 * 5**3  # 91125
 
     def test_single_pose_zero_noise_gives_zero_gains(self):
         cube = builtin_models()["cube"]
@@ -219,13 +195,18 @@ class TestTrainingGrid:
 
     def test_grid_poses_are_the_wrapped_grid_vectors(self):
         spec = pose_grid_spec(30.0, 11.0, 400.0, 270.0)
-        want = [Pose.from_vector(v).vector()
-                for v in sample_initials(spec, DEFAULT_BASE_POSE.vector())]
+        want = [Pose.from_vector(v).vector() for v in DEFAULT_BASE_POSE.vector() + spec]
         poses = grid_poses(spec, DEFAULT_BASE_POSE)
         assert np.array_equal(poses, want)
         kept = subsample_poses(poses, 50, stream(9, "sub"))
         idx = sorted(stream(9, "sub").choice(len(want), size=50, replace=False))
         assert np.array_equal([p.vector() for p in kept], [want[i] for i in idx])
+
+    def test_grid_poses_need_six_offset_columns(self):
+        with pytest.raises(DimensionMismatchError):
+            grid_poses(np.zeros((4, 1)), DEFAULT_BASE_POSE)
+        with pytest.raises(ValueError, match="2-D"):
+            grid_poses(np.zeros(6), DEFAULT_BASE_POSE)
 
     @pytest.mark.parametrize("noise", [0.0, 4.0])
     def test_training_targets_equal_per_pose_observations(self, monkeypatch, noise):
@@ -236,7 +217,7 @@ class TestTrainingGrid:
         train_pose_sdm(cube, DEFAULT_CAMERA, grid, noise_variance=noise,
                        rng=stream(3, "targets"))
         rng = stream(3, "targets")
-        poses = [Pose.from_vector(v) for v in sample_initials(grid, DEFAULT_BASE_POSE.vector())]
+        poses = [Pose.from_vector(v) for v in DEFAULT_BASE_POSE.vector() + grid]
         want = [observe(p, cube, DEFAULT_CAMERA, rng=rng, noise_variance=noise).feature()
                 for p in poses]
         (tset,) = captured

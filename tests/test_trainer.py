@@ -5,22 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdm.core import Mode, SmoothMap, apply_sequence, dm_update, dm_update_biased, region_index
+from sdm.core import Mode, SmoothMap, apply_sequence, region_index
 from sdm.errors import (
     DimensionMismatchError,
     PartitionError,
     RankDeficiencyError,
     TrainingDivergedError,
 )
-from sdm.trainer import (
-    SamplingSpec,
-    TrainerConfig,
-    TrainingSet,
-    grid_points,
-    sample_initials,
-    solve_stage,
-    train,
-)
+from sdm.trainer import TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
 
 
 def linear_map(A):
@@ -35,37 +27,31 @@ def cubic_map():
     )
 
 
-class TestSampling:
-    def test_explicit_returned_verbatim(self):
-        pts = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        out = sample_initials(SamplingSpec.explicit(pts), np.zeros(2))
-        assert all(np.array_equal(a, b) for a, b in zip(out, pts))
+def gaussian_starts(center, stddev, count, seed):
+    """`count` seeded normal draws around `center`, one per row."""
+    rng = np.random.default_rng(seed)
+    return center + rng.standard_normal((count, len(center))) * stddev
 
+
+class TestSampling:
     def test_grid_matches_degree_schedule(self):
-        spec = SamplingSpec.grid([-30.0], [30.0], [10.0])
-        out = sample_initials(spec, np.zeros(1))
+        out = grid_offsets([-30.0], [30.0], [10.0])
         assert [p[0] for p in out] == [-30, -20, -10, 0, 10, 20, 30]
 
     def test_grid_stops_at_upper_bound(self):
-        spec = SamplingSpec.grid([-30.0], [30.0], [7.0])
-        out = sample_initials(spec, np.zeros(1))
+        out = grid_offsets([-30.0], [30.0], [7.0])
         assert [p[0] for p in out] == [-30, -23, -16, -9, -2, 5, 12, 19, 26]
 
     def test_grid_product_is_full_cartesian(self):
-        spec = SamplingSpec.grid([0.0, 0.0], [1.0, 2.0], [1.0, 1.0])
-        out = sample_initials(spec, np.zeros(2))
-        assert len(out) == 2 * 3
+        out = grid_offsets([0.0, 0.0], [1.0, 2.0], [1.0, 1.0])
+        assert out.shape == (2 * 3, 2)
 
-    def test_zero_stddev_gives_copies_of_center(self):
-        spec = SamplingSpec.gaussian(stddev=[0.0], count=5, seed=1)
-        out = sample_initials(spec, np.array([4.0]))
-        assert all(p[0] == 4.0 for p in out)
-
-    def test_gaussian_deterministic_by_seed(self):
-        spec = SamplingSpec.gaussian(stddev=[1.0, 2.0], count=7, seed=9)
-        a = sample_initials(spec, np.zeros(2))
-        b = sample_initials(spec, np.zeros(2))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    def test_grid_rejects_bad_bounds_and_steps(self):
+        for lo, hi, step in (([0.0], [1.0], [0.0]), ([0.0], [1.0], [-1.0]),
+                             ([1.0], [0.0], [1.0]), ([0.0], [np.inf], [1.0]),
+                             ([np.nan], [1.0], [1.0]), ([0.0], [1.0], [np.nan])):
+            with pytest.raises(ValueError):
+                grid_offsets(lo, hi, step)
 
 
 class TestSolveStage:
@@ -103,7 +89,7 @@ class TestTrain:
     def test_template_cubic_contracts_sample_cloud(self):
         smap = cubic_map()
         x_star = np.array([1.0])
-        starts = sample_initials(SamplingSpec.gaussian(stddev=[0.3], count=300, seed=5), x_star)
+        starts = gaussian_starts(x_star, [0.3], 300, seed=5)
         tset = TrainingSet.template(smap, x_star, starts)
         seq = train(tset, TrainerConfig(stages=4, ridge=0.0))
         final = [apply_sequence(seq, x0, smap, y=tset.targets[0])[-1] for x0 in starts]
@@ -145,8 +131,7 @@ class TestTrain:
 
     def test_stage_losses_non_increasing(self):
         smap = cubic_map()
-        starts = sample_initials(SamplingSpec.gaussian(stddev=[0.4], count=60, seed=8),
-                                 np.array([1.0]))
+        starts = gaussian_starts(np.array([1.0]), [0.4], 60, seed=8)
         for ridge in (0.0, None):
             seq = train(TrainingSet.template(smap, [1.0], starts),
                         TrainerConfig(stages=5, ridge=ridge))
@@ -157,8 +142,7 @@ class TestTrain:
 
     def test_training_report_bitwise_deterministic(self):
         smap = cubic_map()
-        starts = sample_initials(SamplingSpec.gaussian(stddev=[0.3], count=40, seed=4),
-                                 np.array([1.0]))
+        starts = gaussian_starts(np.array([1.0]), [0.3], 40, seed=4)
         run = lambda: train(TrainingSet.template(smap, [1.0], starts),
                             TrainerConfig(stages=3)).training_report
         assert run() == run()
@@ -273,10 +257,8 @@ def loop_train(tset, config, partition=()):
         steps.extend(stage)
         for i, h in enumerate(hvals):
             step = stage[regions[i]]
-            if generalized:
-                states[i] = dm_update_biased(states[i], step, h)
-            else:
-                states[i] = dm_update(states[i], step, h, tset.targets[i])
+            y = np.zeros_like(h) if generalized else tset.targets[i]
+            states[i] = states[i] - step.gain @ (h - y) + step.bias
         report.append(mean_sq_residual())
     return steps, report
 
@@ -329,6 +311,32 @@ class TestArrayTrainMatchesLoopReference:
         assert np.all(np.abs(got_report - want_report) <= 1e-12 * np.abs(want_report))
 
 
+class TestTrainMatchesApplySequence:
+    """Training and test time move a sample by the same update: the
+    iterates `train` evaluates at each stage, and its final residual,
+    are those of `apply_sequence` run from every training start."""
+
+    @pytest.mark.parametrize("name", ["template", "generalized", "partitioned"])
+    def test_iterates_match(self, name):
+        seen = []
+        base = generic_map(True)
+        smap = SmoothMap(3, 5, base.fn, rows=lambda X: seen.append(X.copy()) or base.rows(X))
+        tset, partition, stages = TestArrayTrainMatchesLoopReference.training_sets(smap)[name]
+        seen.clear()
+        seq = train(tset, TrainerConfig(stages=stages), partition=partition)
+        assert len(seen) == stages
+        finals = []
+        for i, (x0, target) in enumerate(zip(tset.starts, tset.targets)):
+            y = None if tset.mode is Mode.GENERALIZED else target
+            traj = apply_sequence(seq, x0, smap, y=y)
+            for k in range(stages):
+                assert np.allclose(traj[k], seen[k][i], rtol=1e-12, atol=1e-12)
+            finals.append(traj[-1])
+        errs = tset.optima - np.array(finals)
+        assert seq.training_report[-1] == pytest.approx(
+            np.mean(np.sum(errs * errs, axis=1)), rel=1e-12)
+
+
 class TestEvaluateRows:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
@@ -351,9 +359,9 @@ class TestEvaluateRows:
 
 class TestGridPoints:
     def test_grid_points_are_the_grid_in_product_order(self):
-        spec = SamplingSpec.grid([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0], [0.5, 0.25, 1.0])
+        offsets = grid_offsets([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0], [0.5, 0.25, 1.0])
         around = np.array([0.1, -0.2, 0.3])
         want = [around + np.array(c) for c in itertools.product(
             *[np.linspace(lo, hi, n) for lo, hi, n in ((-1, 1, 5), (0, 0.5, 3), (2, 3, 2))]
         )]
-        assert np.array_equal(grid_points(spec, around), np.array(want))
+        assert np.array_equal(around + offsets, np.array(want))
