@@ -13,8 +13,9 @@ information matrix per stage. Round-trips are exact.
 
 Loading checks the header's sizes against the bytes that follow before
 reading any array, and refuses a file with bytes left over, zero stages
-or dimensions, or a non-finite number; every malformed file raises
-ModelFormatError.
+or dimensions, a non-finite number, or (online states) an inverse
+information matrix that is not exactly symmetric; every malformed file
+raises ModelFormatError.
 """
 from __future__ import annotations
 
@@ -176,6 +177,9 @@ def online_state_from_bytes(data: bytes) -> OnlineState:
         weights.append(_weights_from_step(DescentStep(gain=gain, bias=bias)))
     inv_cov = [reader.array((m + 1, m + 1), "inverse information matrix")
                for _ in range(stages)]
+    for k, S in enumerate(inv_cov):
+        if not np.array_equal(S, S.T):
+            raise ModelFormatError(f"inverse information matrix {k} is not exactly symmetric")
     return OnlineState(
         weights=weights,
         inv_cov=inv_cov,

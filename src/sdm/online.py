@@ -1,17 +1,18 @@
 """Online refresh of a trained cascade via recursive least squares.
 
-The state keeps, per stage, an inverse information matrix over
-bias-augmented features ([h; 1]) and the stage's weight matrix W, the
-regression coefficients of the parameter residual on [h; 1]. Publicly
+The state keeps, per stage, an inverse information matrix S over
+bias-augmented features phi = [h; 1] and the stage's weight matrix W,
+the regression coefficients of the parameter residual on phi. Publicly
 the stages are DescentStep objects (``gain = -W[:, :m]``,
 ``bias = W[:, m]``) of a generalized-mode sequence, so that
-``x + W @ [h; 1]`` is the package's one update ``step.advance(x, -h)``.
-Each ingest is a rank-one update: no matrix is ever inverted, so the
-per-stage cost is O(m^2).
+``x + W @ phi`` is the package's one update ``step.advance(x, -h)``.
+An ingest makes one product ``S @ phi`` and one in-place rank-one
+downdate of S per stage: O(m^2) time, no matrix inverted or copied.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -24,16 +25,11 @@ from .errors import (
 )
 
 
-def _augment(h: Array) -> Array:
-    return np.append(h, 1.0)
+_BLOCK = 1 << 15  # entries of S per downdate block: 256 KiB, which stays in cache
 
 
 def _weights_from_step(step: DescentStep) -> Array:
     return np.hstack([-step.gain, step.bias[:, None]])
-
-
-def _step_from_weights(W: Array) -> DescentStep:
-    return DescentStep(gain=-W[:, :-1], bias=W[:, -1])
 
 
 @dataclass
@@ -41,9 +37,11 @@ class OnlineState:
     """Mutable per-stage weights and inverse information matrices.
 
     `forgetting` is the exponential discount (1.0 keeps all history);
-    `sample_weight` scales each new sample. Single writer; an ingest
-    swaps all per-stage arrays in one assignment so readers never see a
-    half-applied update.
+    `sample_weight` scales each new sample. Single writer. An ingest
+    swaps new weight arrays in with one assignment, so readers of
+    `weights`, `steps` and `to_sequence()` never see a half-applied
+    update; it downdates the `inv_cov` arrays in place, which must
+    therefore be exactly symmetric and share no memory.
     """
 
     weights: list[Array]
@@ -66,6 +64,10 @@ class OnlineState:
                 raise DimensionMismatchError(f"weights[{k}]", (self.param_dim, maug), W.shape)
             if S.shape != (maug, maug):
                 raise DimensionMismatchError(f"inv_cov[{k}]", (maug, maug), S.shape)
+            if not np.array_equal(S, S.T):
+                raise ValueError(f"inv_cov[{k}] is not exactly symmetric")
+        if any(np.may_share_memory(a, b) for a, b in combinations(self.inv_cov, 2)):
+            raise ValueError("inv_cov arrays are downdated in place and must not share memory")
 
     @property
     def n_stages(self) -> int:
@@ -73,7 +75,7 @@ class OnlineState:
 
     @property
     def steps(self) -> list[DescentStep]:
-        return [_step_from_weights(W) for W in self.weights]
+        return [DescentStep(gain=-W[:, :-1], bias=W[:, -1]) for W in self.weights]
 
     def to_sequence(self) -> DescentSequence:
         return DescentSequence(
@@ -143,20 +145,18 @@ def init_online(
     )
 
 
-def rls_ingest(
-    state: OnlineState,
-    x_opt,
-    x0,
-    map: SmoothMap,
-) -> OnlineState:
+def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     """Fold one labeled sample (optimum, start) into every stage.
 
-    Per stage: rank-one downdate of the inverse information matrix,
-    weight refresh from the prediction error, then the next stage's
-    residual/feature pair generated with the just-updated weights, the
-    features being evaluated at the current iterate ``x_opt - dx_k``.
-
-    Updates `state` in place and returns it.
+    Stage k takes phi = [h(x_opt - dx_k); 1] at the current iterate and
+    one product ``S @ phi`` with its inverse information matrix S. Its
+    weights move by the prediction error times the gain ``S phi / denom``,
+    ``denom = forgetting / sample_weight + phi' S phi``, and the next
+    stage's residual dx uses them. All stages' weights are computed
+    before anything is written, so NumericalBreakdownError (denom <= 0)
+    or a failing map leaves `state` as it was. Then every S is downdated
+    in place to ``(S - S phi phi' S / denom) / forgetting`` and the new
+    weight arrays replace the old ones in `state.weights`. Returns `state`.
     """
     if map.param_dim != state.param_dim or map.feature_dim != state.feature_dim:
         raise DimensionMismatchError("map", (state.param_dim, state.feature_dim),
@@ -164,31 +164,31 @@ def rls_ingest(
     x_opt = as_vector(x_opt, "x_opt", dim=state.param_dim)
     x0 = as_vector(x0, "x0", dim=state.param_dim)
     lam = state.forgetting
-    w = state.sample_weight
 
     dx = x_opt - x0
-    new_weights: list[Array] = []
-    new_inv_cov: list[Array] = []
-    for k in range(state.n_stages):
-        phi = _augment(map.evaluate(x_opt - dx))
-
-        S = state.inv_cov[k]
+    new_weights, downdates = [], []
+    for k, (W, S) in enumerate(zip(state.weights, state.inv_cov)):
+        phi = np.append(map.evaluate(x_opt - dx), 1.0)
         Sphi = S @ phi
-        denom = lam / w + float(phi @ Sphi)
+        denom = lam / state.sample_weight + float(phi @ Sphi)
         if denom <= 0:
-            raise NumericalBreakdownError(
-                f"non-positive update denominator {denom} at stage {k}"
-            )
-        S_new = (S - np.outer(Sphi, Sphi) / denom) / lam
-        S_new = (S_new + S_new.T) / 2.0  # keep symmetric under fp drift
-
-        W = state.weights[k]
-        W_new = W + np.outer(dx - W @ phi, w * (phi @ S_new))
-
+            raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")
+        W_new = W + np.outer(dx - W @ phi, Sphi / denom)
         new_weights.append(W_new)
-        new_inv_cov.append(S_new)
+        downdates.append(Sphi / np.sqrt(denom))
         dx = dx - W_new @ phi
 
+    # S <- (S - g g') / forgetting by row blocks through one buffer; as
+    # g_i * g_j == g_j * g_i in floating point, S stays exactly symmetric.
+    n = state.feature_dim + 1
+    rows = max(1, _BLOCK // n)
+    buf = np.empty((min(rows, n), n))
+    for S, g in zip(state.inv_cov, downdates):
+        for i in range(0, n, rows):
+            block, term = S[i : i + rows], buf[: min(rows, n - i)]
+            np.multiply(g[i : i + rows, None], g, out=term)
+            block -= term
+            if lam != 1.0:
+                block /= lam
     state.weights[:] = new_weights
-    state.inv_cov[:] = new_inv_cov
     return state

@@ -183,6 +183,28 @@ class TestOnlineFormat:
         for a, b in zip(loaded.inv_cov, state.inv_cov):
             assert np.array_equal(a, b)
 
+    def test_asymmetric_inverse_information_matrix_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        p, m, stages = 2, 3, 2
+        A = rng.normal(size=(m, p))
+        smap = SmoothMap(p, m, lambda x: A @ x)
+        zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
+        seq = DescentSequence(steps=(zero,) * stages, param_dim=p, feature_dim=m,
+                              mode=Mode.GENERALIZED)
+        state = init_online(seq, ridge=1e-2)
+        for _ in range(5):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        path = tmp_path / "state.sdm"
+        save_online_state(state, path)
+        data = bytearray(path.read_bytes())
+        online_state_from_bytes(bytes(data))  # saved states are exactly symmetric
+        # entry (0, 1) of stage 0's inverse information matrix, one ulp off
+        at = len(data) - stages * (m + 1) ** 2 * 8 + 8
+        (value,) = struct.unpack_from("<d", data, at)
+        struct.pack_into("<d", data, at, np.nextafter(value, np.inf))
+        with pytest.raises(ModelFormatError, match="not exactly symmetric"):
+            online_state_from_bytes(bytes(data))
+
     def test_sequence_reader_rejects_online_files(self, tmp_path):
         rng = np.random.default_rng(5)
         p, m = 2, 3

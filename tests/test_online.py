@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
-from sdm.errors import PartitionError, RankDeficiencyError, SdmError
+from sdm.errors import NumericalBreakdownError, PartitionError, RankDeficiencyError, SdmError
 from sdm.online import OnlineState, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
@@ -164,6 +164,54 @@ class TestRlsIngest:
             assert state.weights[k] == pytest.approx(W[k], rel=1e-12, abs=1e-12)
             assert state.inv_cov[k] == pytest.approx(S[k], rel=1e-12, abs=1e-12)
 
+    def test_forgetting_and_sample_weight_match_two_product_recursion(self):
+        rng = np.random.default_rng(10)
+        # m == p, so the features excite every direction and forgetting does
+        # not blow up the inverse information matrix
+        p, m, stages, lam, w = 3, 3, 3, 0.9, 2.5
+        A = rng.normal(size=(m, p))
+        smap = linear_map(A)
+        state = init_online(empty_sequence(p, m, stages=stages), ridge=0.1, forgetting=lam,
+                            sample_weight=w)
+        W = [v.copy() for v in state.weights]
+        S = [v.copy() for v in state.inv_cov]
+        for _ in range(200):
+            x0 = rng.normal(size=p)
+            x_opt = rng.normal(size=p)
+            # reference: downdate, symmetrize, then the gain from a second product
+            dx = x_opt - x0
+            for k in range(stages):
+                phi = np.append(A @ (x_opt - dx), 1.0)
+                Sphi = S[k] @ phi
+                S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam / w + phi @ Sphi)) / lam
+                S[k] = (S[k] + S[k].T) / 2
+                W[k] = W[k] + np.outer(dx - W[k] @ phi, w * (phi @ S[k]))
+                dx = dx - W[k] @ phi
+            rls_ingest(state, x_opt, x0, smap)
+        for k in range(stages):
+            for got, want in ((state.weights[k], W[k]), (state.inv_cov[k], S[k])):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("bad_stage", [1, 2])
+    def test_breakdown_leaves_every_stage_untouched(self, bad_stage):
+        rng = np.random.default_rng(11)
+        p, m = 2, 3
+        smap = linear_map(rng.normal(size=(m, p)))
+        warm = init_online(empty_sequence(p, m, stages=3), ridge=1e-2)
+        for _ in range(5):
+            rls_ingest(warm, rng.normal(size=p), rng.normal(size=p), smap)
+        inv_cov = list(warm.inv_cov)
+        inv_cov[bad_stage] = -np.eye(m + 1)  # symmetric, not positive definite
+        state = OnlineState(weights=list(warm.weights), inv_cov=inv_cov, param_dim=p,
+                            feature_dim=m)
+        weights_before = [W.copy() for W in state.weights]
+        inv_cov_before = [S.copy() for S in state.inv_cov]
+        with pytest.raises(NumericalBreakdownError, match=f"stage {bad_stage}"):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        for k in range(3):
+            assert np.array_equal(state.weights[k], weights_before[k])
+            assert np.array_equal(state.inv_cov[k], inv_cov_before[k])
+
     def test_steps_expose_subtractive_convention(self):
         rng = np.random.default_rng(7)
         p, m = 2, 3
@@ -205,6 +253,19 @@ class TestStateValidation:
                 weights=[np.zeros((1, 2))], inv_cov=[np.eye(2)], param_dim=1,
                 feature_dim=1, forgetting=1.5,
             )
+
+    def test_inv_cov_must_be_exactly_symmetric(self):
+        S = np.eye(3)
+        S[0, 1] = np.nextafter(0.0, 1.0)
+        with pytest.raises(ValueError, match="inv_cov\\[1\\] is not exactly symmetric"):
+            OnlineState(weights=[np.zeros((1, 3))] * 2, inv_cov=[np.eye(3), S], param_dim=1,
+                        feature_dim=2)
+
+    def test_inv_cov_arrays_must_not_share_memory(self):
+        S = np.eye(3)
+        with pytest.raises(ValueError, match="must not share memory"):
+            OnlineState(weights=[np.zeros((1, 3))] * 2, inv_cov=[S, S], param_dim=1,
+                        feature_dim=2)
 
     def test_to_sequence_round_trips_steps(self):
         rng = np.random.default_rng(9)
