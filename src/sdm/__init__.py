@@ -12,8 +12,10 @@ from .core import (
 from .baselines import DescentRun, RunStatus, gauss_newton_minimize, newton_minimize
 from .online import OnlineState, init_online, rls_ingest
 from .theory import (
+    AnchoredSample,
     ContractionCertificate,
     Neighborhood,
+    anchored_sample,
     contraction_certify,
     frobenius_dm_bound,
     generic_dm_1d,
@@ -24,6 +26,7 @@ from .theory import (
 from .trainer import TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
 
 __all__ = [
+    "AnchoredSample",
     "ContractionCertificate",
     "DescentRun",
     "DescentSequence",
@@ -36,6 +39,7 @@ __all__ = [
     "SmoothMap",
     "TrainerConfig",
     "TrainingSet",
+    "anchored_sample",
     "apply_sequence",
     "contraction_certify",
     "frobenius_dm_bound",

@@ -4,8 +4,7 @@ Full Newton uses the exact chain-rule Hessian
 ``2 (J^T J + sum_i r_i d2h_i)`` whenever the map supplies second
 derivatives, falling back to central differences of the Jacobian or of
 the gradient. Gauss-Newton drops the curvature term. Neither does any
-line search or damping scheduling; `damping` is a fixed shift of the
-system matrix.
+line search or damping.
 """
 from __future__ import annotations
 
@@ -48,22 +47,6 @@ class DescentRun:
     @property
     def final(self) -> Array:
         return self.iterates[-1]
-
-    def csv_rows(self, x_star=None) -> list[tuple]:
-        """(iteration, residual, normalized parameter error) rows.
-
-        The normalized error column is empty unless the true optimum is
-        supplied.
-        """
-        rows = []
-        for k, (x, r) in enumerate(zip(self.iterates, self.residuals)):
-            if x_star is None:
-                rows.append((k, r, ""))
-            else:
-                x_star_v = np.asarray(x_star, dtype=float).reshape(-1)
-                err = np.linalg.norm(x - x_star_v) / np.linalg.norm(x_star_v)
-                rows.append((k, r, err))
-        return rows
 
 
 def _component_hessians(map: SmoothMap, x: Array) -> Array:
@@ -150,22 +133,16 @@ def _descent_loop(
     return DescentRun(iterates=tuple(iterates), residuals=tuple(residuals), status=status)
 
 
-def newton_minimize(
-    problem: NlsProblem, x0, max_iters: int = 50, damping: float = 0.0
-) -> DescentRun:
-    """Full Newton iteration ``x - (H + damping I)^{-1} grad``.
+def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
+    """Full Newton iteration ``x - H^{-1} grad``.
 
     An exactly singular system yields status `singular_hessian` (or
     `saddle_stall` when the gradient also vanishes), never an
     exception.
     """
-    if damping < 0:
-        raise ValueError("damping must be >= 0")
-    p = problem.map.param_dim
-    shift = damping * np.eye(p)
 
     def step_fn(x):
-        H = nls_hessian(problem, x) + shift
+        H = nls_hessian(problem, x)
         g = nls_gradient(problem, x)
         try:
             return np.linalg.solve(H, g), False
@@ -175,21 +152,15 @@ def newton_minimize(
     return _descent_loop(problem, x0, max_iters, step_fn, stall_on_singular_stationary=True)
 
 
-def gauss_newton_minimize(
-    problem: NlsProblem, x0, max_iters: int = 50, damping: float = 0.0
-) -> DescentRun:
-    """Gauss-Newton iteration ``x + (J^T J + damping I)^{-1} J^T (y - h)``."""
-    if damping < 0:
-        raise ValueError("damping must be >= 0")
-    p = problem.map.param_dim
-    shift = damping * np.eye(p)
+def gauss_newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
+    """Gauss-Newton iteration ``x + (J^T J)^{-1} J^T (y - h)``."""
 
     def step_fn(x):
         J = problem.map.jacobian(x)
         r = problem.map.evaluate(x) - problem.target
         try:
             # minus sign: the shared loop applies x - step
-            return np.linalg.solve(J.T @ J + shift, J.T @ r), False
+            return np.linalg.solve(J.T @ J, J.T @ r), False
         except np.linalg.LinAlgError:
             return None, True
 

@@ -26,6 +26,7 @@ from .online import init_online, rls_ingest
 from .seeds import stream
 from .theory import (
     Neighborhood,
+    anchored_sample,
     contraction_certify,
     frobenius_dm_bound,
     generic_dm_1d,
@@ -273,6 +274,9 @@ def cmd_verify(args) -> int:
             "grid": (1001, int),
         },
     )
+    _check_ranges(cfg, positive=("epsilon", "radius"))
+    if cfg.grid < 3:
+        raise ConfigError(f"grid must be >= 3, got {cfg.grid}")
     all_valid = True
     rows = []
     print(f"{'map':12s} {'K':>10s} {'gain':>10s} {'factor':>10s}  valid")
@@ -280,17 +284,22 @@ def cmd_verify(args) -> int:
         try:
             if cfg.radius is not None:
                 nbhd = Neighborhood(nbhd.anchor, cfg.radius, cfg.grid)
-            K = lipschitz_anchored(smap, nbhd)
-            r = generic_dm_1d(smap, nbhd, epsilon=cfg.epsilon)
-        except (DegenerateNeighborhoodError, ValueError) as exc:
+            sample = anchored_sample(smap, nbhd)
+        except DegenerateNeighborhoodError as exc:
             raise ConfigError(str(exc)) from exc
-        cert = contraction_certify(smap, DescentStep.from_gain([[r]]), nbhd)
+        K = lipschitz_anchored(sample)
+        if cfg.epsilon is not None and not cfg.epsilon < 2.0 / K:
+            raise ConfigError(
+                f"epsilon must be below 2/K = {2.0 / K:.6g} for map {name}, got {cfg.epsilon}"
+            )
+        r = generic_dm_1d(sample, epsilon=cfg.epsilon)
+        cert = contraction_certify(sample, DescentStep.from_gain([[r]]))
         all_valid &= cert.valid
         rows.append((name, K, r, cert.contraction_factor, cert.samples_checked, cert.valid))
         print(f"{name:12s} {K:10.5f} {r:10.5f} {cert.contraction_factor:10.6f}  {cert.valid}")
-    for name, smap, gain, nbhd in random_operator_suite(seed=cfg.seed):
-        bound, ok = frobenius_dm_bound(smap, gain, nbhd)
-        cert = contraction_certify(smap, DescentStep.from_gain(gain), nbhd)
+    for name, sample, gain in random_operator_suite(seed=cfg.seed):
+        bound, ok = frobenius_dm_bound(sample, gain)
+        cert = contraction_certify(sample, DescentStep.from_gain(gain))
         if ok:
             all_valid &= cert.valid
         fro = float(np.linalg.norm(gain, ord="fro"))

@@ -271,20 +271,10 @@ class NlsProblem:
 
     map: SmoothMap
     target: Array
-    optimum: Array | None = None
-    optimum_tol: float = 1e-8
 
     def __post_init__(self):
         target = as_vector(self.target, "target", dim=self.map.feature_dim)
         object.__setattr__(self, "target", target)
-        if self.optimum is not None:
-            opt = as_vector(self.optimum, "optimum", dim=self.map.param_dim)
-            object.__setattr__(self, "optimum", opt)
-            resid = float(np.linalg.norm(self.map.evaluate(opt) - target))
-            if resid > self.optimum_tol * max(1.0, float(np.linalg.norm(target))):
-                raise ValueError(
-                    f"declared optimum has residual {resid:.3e}, above tolerance"
-                )
 
     def residual_norm(self, x: Array) -> float:
         return float(np.linalg.norm(self.map.evaluate(x) - self.target))

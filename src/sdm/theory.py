@@ -1,10 +1,11 @@
 """Constructive verification of descent-map contraction conditions.
 
 Everything here is finite-sample evidence on a deterministic grid, not
-a proof: we estimate anchored Lipschitz constants, check strict local
-monotonicity, build the 1-D gain ``sign(h') * (2/K - eps)``, evaluate
-the Frobenius-norm sufficient bound, and certify contraction ratios
-sample by sample.
+a proof. `anchored_sample` samples a neighborhood once and evaluates
+the map there once; every check then reads that sample: the anchored
+Lipschitz constant, strict local monotonicity, the 1-D gain
+``sign(h') * (2/K - eps)``, the Frobenius-norm sufficient bound, and
+the sample-by-sample contraction certificate.
 """
 from __future__ import annotations
 
@@ -73,16 +74,16 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
     inside = np.linalg.norm(pts - a, axis=1) <= r * (1 + 1e-12)
     pts = pts[inside]
 
-    budget = min(requested, LATTICE_CAP)
-    if pts.shape[0] < budget:
+    needed = min(requested, LATTICE_CAP) - pts.shape[0]
+    if needed > 0:
+        # rejection sampling in blocks: the first `needed` accepted draws,
+        # in draw order, are the points a one-draw-at-a-time loop keeps
         rng = np.random.default_rng(seed)
-        extra = []
-        needed = budget - pts.shape[0]
-        while len(extra) < needed:
-            cand = a + rng.uniform(-r, r, size=p)
-            if np.linalg.norm(cand - a) <= r:
-                extra.append(cand)
-        pts = np.vstack([pts, np.array(extra)])
+        extra = np.empty((0, p))
+        while extra.shape[0] < needed:
+            cand = a + rng.uniform(-r, r, size=(needed, p))
+            extra = np.vstack([extra, cand[np.linalg.norm(cand - a, axis=1) <= r]])
+        pts = np.vstack([pts, extra[:needed]])
     return pts
 
 
@@ -93,15 +94,30 @@ class ContractionCertificate:
 
     contraction_factor: float
     samples_checked: int
-    worst_point: Array
 
     @property
     def valid(self) -> bool:
         return self.contraction_factor < 1.0
 
 
-def _anchored_values(map: SmoothMap, nbhd: Neighborhood, seed: int = 0):
-    """Grid points away from the anchor with their map values."""
+@dataclass(frozen=True)
+class AnchoredSample:
+    """One map evaluated once on one sampled neighborhood.
+
+    `points` (N, p) excludes the anchor, `dist` (N,) holds their
+    distances to it, `values` (N, m) the map at each point and
+    `anchor_value` (m,) the map at the anchor.
+    """
+
+    nbhd: Neighborhood
+    points: Array
+    dist: Array
+    values: Array
+    anchor_value: Array
+
+
+def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> AnchoredSample:
+    """Sample `nbhd` (see `neighborhood_points`) and evaluate `map` there."""
     if map.param_dim != nbhd.dim:
         raise DimensionMismatchError("param", expected=map.param_dim, got=nbhd.dim)
     pts = neighborhood_points(nbhd, seed=seed)
@@ -114,39 +130,35 @@ def _anchored_values(map: SmoothMap, nbhd: Neighborhood, seed: int = 0):
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
     h0 = map.evaluate(nbhd.anchor)
     hv = map.evaluate_rows(pts)
-    return pts, dist, hv, h0
+    return AnchoredSample(nbhd, pts, dist, hv, h0)
 
 
-def lipschitz_anchored(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> float:
+def lipschitz_anchored(s: AnchoredSample) -> float:
     """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid."""
-    _, dist, hv, h0 = _anchored_values(map, nbhd, seed=seed)
-    ratios = np.linalg.norm(hv - h0, axis=1) / dist
+    ratios = np.linalg.norm(s.values - s.anchor_value, axis=1) / s.dist
     return float(np.max(ratios))
 
 
-def monotone_anchored_1d(map: SmoothMap, nbhd: Neighborhood) -> int | None:
+def monotone_anchored_1d(s: AnchoredSample) -> int | None:
     """Sign of (h(x)-h(x*))*(x-x*) over the grid: +1, -1, or None if mixed."""
-    if map.param_dim != 1 or map.feature_dim != 1:
+    if s.nbhd.dim != 1 or s.values.shape[1] != 1:
         raise ValueError("monotone_anchored_1d requires p = m = 1")
-    pts, _, hv, h0 = _anchored_values(map, nbhd)
-    prod = (hv[:, 0] - h0[0]) * (pts[:, 0] - nbhd.anchor[0])
-    if np.all(prod > STRICT_TOL):
-        return 1
-    if np.all(prod < -STRICT_TOL):
-        return -1
+    for sign in (1, -1):
+        if monotone_operator_check(s, [[sign]]):
+            return sign
     return None
 
 
-def generic_dm_1d(map: SmoothMap, nbhd: Neighborhood, epsilon: float | None = None) -> float:
+def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
     """Scalar gain ``sign * (2/K - epsilon)`` for a 1-D monotone map.
 
     `epsilon` defaults to 1% of the 2/K budget. Values at or above 2/K
     would flip the bound and are rejected.
     """
-    sign = monotone_anchored_1d(map, nbhd)
+    sign = monotone_anchored_1d(s)
     if sign is None:
-        raise NotMonotoneError(f"map {map.name or '<anonymous>'} is not monotone on the grid")
-    K = lipschitz_anchored(map, nbhd)
+        raise NotMonotoneError(f"map is not monotone on the grid around {s.nbhd.anchor}")
+    K = lipschitz_anchored(s)
     budget = 2.0 / K
     if epsilon is None:
         epsilon = 0.01 * budget
@@ -155,23 +167,20 @@ def generic_dm_1d(map: SmoothMap, nbhd: Neighborhood, epsilon: float | None = No
     return sign * (budget - epsilon)
 
 
-def monotone_operator_check(map: SmoothMap, gain, nbhd: Neighborhood, seed: int = 0) -> bool:
+def monotone_operator_check(s: AnchoredSample, gain) -> bool:
     """True iff x -> gain @ h(x) is strictly monotone anchored at the anchor.
 
     Checks <x - x*, R h(x) - R h(x*)> > 0 at every grid sample; ties
     within STRICT_TOL count as violations.
     """
     gain = np.asarray(gain, dtype=float)
-    if gain.shape != (nbhd.dim, map.feature_dim):
-        raise ValueError(f"gain must be {(nbhd.dim, map.feature_dim)}, got {gain.shape}")
-    pts, _, hv, h0 = _anchored_values(map, nbhd, seed=seed)
-    inner = np.einsum("ij,ij->i", pts - nbhd.anchor, (hv - h0) @ gain.T)
+    if gain.shape != (s.nbhd.dim, s.values.shape[1]):
+        raise ValueError(f"gain must be {(s.nbhd.dim, s.values.shape[1])}, got {gain.shape}")
+    inner = np.einsum("ij,ij->i", s.points - s.nbhd.anchor, (s.values - s.anchor_value) @ gain.T)
     return bool(np.all(inner > STRICT_TOL))
 
 
-def frobenius_dm_bound(
-    map: SmoothMap, gain, nbhd: Neighborhood, seed: int = 0
-) -> tuple[float, bool]:
+def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
     """Sufficient-condition bound ``(2/K) * min_i cos(theta_i)``.
 
     theta_i is the angle between (x* - x_i) and gain @ (h(x*) - h(x_i)).
@@ -180,42 +189,30 @@ def frobenius_dm_bound(
     not positive and the bound is meaningless).
     """
     gain = np.asarray(gain, dtype=float)
-    if not monotone_operator_check(map, gain, nbhd, seed=seed):
+    if not monotone_operator_check(s, gain):
         raise NotMonotoneError("gain @ h is not a strictly monotone operator on the grid")
-    pts, dist, hv, h0 = _anchored_values(map, nbhd, seed=seed)
-    dx = nbhd.anchor - pts
-    rdh = (h0 - hv) @ gain.T
+    dx = s.nbhd.anchor - s.points
+    rdh = (s.anchor_value - s.values) @ gain.T
     rdh_norm = np.linalg.norm(rdh, axis=1)
-    cos = np.einsum("ij,ij->i", dx, rdh) / (dist * rdh_norm)
-    K = np.max(np.linalg.norm(hv - h0, axis=1) / dist)
+    cos = np.einsum("ij,ij->i", dx, rdh) / (s.dist * rdh_norm)
+    K = lipschitz_anchored(s)
     bound = (2.0 / K) * float(np.min(cos))
     fro = float(np.linalg.norm(gain, ord="fro"))
     return bound, fro < bound
 
 
-def contraction_certify(
-    map: SmoothMap,
-    step: DescentStep,
-    nbhd: Neighborhood,
-    y=None,
-    seed: int = 0,
-) -> ContractionCertificate:
+def contraction_certify(s: AnchoredSample, step: DescentStep, y=None) -> ContractionCertificate:
     """Apply one update at every grid sample and record the worst ratio.
 
     `y` must equal the map value at the anchor; it defaults to exactly
     that. An invalid certificate (factor >= 1) is a normal return.
     """
-    if y is None:
-        y = map.evaluate(nbhd.anchor)
-    pts, dist, hv, _ = _anchored_values(map, nbhd)
-    y = as_vector(y, "y", dim=map.feature_dim)
-    nxt = step.advance(pts, y - hv)
-    ratios = np.linalg.norm(nbhd.anchor - nxt, axis=1) / dist
-    worst = int(np.argmax(ratios))
+    y = s.anchor_value if y is None else as_vector(y, "y", dim=s.values.shape[1])
+    nxt = step.advance(s.points, y - s.values)
+    ratios = np.linalg.norm(s.nbhd.anchor - nxt, axis=1) / s.dist
     return ContractionCertificate(
-        contraction_factor=float(ratios[worst]),
-        samples_checked=int(pts.shape[0]),
-        worst_point=as_vector(pts[worst], "worst_point"),
+        contraction_factor=float(np.max(ratios)),
+        samples_checked=int(s.points.shape[0]),
     )
 
 
@@ -238,7 +235,7 @@ def monotone_1d_registry(grid_per_dim: int = 1001):
 
 
 def random_operator_suite(seed: int = 0, count: int = 10):
-    """Seeded random 2-D/3-D maps with gains scaled under the Frobenius bound.
+    """Seeded random 2-D/3-D maps as (name, sample, gain), gains under the Frobenius bound.
 
     Alternates well-conditioned linear maps and mildly nonlinear
     perturbations of them; the gain is a positive multiple of A^T, which
@@ -263,9 +260,9 @@ def random_operator_suite(seed: int = 0, count: int = 10):
             return out
 
         m = SmoothMap(p, p, fn, name=f"random-{i}{'-nl' if nonlinear else ''}")
-        nbhd = Neighborhood(anchor, 0.5, grid_per_dim=41 if p == 2 else 21)
+        sample = anchored_sample(m, Neighborhood(anchor, 0.5, grid_per_dim=41 if p == 2 else 21))
         gain0 = A.T
-        bound, _ = frobenius_dm_bound(m, gain0, nbhd)
+        bound, _ = frobenius_dm_bound(sample, gain0)
         gain = gain0 * (0.9 * bound / np.linalg.norm(gain0, ord="fro"))
-        suite.append((m.name, m, gain, nbhd))
+        suite.append((m.name, sample, gain))
     return suite

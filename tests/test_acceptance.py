@@ -16,6 +16,7 @@ from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequen
 from sdm.online import init_online, rls_ingest
 from sdm.seeds import stream
 from sdm.theory import (
+    anchored_sample,
     contraction_certify,
     frobenius_dm_bound,
     lipschitz_anchored,
@@ -110,13 +111,14 @@ def test_criterion_1_theorem1_certificates():
     ok = True
     details = []
     for name, smap, nbhd in monotone_1d_registry(grid_per_dim=1001):
-        sign = monotone_anchored_1d(smap, nbhd)
-        K = lipschitz_anchored(smap, nbhd)
+        sample = anchored_sample(smap, nbhd)
+        sign = monotone_anchored_1d(sample)
+        K = lipschitz_anchored(sample)
         worst = 0.0
         for r in rng.uniform(0.0, 2.0 / K, size=20):
             if r == 0.0:
                 continue
-            cert = contraction_certify(smap, DescentStep.from_gain([[sign * r]]), nbhd)
+            cert = contraction_certify(sample, DescentStep.from_gain([[sign * r]]))
             ok &= cert.valid
             worst = max(worst, cert.contraction_factor)
         details.append(f"{name}: worst factor {worst:.4f}")
@@ -129,9 +131,9 @@ def test_criterion_1_theorem1_certificates():
 def test_criterion_2_theorem2_certificates():
     ok = True
     worst = 0.0
-    for name, smap, gain, nbhd in random_operator_suite(seed=SEED, count=10):
-        bound, satisfied = frobenius_dm_bound(smap, gain, nbhd)
-        cert = contraction_certify(smap, DescentStep.from_gain(gain), nbhd)
+    for name, sample, gain in random_operator_suite(seed=SEED, count=10):
+        bound, satisfied = frobenius_dm_bound(sample, gain)
+        cert = contraction_certify(sample, DescentStep.from_gain(gain))
         if satisfied:
             ok &= cert.valid
             worst = max(worst, cert.contraction_factor)

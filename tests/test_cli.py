@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from sdm import theory
 from sdm.cli import main
 from sdm.analytic import registry
 
@@ -59,6 +60,18 @@ class TestVerifyCommand:
 
     def test_zero_radius_is_config_error(self, tmp_path):
         assert main(["verify", "--radius", "0", "--output-dir", str(tmp_path)]) == 2
+
+    def test_one_sample_per_neighborhood(self, tmp_path, monkeypatch):
+        calls = []
+        real = theory.neighborhood_points
+
+        def counting(nbhd, seed=0):
+            calls.append(nbhd)
+            return real(nbhd, seed=seed)
+
+        monkeypatch.setattr(theory, "neighborhood_points", counting)
+        assert main(["verify", "--grid", "101", "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == 4 + 10  # registry maps, then random maps
 
 
 class TestOnlineDemoCommand:
@@ -200,6 +213,9 @@ class TestOutOfRangeSettings:
             ["train", "--noise", "-1", "--out", "model.sdm"],
             ["pose", "--ridge", "-1"],
             ["pose", "--subsample", "-1"],
+            ["verify", "--grid", "2"],
+            ["verify", "--grid", "0"],
+            ["verify", "--radius", "nan"],
         ],
     )
     def test_exit_2_with_a_configuration_error(self, argv, tmp_path, capsys):

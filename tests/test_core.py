@@ -6,7 +6,6 @@ from sdm.core import (
     DescentSequence,
     DescentStep,
     Mode,
-    NlsProblem,
     SmoothMap,
     apply_sequence,
     as_vector,
@@ -260,12 +259,6 @@ class TestTypes:
             DescentSequence(steps=(s1, s2), param_dim=2, feature_dim=3, mode=Mode.TEMPLATE)
         with pytest.raises(ValueError):
             DescentSequence(steps=(), param_dim=2, feature_dim=3, mode=Mode.TEMPLATE)
-
-    def test_nls_problem_validates_declared_optimum(self):
-        smap = linear_map([[2.0]])
-        NlsProblem(map=smap, target=[4.0], optimum=[2.0])
-        with pytest.raises(ValueError, match="optimum"):
-            NlsProblem(map=smap, target=[4.0], optimum=[3.0])
 
     def test_step_arrays_are_read_only(self):
         step = DescentStep.from_gain([[1.0]])

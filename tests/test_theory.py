@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdm.core import DescentStep, SmoothMap
 from sdm.errors import DegenerateNeighborhoodError, NotMonotoneError
 from sdm.theory import (
+    LATTICE_CAP,
     Neighborhood,
+    anchored_sample,
     contraction_certify,
     frobenius_dm_bound,
     generic_dm_1d,
@@ -27,24 +31,28 @@ def nb(anchor, radius, grid=1001):
     return Neighborhood(np.atleast_1d(np.asarray(anchor, dtype=float)), radius, grid)
 
 
+def sample(smap, anchor, radius, grid=1001):
+    return anchored_sample(smap, nb(anchor, radius, grid))
+
+
 class TestLipschitz:
     def test_linear_slope_exact(self):
-        assert lipschitz_anchored(scalar_map(lambda t: 2 * t), nb(0.3, 1.7)) == pytest.approx(
+        assert lipschitz_anchored(sample(scalar_map(lambda t: 2 * t), 0.3, 1.7)) == pytest.approx(
             2.0, abs=1e-12
         )
-        assert lipschitz_anchored(scalar_map(lambda t: t), nb(-5.0, 0.25)) == pytest.approx(
+        assert lipschitz_anchored(sample(scalar_map(lambda t: t), -5.0, 0.25)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_cubic_anchored_at_one(self):
         # sup of |x^3-1|/|x-1| on [0.5, 1.5] is attained at 1.5: 2.375/0.5
-        K = lipschitz_anchored(scalar_map(lambda t: t**3), nb(1.0, 0.5, 1001))
+        K = lipschitz_anchored(sample(scalar_map(lambda t: t**3), 1.0, 0.5, 1001))
         assert K == pytest.approx(4.75, abs=1e-12)
 
     def test_monotone_in_radius(self):
         cube = scalar_map(lambda t: t**3)
         radii = [0.1, 0.25, 0.5, 1.0]
-        ks = [lipschitz_anchored(cube, nb(1.0, r)) for r in radii]
+        ks = [lipschitz_anchored(sample(cube, 1.0, r)) for r in radii]
         assert all(k1 <= k2 + 1e-12 for k1, k2 in zip(ks, ks[1:]))
 
     def test_degenerate_radius_rejected(self):
@@ -56,52 +64,52 @@ class TestLipschitz:
 
 class TestMonotone1d:
     def test_cubic_increasing(self):
-        assert monotone_anchored_1d(scalar_map(lambda t: t**3), nb(1.0, 0.5)) == 1
+        assert monotone_anchored_1d(sample(scalar_map(lambda t: t**3), 1.0, 0.5)) == 1
 
     def test_exp_increasing_anywhere(self):
-        assert monotone_anchored_1d(scalar_map(math.exp), nb(-3.0, 2.0)) == 1
+        assert monotone_anchored_1d(sample(scalar_map(math.exp), -3.0, 2.0)) == 1
 
     def test_negated_is_decreasing(self):
-        assert monotone_anchored_1d(scalar_map(lambda t: -t), nb(0.0, 1.0)) == -1
+        assert monotone_anchored_1d(sample(scalar_map(lambda t: -t), 0.0, 1.0)) == -1
 
     def test_square_at_origin_is_mixed(self):
-        assert monotone_anchored_1d(scalar_map(lambda t: t * t), nb(0.0, 1.0)) is None
+        assert monotone_anchored_1d(sample(scalar_map(lambda t: t * t), 0.0, 1.0)) is None
 
 
 class TestGenericDm1d:
     def test_identity_map(self):
-        r = generic_dm_1d(scalar_map(lambda t: t), nb(0.0, 1.0), epsilon=0.1)
+        r = generic_dm_1d(sample(scalar_map(lambda t: t), 0.0, 1.0), epsilon=0.1)
         assert r == pytest.approx(1.9, abs=1e-12)
 
     def test_slope_two(self):
-        r = generic_dm_1d(scalar_map(lambda t: 2 * t), nb(0.0, 1.0), epsilon=0.1)
+        r = generic_dm_1d(sample(scalar_map(lambda t: 2 * t), 0.0, 1.0), epsilon=0.1)
         assert r == pytest.approx(0.9, abs=1e-12)
 
     def test_cubic_from_measured_constant(self):
-        r = generic_dm_1d(scalar_map(lambda t: t**3), nb(1.0, 0.5, 1001), epsilon=0.01)
+        r = generic_dm_1d(sample(scalar_map(lambda t: t**3), 1.0, 0.5, 1001), epsilon=0.01)
         assert r == pytest.approx(2.0 / 4.75 - 0.01, abs=1e-12)
 
     def test_decreasing_map_gets_negative_gain(self):
-        r = generic_dm_1d(scalar_map(lambda t: -2 * t), nb(0.0, 1.0), epsilon=0.1)
+        r = generic_dm_1d(sample(scalar_map(lambda t: -2 * t), 0.0, 1.0), epsilon=0.1)
         assert r == pytest.approx(-0.9, abs=1e-12)
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NotMonotoneError):
-            generic_dm_1d(scalar_map(lambda t: t * t), nb(0.0, 1.0))
+            generic_dm_1d(sample(scalar_map(lambda t: t * t), 0.0, 1.0))
 
     def test_epsilon_exceeding_budget_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
-            generic_dm_1d(scalar_map(lambda t: t), nb(0.0, 1.0), epsilon=2.5)
+            generic_dm_1d(sample(scalar_map(lambda t: t), 0.0, 1.0), epsilon=2.5)
 
 
 class TestMonotoneOperator:
     def test_identity_operator(self):
         smap = SmoothMap(2, 2, lambda x: x.copy())
-        assert monotone_operator_check(smap, np.eye(2), nb([0.0, 0.0], 1.0, 21))
+        assert monotone_operator_check(sample(smap, [0.0, 0.0], 1.0, 21), np.eye(2))
 
     def test_sign_reversed_cubic(self):
         smap = scalar_map(lambda t: t**3)
-        assert not monotone_operator_check(smap, np.array([[-1.0]]), nb(1.0, 0.5))
+        assert not monotone_operator_check(sample(smap, 1.0, 0.5), np.array([[-1.0]]))
 
     def test_spd_linear_with_eigenvalue_oracle(self):
         rng = np.random.default_rng(7)
@@ -109,67 +117,67 @@ class TestMonotoneOperator:
         A = B @ B.T + 2 * np.eye(2)
         assert np.all(np.linalg.eigvalsh(A) > 0)  # oracle: positive definite
         smap = SmoothMap(2, 2, lambda x: A @ x)
-        assert monotone_operator_check(smap, np.eye(2), nb([0.2, -0.1], 0.8, 31))
+        assert monotone_operator_check(sample(smap, [0.2, -0.1], 0.8, 31), np.eye(2))
 
 
 class TestFrobeniusBound:
     def test_identity_map_small_gain_satisfied(self):
         smap = SmoothMap(2, 2, lambda x: x.copy())
-        region = nb([0.0, 0.0], 1.0, 21)
-        bound, ok = frobenius_dm_bound(smap, 1.2 * np.eye(2), region)
+        region = sample(smap, [0.0, 0.0], 1.0, 21)
+        bound, ok = frobenius_dm_bound(region, 1.2 * np.eye(2))
         assert bound == pytest.approx(2.0, abs=1e-9)
         assert ok  # ||1.2 I||_F = 1.697 < 2
 
     def test_large_gain_not_satisfied(self):
         smap = SmoothMap(2, 2, lambda x: x.copy())
-        bound, ok = frobenius_dm_bound(smap, 3.0 * np.eye(2), nb([0.0, 0.0], 1.0, 21))
+        bound, ok = frobenius_dm_bound(sample(smap, [0.0, 0.0], 1.0, 21), 3.0 * np.eye(2))
         assert bound == pytest.approx(2.0, abs=1e-9)
         assert not ok  # Frobenius norm grows with dimension, bound stays 2
 
     def test_diagonal_2d_case_certifies(self):
         A = np.diag([1.0, 2.0])
         smap = SmoothMap(2, 2, lambda x: A @ x)
-        region = nb([0.0, 0.0], 1.0, 41)
+        region = sample(smap, [0.0, 0.0], 1.0, 41)
         gain0 = A.T
-        bound, _ = frobenius_dm_bound(smap, gain0, region)
+        bound, _ = frobenius_dm_bound(region, gain0)
         gain = gain0 * (0.9 * bound / np.linalg.norm(gain0, "fro"))
-        bound2, ok = frobenius_dm_bound(smap, gain, region)
+        bound2, ok = frobenius_dm_bound(region, gain)
         assert ok
-        cert = contraction_certify(smap, DescentStep.from_gain(gain), region)
+        cert = contraction_certify(region, DescentStep.from_gain(gain))
         assert cert.valid
 
     def test_requires_monotone_operator(self):
         smap = scalar_map(lambda t: t**3)
         with pytest.raises(NotMonotoneError):
-            frobenius_dm_bound(smap, np.array([[-1.0]]), nb(1.0, 0.5))
+            frobenius_dm_bound(sample(smap, 1.0, 0.5), np.array([[-1.0]]))
 
 
 class TestContractionCertify:
     def test_exact_one_step_convergence(self):
         smap = scalar_map(lambda t: t)
-        cert = contraction_certify(smap, DescentStep.from_gain([[1.0]]), nb(0.0, 1.0))
+        cert = contraction_certify(sample(smap, 0.0, 1.0), DescentStep.from_gain([[1.0]]))
         assert cert.contraction_factor == pytest.approx(0.0, abs=1e-12)
         assert cert.valid
 
     def test_factor_point_nine(self):
         smap = scalar_map(lambda t: t)
-        cert = contraction_certify(smap, DescentStep.from_gain([[1.9]]), nb(0.0, 1.0))
+        cert = contraction_certify(sample(smap, 0.0, 1.0), DescentStep.from_gain([[1.9]]))
         assert cert.contraction_factor == pytest.approx(0.9, abs=1e-12)
         assert cert.valid
 
     def test_erf_with_constructed_gain(self):
         smap = scalar_map(math.erf)
-        region = nb(0.0, 2.0, 1001)
-        r = generic_dm_1d(smap, region, epsilon=0.01)
-        cert = contraction_certify(smap, DescentStep.from_gain([[r]]), region)
+        region = sample(smap, 0.0, 2.0, 1001)
+        r = generic_dm_1d(region, epsilon=0.01)
+        cert = contraction_certify(region, DescentStep.from_gain([[r]]))
         assert cert.valid
         assert cert.samples_checked == 1000  # anchor excluded
 
     def test_contraction_implies_k_step_convergence_linear(self):
         smap = scalar_map(lambda t: t)
-        region = nb(0.0, 1.0, 101)
+        region = sample(smap, 0.0, 1.0, 101)
         step = DescentStep.from_gain([[1.5]])
-        cert = contraction_certify(smap, step, region)
+        cert = contraction_certify(region, step)
         c = cert.contraction_factor
         y = smap.evaluate(np.zeros(1))
         for x0 in (-1.0, 0.33, 0.9):
@@ -180,10 +188,10 @@ class TestContractionCertify:
 
     def test_contraction_implies_k_step_convergence_erf(self):
         smap = scalar_map(math.erf)
-        region = nb(0.0, 2.0, 1001)
-        r = generic_dm_1d(smap, region, epsilon=0.05)
+        region = sample(smap, 0.0, 2.0, 1001)
+        r = generic_dm_1d(region, epsilon=0.05)
         step = DescentStep.from_gain([[r]])
-        c = contraction_certify(smap, step, region).contraction_factor
+        c = contraction_certify(region, step).contraction_factor
         y = smap.evaluate(np.zeros(1))
         # off-grid iterates can exceed the sampled factor by the grid gap
         slack = 1.01
@@ -197,29 +205,31 @@ class TestContractionCertify:
 class TestTheoremProperties:
     def test_theorem1_gains_below_bound_contract(self):
         rng = np.random.default_rng(11)
-        for name, smap, region in monotone_1d_registry(grid_per_dim=301):
-            sign = monotone_anchored_1d(smap, region)
-            K = lipschitz_anchored(smap, region)
+        for name, smap, nbhd in monotone_1d_registry(grid_per_dim=301):
+            region = anchored_sample(smap, nbhd)
+            sign = monotone_anchored_1d(region)
+            K = lipschitz_anchored(region)
             for r in rng.uniform(0.0, 2.0 / K, size=8):
                 if r == 0.0:
                     continue
-                cert = contraction_certify(smap, DescentStep.from_gain([[sign * r]]), region)
+                cert = contraction_certify(region, DescentStep.from_gain([[sign * r]]))
                 assert cert.valid, f"{name}: r={r} K={K} factor={cert.contraction_factor}"
 
     def test_theorem1_gains_above_bound_violate(self):
         rng = np.random.default_rng(12)
-        for name, smap, region in monotone_1d_registry(grid_per_dim=301):
-            sign = monotone_anchored_1d(smap, region)
-            K = lipschitz_anchored(smap, region)
+        for name, smap, nbhd in monotone_1d_registry(grid_per_dim=301):
+            region = anchored_sample(smap, nbhd)
+            sign = monotone_anchored_1d(region)
+            K = lipschitz_anchored(region)
             for r in rng.uniform(2.0 / K + 0.1 / K, 4.0 / K, size=4):
-                cert = contraction_certify(smap, DescentStep.from_gain([[sign * r]]), region)
+                cert = contraction_certify(region, DescentStep.from_gain([[sign * r]]))
                 assert not cert.valid, f"{name}: r={r} should exceed the bound"
 
     def test_theorem2_satisfied_bound_implies_valid_certificate(self):
-        for name, smap, gain, region in random_operator_suite(seed=5, count=6):
-            bound, ok = frobenius_dm_bound(smap, gain, region)
+        for name, region, gain in random_operator_suite(seed=5, count=6):
+            bound, ok = frobenius_dm_bound(region, gain)
             assert ok, f"{name}: suite should be constructed under the bound"
-            cert = contraction_certify(smap, DescentStep.from_gain(gain), region)
+            cert = contraction_certify(region, DescentStep.from_gain(gain))
             assert cert.valid, f"{name}: factor {cert.contraction_factor}"
 
 
@@ -241,3 +251,40 @@ class TestNeighborhoodSampling:
         b = neighborhood_points(region, seed=4)
         assert a.shape[0] <= 100_000
         assert np.array_equal(a, b)
+
+
+def one_draw_at_a_time(nbhd, seed):
+    """Reference for the top-up: one candidate per draw, kept if inside."""
+    a, r, p = nbhd.anchor, nbhd.radius, nbhd.dim
+    g = nbhd.grid_per_dim
+    if g**p > LATTICE_CAP:
+        g = max(3, int(LATTICE_CAP ** (1.0 / p)))
+    axes = [np.linspace(a[i] - r, a[i] + r, g) for i in range(p)]
+    pts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pts = pts[np.linalg.norm(pts - a, axis=1) <= r * (1 + 1e-12)]
+    rng = np.random.default_rng(seed)
+    extra = []
+    while pts.shape[0] + len(extra) < min(nbhd.grid_per_dim**p, LATTICE_CAP):
+        cand = a + rng.uniform(-r, r, size=p)
+        if np.linalg.norm(cand - a) <= r:
+            extra.append(cand)
+    return np.vstack([pts, *extra]) if extra else pts
+
+
+class TestBlockedSampler:
+    # p-dimensional grids up to 24 / 12 / 7 per axis keep the reference loop short
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda p: st.tuples(
+            st.lists(st.floats(-10, 10), min_size=p, max_size=p),
+            st.integers(3, {2: 24, 3: 12, 4: 7}[p]),
+        )),
+        st.floats(1e-3, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(anchor_grid=([0.0, 0.0, 0.0], 101), radius=1.0, seed=4)  # over the cap
+    def test_keeps_the_points_of_a_one_draw_loop(self, anchor_grid, radius, seed):
+        anchor, grid = anchor_grid
+        region = Neighborhood(np.array(anchor), radius, grid)
+        assert np.array_equal(neighborhood_points(region, seed=seed),
+                              one_draw_at_a_time(region, seed))
