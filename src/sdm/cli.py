@@ -5,7 +5,8 @@ experiment, the contraction-certificate suite, the online/batch
 equivalence demo, and model train/apply round-trips. All randomness
 flows from a single --seed through named streams, and every output CSV
 is byte-identical across reruns with the same configuration; wall-clock
-numbers go to sidecar files only.
+numbers go to sidecar files only. Each setting is declared once, in
+`COMMANDS`.
 
 Exit codes: 0 success, 1 a checked property failed, 2 bad configuration.
 """
@@ -15,7 +16,10 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,9 +59,19 @@ def write_csv(path, header, rows, comments=()):
             writer.writerow([_fmt(v) for v in row])
 
 
+@contextmanager
+def _reading(what: str, path):
+    """Turn a failure to open or decode `path` into a ConfigError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_config_file(path) -> dict:
+    """Map each key (with `-` read as `_`) to its (line number, raw value)."""
     out = {}
-    with open(path) as f:
+    with _reading("config file", path), open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -65,74 +79,87 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip().replace("-", "_")] = (lineno, value.strip())
     return out
 
 
-def _to_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
-
-class Settings:
-    """Flag values merged over config-file values over defaults."""
-
-    def __init__(self, args: argparse.Namespace, schema: dict):
-        file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        for key, (default, conv) in schema.items():
-            value = getattr(args, key, None)
-            if value is None and key in file_cfg:
-                raw = file_cfg[key]
-                value = _to_bool(raw) if conv is bool else conv(raw)
-            if value is None:
-                value = default
-            setattr(self, key, value)
-
-
-_COMMON = {
-    "seed": (42, int),
-    "output_dir": ("out", str),
+# range rules by the text that error messages show; NaN passes none of them
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 3": lambda v: v >= 3,
+    "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
-
-def _out_path(cfg, name: str) -> Path:
-    return Path(cfg.output_dir) / name
+REQUIRED = object()  # the default of a setting that must be given
 
 
-def _check_ranges(cfg, positive=(), non_negative=()) -> None:
-    """Refuse settings out of range: each `positive` key must be > 0 and
-    each `non_negative` key >= 0 (NaN fails both); unset keys pass."""
-    for key in (*positive, *non_negative):
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        strict = key in positive
-        if not (value > 0 if strict else value >= 0):
-            rule = "> 0" if strict else ">= 0"
-            raise ConfigError(f"{key.replace('_', '-')} must be {rule}, got {value}")
+@dataclass(frozen=True)
+class Setting:
+    """A command setting `name`: flag ``--name`` (``--no-name`` for a bool,
+    which defaults to true) and config key ``name``, with `-` or `_`.
+    `rule` is a `_RULES` key; a None value skips it."""
+
+    default: object = None
+    type: type = str
+    rule: str | None = None
+    help: str | None = None
+    choices: tuple = ()
 
 
-def cmd_analytic(args) -> int:
-    cfg = Settings(args, {**_COMMON, "function": ("all", str), "stages": (10, int)})
-    _check_ranges(cfg, positive=("stages",))
-    names = list(analytic.registry()) if cfg.function == "all" else [cfg.function]
-    reg = analytic.registry()
-    unknown = [n for n in names if n not in reg]
+def _resolve(args: argparse.Namespace, table: dict[str, Setting]) -> SimpleNamespace:
+    """Flag values over config-file values over defaults, each range-checked."""
+    entries = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(entries) - set(table))
     if unknown:
-        raise ConfigError(f"unknown function(s) {unknown}; choose from {sorted(reg)}")
+        raise ConfigError(f"{args.config}: {args.command} takes no key {unknown[0]!r}; "
+                          f"it takes {', '.join(table)}")
+    cfg = SimpleNamespace()
+    for name, setting in table.items():
+        flag = name.replace("_", "-")
+        value = getattr(args, name)
+        if value is None and name in entries:
+            lineno, text = entries[name]
+            try:
+                value = _BOOLS[text.lower()] if setting.type is bool else setting.type(text)
+                if setting.choices and value not in setting.choices:
+                    raise ValueError(text)
+            except (KeyError, ValueError):
+                kind = " or ".join(setting.choices) or setting.type.__name__
+                raise ConfigError(
+                    f"{args.config}:{lineno}: {flag} must be {kind}, got {text!r}"
+                ) from None
+        if value is None:
+            value = setting.default
+        if value is REQUIRED:
+            raise ConfigError(f"{args.command} requires --{flag}")
+        if setting.rule and value is not None and not _RULES[setting.rule](value):
+            raise ConfigError(f"{flag} must be {setting.rule}, got {value}")
+        setattr(cfg, name, value)
+    return cfg
 
+
+def _pick(table: dict, name: str, what: str):
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; choose from {sorted(table)}")
+    return table[name]
+
+
+def cmd_analytic(cfg) -> int:
+    reg = analytic.registry()
+    names = list(reg) if cfg.function == "all" else [cfg.function]
     failures = []
     for name in names:
-        fn = reg[name]
+        fn = _pick(reg, name, "function")
         result = analytic.run_comparison(fn, stages=cfg.stages)
         comments = [result.constants_header]
         if name == "linear":
             comments.append("linear control slot: isolates one-step cascade behavior")
         write_csv(
-            _out_path(cfg, f"analytic_{name}.csv"),
+            cfg.output_dir / f"analytic_{name}.csv",
             ("method", "iteration", "mean_normalized_residual", "num_test_points"),
             result.rows(),
             comments=comments,
@@ -151,42 +178,25 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-_POSE_SCHEMA = {
-    **_COMMON,
-    "model": ("cube", str),
-    "stages": (4, int),
-    "ridge": (None, float),
-    "noise": (4.0, float),
-    "subsample": (2000, int),
-    "train_rot_step": (10.0, float),
-    "train_trans_step": (200.0, float),
-    "test_rot_step": (7.0, float),
-    "test_trans_step": (170.0, float),
-    "train_noise": (True, bool),
-    "test_noise": (True, bool),
-    "gauss_newton": (True, bool),
-}
+def _train_pose(cfg, model_name: str, stages: int, noise_variance: float):
+    """Train one built-in object's cascade; returns (object model, sequence)."""
+    model = _pick(pose.builtin_models(), model_name, "model")
+    seq = pose.train_pose_sdm(
+        model,
+        pose.DEFAULT_CAMERA,
+        pose.pose_grid_spec(rot_step_deg=cfg.train_rot_step,
+                            trans_step_mm=cfg.train_trans_step),
+        noise_variance=noise_variance,
+        config=TrainerConfig(stages=stages, ridge=cfg.ridge),
+        rng=stream(cfg.seed, f"pose-train-noise-{model_name}"),
+    )
+    return model, seq
 
 
 def run_pose_experiment(cfg, model_name: str):
     """Train, evaluate, and summarize one object; returns (records, seq)."""
-    models = pose.builtin_models()
-    if model_name not in models:
-        raise ConfigError(f"unknown model {model_name!r}; choose from {sorted(models)}")
-    model = models[model_name]
-    cam = pose.DEFAULT_CAMERA
+    model, seq = _train_pose(cfg, model_name, cfg.stages, cfg.noise if cfg.train_noise else 0.0)
     base = pose.DEFAULT_BASE_POSE
-
-    grid = pose.pose_grid_spec(rot_step_deg=cfg.train_rot_step, trans_step_mm=cfg.train_trans_step)
-    seq = pose.train_pose_sdm(
-        model,
-        cam,
-        grid,
-        base_pose=base,
-        noise_variance=cfg.noise if cfg.train_noise else 0.0,
-        config=TrainerConfig(stages=cfg.stages, ridge=cfg.ridge),
-        rng=stream(cfg.seed, f"pose-train-noise-{model_name}"),
-    )
     test_grid = pose.pose_grid_spec(rot_step_deg=cfg.test_rot_step, trans_step_mm=cfg.test_trans_step)
     test_poses = pose.grid_poses(test_grid, base)
     test_poses = pose.subsample_poses(
@@ -195,7 +205,7 @@ def run_pose_experiment(cfg, model_name: str):
     records = pose.evaluate_test_poses(
         seq,
         model,
-        cam,
+        pose.DEFAULT_CAMERA,
         test_poses,
         base_pose=base,
         noise_variance=cfg.noise if cfg.test_noise else 0.0,
@@ -228,22 +238,15 @@ _POSE_HEADER = (
 )
 
 
-def cmd_pose(args) -> int:
-    cfg = Settings(args, _POSE_SCHEMA)
-    _check_ranges(
-        cfg,
-        positive=("stages", "train_rot_step", "train_trans_step", "test_rot_step",
-                  "test_trans_step"),
-        non_negative=("ridge", "noise", "subsample"),
-    )
+def cmd_pose(cfg) -> int:
     names = ["cube", "body", "face"] if cfg.model == "all" else [cfg.model]
     print(f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}")
     for name in names:
         records, seq = run_pose_experiment(cfg, name)
-        write_csv(_out_path(cfg, f"pose_results_{name}.csv"), _POSE_HEADER, _pose_rows(records))
+        write_csv(cfg.output_dir / f"pose_results_{name}.csv", _POSE_HEADER, _pose_rows(records))
         # timings are wall-clock and deliberately kept out of the results file
         write_csv(
-            _out_path(cfg, f"pose_timings_{name}.csv"),
+            cfg.output_dir / f"pose_timings_{name}.csv",
             ("index", "wall_ms"),
             [(i, r.wall_ms) for i, r in enumerate(records)],
         )
@@ -264,19 +267,7 @@ def cmd_pose(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = Settings(
-        args,
-        {
-            **_COMMON,
-            "epsilon": (None, float),
-            "radius": (None, float),
-            "grid": (1001, int),
-        },
-    )
-    _check_ranges(cfg, positive=("epsilon", "radius"))
-    if cfg.grid < 3:
-        raise ConfigError(f"grid must be >= 3, got {cfg.grid}")
+def cmd_verify(cfg) -> int:
     all_valid = True
     rows = []
     print(f"{'map':12s} {'K':>10s} {'gain':>10s} {'factor':>10s}  valid")
@@ -308,7 +299,7 @@ def cmd_verify(args) -> int:
             f"{name:12s} {bound:10.5f} {fro:10.5f} {cert.contraction_factor:10.6f}  {cert.valid}"
         )
     write_csv(
-        _out_path(cfg, "certificates.csv"),
+        cfg.output_dir / "certificates.csv",
         ("map", "bound_or_K", "gain_norm", "contraction_factor", "samples", "valid"),
         rows,
     )
@@ -344,10 +335,7 @@ def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
     )
 
 
-def cmd_online_demo(args) -> int:
-    cfg = Settings(args, {**_COMMON, "forgetting": (1.0, float), "ridge": (1e-3, float)})
-    if not 0 < cfg.forgetting <= 1:
-        raise ConfigError(f"forgetting factor must lie in (0, 1], got {cfg.forgetting}")
+def cmd_online_demo(cfg) -> int:
     rng = stream(cfg.seed, "online-demo")
     sizes = (10, 50, 200) if cfg.forgetting == 1.0 else (5, 10, 20)
     tol = 1e-6 if cfg.forgetting == 1.0 else 1e-8
@@ -360,115 +348,135 @@ def cmd_online_demo(args) -> int:
     return 0 if worst <= tol else 1
 
 
-_TRAIN_SCHEMA = {
-    **_COMMON,
-    "problem": ("pose", str),
-    "model": ("cube", str),
-    "function": ("cube", str),
-    "stages": (None, int),
-    "ridge": (None, float),
-    "noise": (4.0, float),
-    "train_rot_step": (10.0, float),
-    "train_trans_step": (200.0, float),
-    "out": (None, str),
-}
-
-
-def cmd_train(args) -> int:
-    cfg = Settings(args, _TRAIN_SCHEMA)
-    if cfg.out is None:
-        raise ConfigError("train requires --out <model-file>")
-    _check_ranges(cfg, positive=("stages", "train_rot_step", "train_trans_step"),
-                  non_negative=("ridge", "noise"))
+def cmd_train(cfg) -> int:
     if cfg.problem == "pose":
-        stages = 4 if cfg.stages is None else cfg.stages
-        models = pose.builtin_models()
-        if cfg.model not in models:
-            raise ConfigError(f"unknown model {cfg.model!r}")
-        seq = pose.train_pose_sdm(
-            models[cfg.model],
-            pose.DEFAULT_CAMERA,
-            pose.pose_grid_spec(rot_step_deg=cfg.train_rot_step,
-                                trans_step_mm=cfg.train_trans_step),
-            noise_variance=cfg.noise,
-            config=TrainerConfig(stages=stages, ridge=cfg.ridge),
-            rng=stream(cfg.seed, f"pose-train-noise-{cfg.model}"),
-        )
-    elif cfg.problem == "analytic":
-        stages = 10 if cfg.stages is None else cfg.stages
-        reg = analytic.registry()
-        if cfg.function not in reg:
-            raise ConfigError(f"unknown function {cfg.function!r}")
-        seq = train(
-            analytic.build_training_set(reg[cfg.function]),
-            TrainerConfig(stages=stages, ridge=0.0 if cfg.ridge is None else cfg.ridge),
-        )
+        _, seq = _train_pose(cfg, cfg.model, 4 if cfg.stages is None else cfg.stages, cfg.noise)
     else:
-        raise ConfigError(f"unknown problem {cfg.problem!r}; use pose or analytic")
+        fn = _pick(analytic.registry(), cfg.function, "function")
+        seq = train(
+            analytic.build_training_set(fn),
+            TrainerConfig(stages=10 if cfg.stages is None else cfg.stages,
+                          ridge=0.0 if cfg.ridge is None else cfg.ridge),
+        )
     Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
     model_io.save_sequence(seq, cfg.out)
     print(f"wrote {cfg.out}: {len(seq)} stages, p={seq.param_dim}, m={seq.feature_dim}")
     return 0
 
 
-_APPLY_SCHEMA = {
-    **_COMMON,
-    "problem": ("pose", str),
-    "model": ("cube", str),
-    "function": ("cube", str),
-    "model_file": (None, str),
-    "inputs": (None, str),
-    "out": (None, str),
-}
+def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
+    """Data rows after the header as floats: `width` values each, or the first
+    cell only if `width` is None. Blank rows and '#' rows are skipped."""
+    with _reading("inputs file", path), open(path, newline="") as f:
+        reader = csv.reader(f)
+        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+    if not rows:
+        raise ConfigError(f"inputs file {path} has no header row")
+    values = []
+    for lineno, row in rows[1:]:
+        if width is not None and len(row) != width:
+            raise ConfigError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
+        try:
+            values.append(np.array([float(v) for v in (row if width else row[:1])]))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected numbers, got {row}") from None
+    return values
 
 
-def _read_csv_rows(path):
-    with open(path) as f:
-        rows = [row for row in csv.reader(f) if row and not row[0].startswith("#")]
-    return rows[0], rows[1:]
-
-
-def cmd_apply(args) -> int:
-    cfg = Settings(args, _APPLY_SCHEMA)
-    for key in ("model_file", "inputs", "out"):
-        if getattr(cfg, key) is None:
-            raise ConfigError(f"apply requires --{key.replace('_', '-')}")
-    seq = model_io.load_sequence(cfg.model_file)
-    _, rows = _read_csv_rows(cfg.inputs)
+def cmd_apply(cfg) -> int:
+    with _reading("model file", cfg.model_file):
+        seq = model_io.load_sequence(cfg.model_file)
     out_rows = []
     if cfg.problem == "pose":
-        models = pose.builtin_models()
-        if cfg.model not in models:
-            raise ConfigError(f"unknown model {cfg.model!r}")
-        model = models[cfg.model]
+        model = _pick(pose.builtin_models(), cfg.model, "model")
         cam = pose.DEFAULT_CAMERA
         if seq.feature_dim != 2 * model.n_points:
             raise ConfigError(
                 f"model file expects {seq.feature_dim} features, object gives "
                 f"{2 * model.n_points}"
             )
-        for row in rows:
-            px = np.array([float(v) for v in row], dtype=float).reshape(-1, 2).T
+        for row in _read_inputs(cfg.inputs, seq.feature_dim):
+            px = row.reshape(-1, 2).T
             proj = pose.Projection(points2d=px, normalized=pose.normalize_pixels(px, cam))
             est, _ = pose.estimate_pose(seq, proj, model, cam)
             out_rows.append((*est.euler, *est.translation))
         header = ("yaw", "pitch", "roll", "tx", "ty", "tz")
-    elif cfg.problem == "analytic":
-        reg = analytic.registry()
-        if cfg.function not in reg:
-            raise ConfigError(f"unknown function {cfg.function!r}")
-        fn = reg[cfg.function]
+    else:
+        fn = _pick(analytic.registry(), cfg.function, "function")
         smap = fn.smooth_map()
-        for row in rows:
-            y = float(row[0])
+        for (y,) in _read_inputs(cfg.inputs):
             traj = apply_sequence(seq, np.array([fn.x0]), smap, y=np.array([y]))
             out_rows.append((y, float(traj[-1][0])))
         header = ("target", "estimate")
-    else:
-        raise ConfigError(f"unknown problem {cfg.problem!r}; use pose or analytic")
     write_csv(cfg.out, header, out_rows)
     print(f"wrote {cfg.out}: {len(out_rows)} rows")
     return 0
+
+
+_SHARED = {
+    "seed": Setting(42, int, help="root seed of every named random stream"),
+    "output_dir": Setting(Path("out"), Path, help="directory for result CSVs and run.log"),
+}
+
+# the pose-training settings that `pose` and `train` share
+_POSE_TRAINING = {
+    "ridge": Setting(None, float, ">= 0", "least-squares ridge of every stage"),
+    "noise": Setting(4.0, float, ">= 0", "pixel noise variance"),
+    "train_rot_step": Setting(10.0, float, "> 0", "training grid rotation step (deg)"),
+    "train_trans_step": Setting(200.0, float, "> 0", "training grid translation step (mm)"),
+}
+
+_PROBLEM = {
+    "problem": Setting("pose", choices=("pose", "analytic")),
+    "model": Setting("cube", help="built-in pose object: cube, body or face"),
+    "function": Setting("cube", help="analytic registry name"),
+}
+
+# command -> (handler, help, settings table)
+COMMANDS = {
+    "analytic": (cmd_analytic, "scalar-function convergence comparison", {
+        **_SHARED,
+        "function": Setting("all", help="registry name or 'all'"),
+        "stages": Setting(10, int, "> 0"),
+    }),
+    "pose": (cmd_pose, "synthetic pose-estimation experiment", {
+        **_SHARED,
+        "model": Setting("cube", help="cube, body, face, or 'all'"),
+        "stages": Setting(4, int, "> 0"),
+        **_POSE_TRAINING,
+        "subsample": Setting(2000, int, ">= 0", "test poses to draw; 0 = full grid"),
+        "test_rot_step": Setting(7.0, float, "> 0", "test grid rotation step (deg)"),
+        "test_trans_step": Setting(170.0, float, "> 0", "test grid translation step (mm)"),
+        "train_noise": Setting(True, bool, help="train without pixel noise"),
+        "test_noise": Setting(True, bool, help="test without pixel noise"),
+        "gauss_newton": Setting(True, bool, help="skip the Gauss-Newton reference"),
+    }),
+    "verify": (cmd_verify, "contraction certificate suite", {
+        **_SHARED,
+        "epsilon": Setting(None, float, "> 0", "gain margin below 2/K (absolute)"),
+        "radius": Setting(None, float, "> 0", "override registry neighborhood radii"),
+        "grid": Setting(1001, int, ">= 3", "grid points per dimension"),
+    }),
+    "online-demo": (cmd_online_demo, "recursive vs batch least-squares equivalence", {
+        **_SHARED,
+        "forgetting": Setting(1.0, float, "in (0, 1]", "exponential discount"),
+        "ridge": Setting(1e-3, float, "> 0", "initial ridge of the recursive state"),
+    }),
+    "train": (cmd_train, "train a model and save it", {
+        **_SHARED,
+        **_PROBLEM,
+        "stages": Setting(None, int, "> 0", "default 4 for pose, 10 for analytic"),
+        **_POSE_TRAINING,
+        "out": Setting(REQUIRED, help="model file to write"),
+    }),
+    "apply": (cmd_apply, "apply a saved model to inputs from a CSV", {
+        **_SHARED,
+        **_PROBLEM,
+        "model_file": Setting(REQUIRED, help="model file written by train"),
+        "inputs": Setting(REQUIRED, help="CSV of pixel rows (pose) or targets (analytic)"),
+        "out": Setting(REQUIRED, help="CSV to write"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,78 +485,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmarks for learned descent maps on nonlinear least squares.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output-dir", dest="output_dir")
+    for command, (_, summary, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat 'key = value' config file; flags win")
-
-    p = sub.add_parser("analytic", help="scalar-function convergence comparison")
-    common(p)
-    p.add_argument("--function", help="registry name or 'all'")
-    p.add_argument("--stages", type=int)
-    p.set_defaults(handler=cmd_analytic)
-
-    p = sub.add_parser("pose", help="synthetic pose-estimation experiment")
-    common(p)
-    p.add_argument("--model", help="cube, body, face, or 'all'")
-    p.add_argument("--stages", type=int)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--noise", type=float, help="pixel noise variance")
-    p.add_argument("--subsample", type=int, help="test poses to draw; 0 = full grid")
-    p.add_argument("--train-rot-step", dest="train_rot_step", type=float)
-    p.add_argument("--train-trans-step", dest="train_trans_step", type=float)
-    p.add_argument("--test-rot-step", dest="test_rot_step", type=float)
-    p.add_argument("--test-trans-step", dest="test_trans_step", type=float)
-    p.add_argument("--no-train-noise", dest="train_noise", action="store_false", default=None)
-    p.add_argument("--no-test-noise", dest="test_noise", action="store_false", default=None)
-    p.add_argument("--no-gauss-newton", dest="gauss_newton", action="store_false", default=None)
-    p.set_defaults(handler=cmd_pose)
-
-    p = sub.add_parser("verify", help="contraction certificate suite")
-    common(p)
-    p.add_argument("--epsilon", type=float, help="gain margin below 2/K (absolute)")
-    p.add_argument("--radius", type=float, help="override registry neighborhood radii")
-    p.add_argument("--grid", type=int, help="grid points per dimension")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("online-demo", help="recursive vs batch least-squares equivalence")
-    common(p)
-    p.add_argument("--forgetting", type=float, help="exponential discount in (0, 1]")
-    p.add_argument("--ridge", type=float)
-    p.set_defaults(handler=cmd_online_demo)
-
-    p = sub.add_parser("train", help="train a model and save it")
-    common(p)
-    p.add_argument("--problem", choices=("pose", "analytic"))
-    p.add_argument("--model")
-    p.add_argument("--function")
-    p.add_argument("--stages", type=int)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--train-rot-step", dest="train_rot_step", type=float)
-    p.add_argument("--train-trans-step", dest="train_trans_step", type=float)
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("apply", help="apply a saved model to inputs from a CSV")
-    common(p)
-    p.add_argument("--problem", choices=("pose", "analytic"))
-    p.add_argument("--model")
-    p.add_argument("--function")
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--inputs")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_apply)
-
+        for name, s in table.items():
+            flag = name.replace("_", "-")
+            if s.type is bool:
+                p.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None,
+                               help=s.help)
+            else:
+                p.add_argument(f"--{flag}", dest=name, type=s.type, choices=s.choices or None,
+                               help=s.help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, table = COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        code = args.handler(args)
+        cfg = _resolve(args, table)
+        code = handler(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -557,9 +514,8 @@ def main(argv=None) -> int:
         return 1
     elapsed = time.perf_counter() - started
     # wall time goes to a sidecar log so the data files stay reproducible
-    out_dir = Path(getattr(args, "output_dir", None) or "out")
-    if out_dir.exists():
-        with open(out_dir / "run.log", "a") as f:
+    if cfg.output_dir.exists():
+        with open(cfg.output_dir / "run.log", "a") as f:
             f.write(f"{args.command} exit={code} elapsed_s={elapsed:.3f}\n")
     return code
 

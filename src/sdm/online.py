@@ -103,6 +103,8 @@ def init_online(
     step per stage, so a region-partitioned sequence raises
     PartitionError.
     """
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     if seq.partition:
         raise PartitionError(
             f"online refresh keeps one step per stage; this sequence is partitioned "

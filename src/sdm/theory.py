@@ -130,6 +130,8 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> Anchor
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
     h0 = map.evaluate(nbhd.anchor)
     hv = map.evaluate_rows(pts)
+    if not (np.isfinite(h0).all() and np.isfinite(hv).all()):
+        raise DegenerateNeighborhoodError(f"map {map.name!r} is not finite on the neighborhood")
     return AnchoredSample(nbhd, pts, dist, hv, h0)
 
 
@@ -216,6 +218,14 @@ def contraction_certify(s: AnchoredSample, step: DescentStep, y=None) -> Contrac
     )
 
 
+def _exp(t: float) -> float:
+    """math.exp, but inf where the result overflows instead of OverflowError."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def monotone_1d_registry(grid_per_dim: int = 1001):
     """Named 1-D monotone maps with anchors used by the certificate suite."""
 
@@ -225,7 +235,7 @@ def monotone_1d_registry(grid_per_dim: int = 1001):
     entries = [
         ("linear", _map("linear", lambda t: 2.0 * t), 0.0, 1.0),
         ("cube", _map("cube", lambda t: t**3), 1.0, 0.5),
-        ("exp", _map("exp", math.exp), 0.0, 1.0),
+        ("exp", _map("exp", _exp), 0.0, 1.0),
         ("erf", _map("erf", math.erf), 0.0, 2.0),
     ]
     return [

@@ -1,11 +1,19 @@
 import csv
+import io
+import math
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sdm import theory
-from sdm.cli import main
+from sdm import model_io, theory
+from sdm.cli import COMMANDS, REQUIRED, main
 from sdm.analytic import registry
+from sdm.core import DescentSequence, DescentStep, Mode
 
 # keep the pose runs desk-sized: coarse grids, small subsample
 POSE_SMALL = [
@@ -60,6 +68,11 @@ class TestVerifyCommand:
 
     def test_zero_radius_is_config_error(self, tmp_path):
         assert main(["verify", "--radius", "0", "--output-dir", str(tmp_path)]) == 2
+
+    def test_radius_past_exp_overflow_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--radius", "1000", "--output-dir", str(tmp_path)]) == 2
+        assert "configuration error: map 'exp' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.csv").exists()
 
     def test_one_sample_per_neighborhood(self, tmp_path, monkeypatch):
         calls = []
@@ -216,6 +229,9 @@ class TestOutOfRangeSettings:
             ["verify", "--grid", "2"],
             ["verify", "--grid", "0"],
             ["verify", "--radius", "nan"],
+            ["online-demo", "--ridge", "-1"],
+            ["online-demo", "--ridge", "0"],
+            ["online-demo", "--ridge", "nan"],
         ],
     )
     def test_exit_2_with_a_configuration_error(self, argv, tmp_path, capsys):
@@ -248,3 +264,208 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("stages\n")
         assert main(["analytic", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+
+    def test_unconvertible_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("function = linear\nstages = abc\n")
+        assert main(["analytic", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert f"{cfg}:2: stages must be int, got 'abc'" in capsys.readouterr().err
+
+    def test_problem_outside_its_choices_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("problem = nope\n")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "m.sdm")]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+        assert "problem must be pose or analytic, got 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "m.sdm").exists()
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert main(["analytic", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert f"configuration error: cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_key_the_command_does_not_take_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("function = linear\nstage = 3\n")
+        assert main(["analytic", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "takes no key 'stage'" in err and "stages" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_output_dir_from_the_file_receives_run_log(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("output-dir = results\nfunction = linear\n")
+        assert main(["analytic", "--config", str(cfg)]) == 0
+        assert (tmp_path / "results" / "analytic_linear.csv").exists()
+        assert (tmp_path / "results" / "run.log").exists()
+        assert not (tmp_path / "out" / "run.log").exists()
+
+
+def save_zero_model(path, param_dim, feature_dim, mode):
+    zero = DescentStep(gain=np.zeros((param_dim, feature_dim)), bias=np.zeros(param_dim))
+    model_io.save_sequence(
+        DescentSequence(steps=(zero,), param_dim=param_dim, feature_dim=feature_dim, mode=mode),
+        path,
+    )
+
+
+class TestApplyInputs:
+    """Each unreadable or malformed input ends in exit 2 naming the file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        save_zero_model(tmp_path / "analytic.sdm", 1, 1, Mode.GENERALIZED)
+        save_zero_model(tmp_path / "cube.sdm", 6, 16, Mode.REVERSED)
+        return tmp_path
+
+    def apply(self, tmp_path, problem, model_file, inputs):
+        out = tmp_path / "result.csv"
+        code = main(["apply", "--problem", problem, "--model-file", str(model_file),
+                     "--inputs", str(inputs), "--out", str(out), "--output-dir", str(tmp_path)])
+        assert not out.exists()
+        return code
+
+    def test_missing_model_file(self, files, capsys):
+        inputs = files / "targets.csv"
+        inputs.write_text("target\n1.0\n")
+        assert self.apply(files, "analytic", files / "absent.sdm", inputs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read model file")
+        assert "absent.sdm" in err
+
+    def test_missing_inputs(self, files, capsys):
+        assert self.apply(files, "analytic", files / "analytic.sdm", files / "absent.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read inputs file")
+        assert "absent.csv" in err
+
+    def test_non_numeric_cell_names_the_line(self, files, capsys):
+        inputs = files / "targets.csv"
+        inputs.write_text("target\n1.0\n# a comment\nabc\n")
+        assert self.apply(files, "analytic", files / "analytic.sdm", inputs) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {inputs}:4:")
+
+    def test_empty_inputs(self, files, capsys):
+        inputs = files / "empty.csv"
+        inputs.write_text("")
+        assert self.apply(files, "analytic", files / "analytic.sdm", inputs) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: inputs file {inputs} has no header row"
+        )
+
+    @pytest.mark.parametrize("width", [15, 17])
+    def test_pose_row_of_the_wrong_width_names_the_line(self, files, capsys, width):
+        inputs = files / "obs.csv"
+        inputs.write_text(",".join(["c"] * 16) + "\n" + ",".join(["100.0"] * width) + "\n")
+        assert self.apply(files, "pose", files / "cube.sdm", inputs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {inputs}:2: expected 16 values, got {width}")
+
+    def test_malformed_model_file_stays_exit_1(self, files, capsys):
+        (files / "bad.sdm").write_bytes(b"not a model")
+        inputs = files / "targets.csv"
+        inputs.write_text("target\n1.0\n")
+        assert self.apply(files, "analytic", files / "bad.sdm", inputs) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# Values that break each rule, as (int, float) strategies; NaN breaks every rule.
+RULE_BREAKERS = {
+    "> 0": (st.integers(max_value=0), st.floats(max_value=0.0)),
+    ">= 0": (st.integers(max_value=-1), st.floats(max_value=-1e-300)),
+    ">= 3": (st.integers(max_value=2), st.floats(max_value=2.9)),
+    "in (0, 1]": (st.integers(max_value=0) | st.integers(min_value=2),
+                  st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)),
+}
+SETTINGS = [(c, n, s) for c, (_, _, table) in COMMANDS.items() for n, s in table.items()]
+RULED = [entry for entry in SETTINGS if entry[2].rule]
+TYPED = [entry for entry in SETTINGS if entry[2].type in (int, float, bool) or entry[2].choices]
+
+
+def ids(entries):
+    return [f"{command}-{name}" for command, name, _ in entries]
+
+
+def converts(setting, text):
+    if setting.choices:
+        return text in setting.choices
+    if setting.type is bool:
+        return text.lower() in ("1", "true", "yes", "on", "0", "false", "no", "off")
+    try:
+        setting.type(text)
+    except ValueError:
+        return False
+    return True
+
+
+def run_in_scratch(command, args, config_text=None):
+    """Run `command` in a fresh directory with `args`, its required settings
+    and, when given, a config file; returns (exit code, stderr, files written)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [command, *args, "--output-dir", str(tmp / "results")]
+        for name, setting in COMMANDS[command][2].items():
+            if setting.default is REQUIRED:
+                argv.append(f"--{name.replace('_', '-')}={tmp / name}")
+        if config_text is not None:
+            (tmp / "bench.cfg").write_text(config_text)
+            argv += ["--config", str(tmp / "bench.cfg")]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(argv)
+        written = sorted(p.name for p in tmp.rglob("*") if p.name != "bench.cfg")
+    return code, err.getvalue(), written
+
+
+class TestSettingsTable:
+    """Properties drawn from the settings table itself, so that a new
+    setting is covered without a new test."""
+
+    def test_every_rule_has_breaking_values(self):
+        assert {s.rule for _, _, s in RULED} <= set(RULE_BREAKERS)
+
+    @pytest.mark.parametrize("command,name,setting", RULED, ids=ids(RULED))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), as_flag=st.booleans(), nan=st.booleans())
+    def test_out_of_range_value_exits_2_and_writes_nothing(
+        self, command, name, setting, data, as_flag, nan
+    ):
+        ints, floats = RULE_BREAKERS[setting.rule]
+        if setting.type is float and nan:
+            value = math.nan
+        else:
+            value = data.draw(ints if setting.type is int else floats)
+        flag = name.replace("_", "-")
+        if as_flag:
+            code, err, written = run_in_scratch(command, [f"--{flag}={value}"])
+        else:
+            key = data.draw(st.sampled_from([name, flag]))
+            code, err, written = run_in_scratch(command, [], f"{key} = {value}\n")
+        assert code == 2
+        assert err.startswith("configuration error:") and f"{flag} must be {setting.rule}" in err
+        assert written == []
+
+    @pytest.mark.parametrize("command,name,setting", TYPED, ids=ids(TYPED))
+    @settings(max_examples=15, deadline=None)
+    @given(text=st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S"),
+                                      exclude_characters="#"), max_size=8))
+    def test_config_value_that_does_not_convert_exits_2(self, command, name, setting, text):
+        assume(not converts(setting, text))
+        code, err, written = run_in_scratch(command, [], f"{name} = {text}\n")
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert f"{name.replace('_', '-')} must be" in err
+        assert written == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name, setting in COMMANDS[command][2].items():
+            flag = name.replace("_", "-")
+            assert (f"--no-{flag}" if setting.type is bool else f"--{flag}") in text
+        assert "--config" in text

@@ -57,6 +57,13 @@ class TestInitOnline:
             init_online(seq, ridge=1.0)
         assert isinstance(err.value, SdmError)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), -1.0])
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_nan_or_negative_ridge_refused(self, ridge, with_features):
+        feats = [np.random.default_rng(0).normal(size=(20, 3))] if with_features else None
+        with pytest.raises(ValueError, match="ridge must be >= 0"):
+            init_online(empty_sequence(2, 3), feats, ridge=ridge)
+
     def test_singular_gram_instructs_ridge(self):
         feats = np.zeros((4, 3))
         with pytest.raises(RankDeficiencyError, match="ridge"):

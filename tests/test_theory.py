@@ -234,6 +234,20 @@ class TestTheoremProperties:
 
 
 class TestNeighborhoodSampling:
+    def test_non_finite_map_values_refused(self):
+        with pytest.raises(DegenerateNeighborhoodError, match="not finite"):
+            sample(scalar_map(lambda t: math.inf if t > 1.0 else t, "blows-up"), 0.0, 2.0, 11)
+        with pytest.raises(DegenerateNeighborhoodError, match="not finite"):
+            sample(scalar_map(lambda t: math.nan, "nan-everywhere"), 0.0, 1.0, 11)
+
+    def test_registry_exp_is_inf_past_overflow_and_math_exp_below(self):
+        exp = {name: smap for name, smap, _ in monotone_1d_registry(11)}["exp"]
+        assert exp.evaluate([1000.0])[0] == math.inf
+        for t in (-1000.0, -1.0, 0.3, 1.0, 709.0):
+            assert exp.evaluate([t])[0] == math.exp(t)
+        with pytest.raises(DegenerateNeighborhoodError):
+            sample(exp, 0.0, 1000.0, 11)
+
     def test_1d_grid_includes_anchor_and_extremes(self):
         pts = neighborhood_points(nb(2.0, 0.5, 11))
         assert pts.shape == (11, 1)
