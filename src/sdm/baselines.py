@@ -87,24 +87,31 @@ def _classify_end(residuals: list[float]) -> RunStatus:
     return RunStatus.MAX_ITERS
 
 
-def _descent_loop(
+def _descent_iteration(
     problem: NlsProblem, x0, max_iters: int, step_fn, stall_on_singular_stationary: bool
-) -> DescentRun:
+):
+    """The iteration shared by Newton and Gauss-Newton, as a generator
+    that asks for one map evaluation per iterate: it yields each iterate
+    x and is sent back ``(h(x), extra)``, where `extra` is whatever
+    ``step_fn(x, r, extra)`` needs besides the residual r = h(x) - target.
+    It returns the DescentRun (see `_run` and `gauss_newton_rows`)."""
     x = as_vector(x0, "x0", dim=problem.map.param_dim)
+    h, extra = yield x
+    r = h - problem.target
     iterates = [np.array(x)]
-    residuals = [problem.residual_norm(x)]
+    residuals = [float(np.linalg.norm(r))]
     status = None
 
     for _ in range(max_iters):
-        r = residuals[-1]
-        if not np.isfinite(r) or r > DIVERGENCE_THRESHOLD:
+        rn = residuals[-1]
+        if not np.isfinite(rn) or rn > DIVERGENCE_THRESHOLD:
             status = RunStatus.DIVERGED
             break
-        if r <= RESIDUAL_TOL:
+        if rn <= RESIDUAL_TOL:
             status = RunStatus.CONVERGED
             break
         x = iterates[-1]
-        step, singular = step_fn(x)
+        step, singular = step_fn(x, r, extra)
         if singular:
             # a singular system at a stationary point is a saddle the
             # full-Newton model cannot leave; Gauss-Newton has no such
@@ -122,8 +129,10 @@ def _descent_loop(
             status = RunStatus.SADDLE_STALL
             break
         x_next = x - step
+        h, extra = yield x_next
+        r = h - problem.target
         iterates.append(x_next)
-        residuals.append(problem.residual_norm(x_next))
+        residuals.append(float(np.linalg.norm(r)))
         if np.linalg.norm(x_next - x) <= STEP_REL_TOL * max(1.0, np.linalg.norm(x_next)):
             status = RunStatus.CONVERGED
             break
@@ -131,6 +140,16 @@ def _descent_loop(
     if status is None:
         status = _classify_end(residuals)
     return DescentRun(iterates=tuple(iterates), residuals=tuple(residuals), status=status)
+
+
+def _run(iteration, evaluate) -> DescentRun:
+    """Drive one `_descent_iteration`, evaluating with ``evaluate(x)``."""
+    try:
+        x = next(iteration)
+        while True:
+            x = iteration.send(evaluate(x))
+    except StopIteration as done:
+        return done.value
 
 
 def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
@@ -141,7 +160,7 @@ def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     exception.
     """
 
-    def step_fn(x):
+    def step_fn(x, r, _):
         H = nls_hessian(problem, x)
         g = nls_gradient(problem, x)
         try:
@@ -149,19 +168,47 @@ def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
         except np.linalg.LinAlgError:
             return None, True
 
-    return _descent_loop(problem, x0, max_iters, step_fn, stall_on_singular_stationary=True)
+    iteration = _descent_iteration(problem, x0, max_iters, step_fn, True)
+    return _run(iteration, lambda x: (problem.map.evaluate(x), None))
+
+
+def _gauss_newton_step(x, r, J):
+    """The shared loop's Gauss-Newton step, or a singular system."""
+    try:
+        # minus sign: the shared loop applies x - step
+        return np.linalg.solve(J.T @ J, J.T @ r), False
+    except np.linalg.LinAlgError:
+        return None, True
 
 
 def gauss_newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
-    """Gauss-Newton iteration ``x + (J^T J)^{-1} J^T (y - h)``."""
+    """Gauss-Newton iteration ``x + (J^T J)^{-1} J^T (y - h)``, with one
+    evaluation of value and Jacobian (`SmoothMap.value_and_jacobian`)
+    per iterate."""
+    iteration = _descent_iteration(problem, x0, max_iters, _gauss_newton_step, False)
+    return _run(iteration, problem.map.value_and_jacobian)
 
-    def step_fn(x):
-        J = problem.map.jacobian(x)
-        r = problem.map.evaluate(x) - problem.target
-        try:
-            # minus sign: the shared loop applies x - step
-            return np.linalg.solve(J.T @ J, J.T @ r), False
-        except np.linalg.LinAlgError:
-            return None, True
 
-    return _descent_loop(problem, x0, max_iters, step_fn, stall_on_singular_stationary=False)
+def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[DescentRun]:
+    """`gauss_newton_minimize` of N problems at once: problem i has the
+    target row i of an (N, m) array and starts at row i of X0 (N, p).
+
+    Each round evaluates value and Jacobian once, on the rows of every
+    run still going. The runs are those of N single calls, bit for bit,
+    when the map's row kernels give each row the bits of a one-point
+    evaluation, as the projection kernel does.
+    """
+    runs = [_descent_iteration(NlsProblem(map, y), x0, max_iters, _gauss_newton_step, False)
+            for y, x0 in zip(targets, X0)]
+    out = [None] * len(runs)
+    live = [(i, next(run)) for i, run in enumerate(runs)]
+    while live:
+        H, J = map.value_and_jacobian(np.array([x for _, x in live]))
+        going = []
+        for (i, _), h, jac in zip(live, H, J):
+            try:
+                going.append((i, runs[i].send((h, jac))))
+            except StopIteration as done:
+                out[i] = done.value
+        live = going
+    return out

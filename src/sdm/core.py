@@ -66,7 +66,10 @@ class SmoothMap:
     per-coordinate step of ``jacobian_fd_step * max(1, |x_i|)``. `rows`
     is an optional vectorized kernel taking an (N, p) array to the
     (N, m) array of its rows' values; without it, `evaluate_rows` calls
-    `evaluate` row by row.
+    `evaluate` row by row. `fused` is an optional kernel returning the
+    value and the Jacobian together, for one point or for (N, p) rows
+    (see `value_and_jacobian`); without it, they come from separate
+    evaluations.
     """
 
     param_dim: int
@@ -77,6 +80,7 @@ class SmoothMap:
     jacobian_fd_step: float = 1e-6
     name: str = ""
     rows: Callable[[Array], Array] | None = None
+    fused: Callable[[Array], tuple[Array, Array]] | None = None
 
     def __post_init__(self):
         if self.param_dim < 1 or self.feature_dim < 1:
@@ -115,6 +119,18 @@ class SmoothMap:
             J = np.asarray(self.jac(x), dtype=float).reshape(self.feature_dim, self.param_dim)
             return J
         return self.fd_jacobian(x)
+
+    def value_and_jacobian(self, X) -> tuple[Array, Array]:
+        """The map and its Jacobian at one point x (p,), shapes (m,) and
+        (m, p), or at every row of an (N, p) array, shapes (N, m) and
+        (N, m, p): from one `fused` call when the map has the hook,
+        otherwise from `evaluate` (`evaluate_rows`) and `jacobian`."""
+        X = np.asarray(X, dtype=float)
+        if self.fused is not None:
+            return self.fused(X)
+        if X.ndim == 2:
+            return self.evaluate_rows(X), np.array([self.jacobian(x) for x in X])
+        return self.evaluate(X), self.jacobian(X)
 
     def fd_jacobian(self, x: Array) -> Array:
         """Central finite-difference Jacobian, regardless of `jac`."""
@@ -206,8 +222,9 @@ class DescentSequence:
     ``x[partition[j]] - center[j]`` (see `region_index`) and holds one
     step per region at every stage. `steps` is stage-major: stage k's
     step for region r is ``steps[k * n_regions + r]``. Without partition
-    coordinates there is one region and one step per stage. Outside
-    generalized mode the steps are applied without their biases.
+    coordinates there is one region and one step per stage. Only
+    generalized mode learns a bias: a template or reversed sequence with
+    a nonzero bias is refused.
     """
 
     steps: tuple[DescentStep, ...]
@@ -239,13 +256,8 @@ class DescentSequence:
                 f"{len(steps)} steps do not split into stages of {1 << len(partition)} regions"
             )
         mode = Mode(self.mode)
-        # Only generalized mode learns a bias. A template or reversed model
-        # read from a file may still hold one: it is kept, so the file is
-        # written back as it was read, but not applied.
-        applied = steps if mode is Mode.GENERALIZED else tuple(
-            DescentStep.from_gain(s.gain) if s.bias.any() else s for s in steps
-        )
-        object.__setattr__(self, "_applied", applied)
+        if mode is not Mode.GENERALIZED and any(s.bias.any() for s in steps):
+            raise ValueError(f"a {mode.value}-mode sequence has nonzero biases")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "training_report", tuple(float(v) for v in self.training_report))
@@ -260,9 +272,18 @@ class DescentSequence:
         return len(self.steps) // self.n_regions
 
     def step_at(self, stage: int, x) -> DescentStep:
-        """The step that stage `stage` applies at the point `x` (its
-        bias dropped outside generalized mode)."""
-        return self._applied[stage * self.n_regions + region_index(x, self.partition, self.center)]
+        """The step that stage `stage` applies at the point `x`."""
+        return self.steps[stage * self.n_regions + region_index(x, self.partition, self.center)]
+
+
+def advance_regions(steps, X: Array, Phi: Array, regions: Array) -> Array:
+    """Every row of X (N, p) advanced with its residual Phi (N, m) by the
+    step of its region, ``steps[regions[i]]`` (see `region_index`)."""
+    out = np.empty_like(X)
+    for r, step in enumerate(steps):
+        rows = regions == r
+        out[rows] = step.advance(X[rows], Phi[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,8 +297,22 @@ class NlsProblem:
         target = as_vector(self.target, "target", dim=self.map.feature_dim)
         object.__setattr__(self, "target", target)
 
-    def residual_norm(self, x: Array) -> float:
-        return float(np.linalg.norm(self.map.evaluate(x) - self.target))
+
+def _cascade_target(seq: DescentSequence, map: SmoothMap, y, rows: int | None) -> Array:
+    """The validated target of a cascade run: y (m,) for one point, or
+    (rows, m) for `rows` rows; zeros in generalized mode, which takes no
+    target."""
+    if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
+        raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
+                                     (map.param_dim, map.feature_dim))
+    shape = (seq.feature_dim,) if rows is None else (rows, seq.feature_dim)
+    if seq.mode is Mode.GENERALIZED:
+        if y is not None:
+            raise ValueError("generalized-mode sequences take no target")
+        return np.zeros(shape)
+    if y is None:
+        raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
+    return as_vector(y, "y", dim=seq.feature_dim) if rows is None else as_matrix(y, "y", shape)
 
 
 def apply_sequence(
@@ -296,18 +331,7 @@ def apply_sequence(
     evaluation raises DivergedError carrying the partial trajectory.
     """
     x = as_vector(x0, "x0", dim=seq.param_dim)
-    if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
-        raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
-                                     (map.param_dim, map.feature_dim))
-    if seq.mode is Mode.GENERALIZED:
-        if y is not None:
-            raise ValueError("generalized-mode sequences take no target")
-        y = np.zeros(seq.feature_dim)
-    else:
-        if y is None:
-            raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
-        y = as_vector(y, "y", dim=seq.feature_dim)
-
+    y = _cascade_target(seq, map, y, None)
     trajectory = [np.array(x)]
     for k in range(len(seq)):
         h = map.evaluate(trajectory[-1])
@@ -315,3 +339,39 @@ def apply_sequence(
             raise DivergedError("map produced a non-finite value mid-trajectory", trajectory)
         trajectory.append(seq.step_at(k, trajectory[-1]).advance(trajectory[-1], y - h))
     return trajectory
+
+
+def apply_sequence_rows(seq: DescentSequence, X0, map: SmoothMap, Y=None) -> Array:
+    """`apply_sequence` from every row of X0 (N, p) at once, row i against
+    the target Y[i] of an (N, m) array (omitted in generalized mode).
+
+    Each stage evaluates the map once for all rows (`evaluate_rows`) and
+    advances every row by the step of its region (`advance_regions`), so
+    the results match the one-point path to rounding: the products are
+    summed in another order. Returns the (len(seq) + 1, N, p) array of
+    trajectories. If some row's evaluation turns non-finite, the first
+    such row in row order raises DivergedError once every row has run,
+    with the partial trajectory `apply_sequence` would give it.
+    """
+    X0 = as_matrix(X0, "x0")
+    if X0.shape[1] != seq.param_dim:
+        raise DimensionMismatchError("x0", expected=seq.param_dim, got=X0.shape[1])
+    Y = _cascade_target(seq, map, Y, len(X0))
+    traj = np.empty((len(seq) + 1, *X0.shape))
+    traj[0] = X0
+    broke = np.full(len(X0), len(seq))  # the stage at which a row's evaluation broke down
+    for k in range(len(seq)):
+        X = traj[k]
+        Phi = Y - map.evaluate_rows(X)
+        bad = ~np.isfinite(Phi).all(axis=1)
+        broke[bad & (broke > k)] = k
+        Phi[bad] = 0.0  # what such a row does next is never reported
+        regions = region_index(X, seq.partition, seq.center)
+        stage = seq.steps[k * seq.n_regions:(k + 1) * seq.n_regions]
+        traj[k + 1] = advance_regions(stage, X, Phi, regions)
+    failed = np.flatnonzero(broke < len(seq))
+    if failed.size:
+        i = failed[0]
+        raise DivergedError(f"map produced a non-finite value mid-trajectory (row {i})",
+                            list(traj[:broke[i] + 1, i]))
+    return traj

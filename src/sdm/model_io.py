@@ -13,9 +13,9 @@ information matrix per stage. Round-trips are exact.
 
 Loading checks the header's sizes against the bytes that follow before
 reading any array, and refuses a file with bytes left over, zero stages
-or dimensions, a non-finite number, or (online states) an inverse
-information matrix that is not exactly symmetric; every malformed file
-raises ModelFormatError.
+or dimensions, a non-finite number, a nonzero bias outside generalized
+mode, or (online states) an inverse information matrix that is not
+exactly symmetric; every malformed file raises ModelFormatError.
 """
 from __future__ import annotations
 
@@ -131,6 +131,8 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
                                partition=partition, center=center)
     except PartitionError as exc:
         raise ModelFormatError(f"malformed partition: {exc}") from exc
+    except ValueError as exc:  # nonzero biases outside generalized mode
+        raise ModelFormatError(str(exc)) from exc
 
 
 def load_sequence(path) -> DescentSequence:

@@ -15,17 +15,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .baselines import gauss_newton_minimize
+from .baselines import RunStatus, gauss_newton_rows
 from .core import (
     Array,
     DescentSequence,
-    NlsProblem,
     SmoothMap,
     apply_sequence,
+    apply_sequence_rows,
     as_matrix,
     as_vector,
 )
@@ -71,6 +72,11 @@ class ObjectModel:
     @property
     def n_points(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def feature_map(self) -> SmoothMap:
+        """The model's `projection_feature_map`, built once per model."""
+        return projection_feature_map(self)
 
 
 def _wrap_angle(a: float) -> float:
@@ -118,61 +124,65 @@ EULER_PARTITION = (0, 1, 2)
 DEFAULT_BASE_POSE = Pose(euler=np.zeros(3), translation=np.array([0.0, 0.0, 2000.0]))
 
 
-def _rz(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _ry(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rx(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _plane_rotations(angles: Array, i: int, j: int) -> Array:
-    """(N, 3, 3) rotations by `angles` turning axis i toward axis j."""
-    c, s = np.cos(angles), np.sin(angles)
-    R = np.zeros((len(angles), 3, 3))
-    R[:, 3 - i - j, 3 - i - j] = 1.0
-    R[:, i, i] = R[:, j, j] = c
-    R[:, j, i] = s
-    R[:, i, j] = -s
-    return R
-
-
-def euler_to_rotation(euler) -> Array:
+def euler_to_rotation(euler, with_derivatives: bool = False) -> Array:
     """Intrinsic Z-Y-X rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll).
 
     One angle triple gives a 3x3 matrix; an (N, 3) array gives the
-    (N, 3, 3) stack of its rows' rotations, built from the same entries
-    and products.
+    (N, 3, 3) stack of its rows' rotations, bit for bit the same: every
+    entry is the same product of sines and cosines for a single triple
+    (Python floats) and for rows (arrays). With `with_derivatives`, the
+    derivatives with respect to yaw, pitch and roll follow the rotation:
+    (4, 3, 3) or (N, 4, 3, 3).
     """
     e = np.asarray(euler, dtype=float)
-    if e.ndim == 2:
-        Rz = _plane_rotations(e[:, 0], 0, 1)
-        Ry = _plane_rotations(e[:, 1], 2, 0)
-        Rx = _plane_rotations(e[:, 2], 1, 2)
-        return Rz @ Ry @ Rx
-    e = e.reshape(3)
-    return _rz(e[0]) @ _ry(e[1]) @ _rx(e[2])
+    s, c = np.sin(e.T), np.cos(e.T)
+    if e.ndim == 1:
+        s, c = s.tolist(), c.tolist()
+    (sa, sb, sc), (ca, cb, cc) = s, c
+    r0 = [ca * cb, ca * sb * sc - sa * cc, ca * sb * cc + sa * sc]
+    r1 = [sa * cb, sa * sb * sc + ca * cc, sa * sb * cc - ca * sc]
+    mats = [[r0, r1, [-sb, cb * sc, cb * cc]]]
+    if with_derivatives:
+        zero = 0.0 * sa
+        mats += [
+            [[-v for v in r1], r0, [zero] * 3],
+            [[-ca * sb, ca * cb * sc, ca * cb * cc], [-sa * sb, sa * cb * sc, sa * cb * cc],
+             [-cb, -sb * sc, -sb * cc]],
+            [[zero, sa * sc + ca * sb * cc, sa * cc - ca * sb * sc],
+             [zero, sa * sb * cc - ca * sc, -ca * cc - sa * sb * sc], [zero, cb * cc, -cb * sc]],
+        ]
+    if e.ndim > 1:  # rows: stacked straight into a contiguous (N, k, 3, 3)
+        G = np.stack([v for m in mats for row in m for v in row], -1).reshape(-1, len(mats), 3, 3)
+    else:
+        G = np.array(mats)
+    return G if with_derivatives else G[..., 0, :, :]
 
 
-def _rotation_derivatives(euler) -> Array:
-    """(3, 3, 3) array, entry k the derivative of Q wrt angle k."""
-    e = np.asarray(euler, dtype=float).reshape(3)
-    a, b, c = e
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    dRz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
-    dRy = np.array([[-sb, 0.0, cb], [0.0, 0.0, 0.0], [-cb, 0.0, -sb]])
-    cc, sc = math.cos(c), math.sin(c)
-    dRx = np.array([[0.0, 0.0, 0.0], [0.0, -sc, -cc], [0.0, cc, -sc]])
-    Rz, Ry, Rx = _rz(a), _ry(b), _rx(c)
-    return np.stack([dRz @ Ry @ Rx, Rz @ dRy @ Rx, Rz @ Ry @ dRx])
+def _projection(P, points: Array, with_jacobian: bool = False):
+    """Normalized projection of the points (3, n) at pose vectors P, one
+    (6,) or rows (N, 6): the point-major features (u1, v1, u2, ...) of
+    shape (..., 2n), NaN where a point has non-positive depth, and with
+    `with_jacobian` also their derivative (..., 2n, 6), both from one
+    camera frame and one set of sines and cosines."""
+    P = np.asarray(P, dtype=float)
+    GM = euler_to_rotation(P[..., :3], with_jacobian) @ points
+    C = GM[..., 0, :, :] if with_jacobian else GM
+    C += P[..., 3:, None]  # the camera frame, in the rotated points' place
+    x, y = C[..., 0, :], C[..., 1, :]
+    z = np.where(C[..., 2, :] > 0, C[..., 2, :], np.nan)  # behind the camera: NaN
+    u, v = x / z, y / z
+    h = np.stack([u, v], axis=-1).reshape(*u.shape[:-1], 2 * points.shape[1])
+    if not with_jacobian:
+        return h
+    # d(x/z) = (dx - u dz) / z, and likewise for y; the rotated points'
+    # derivatives wrt the angles are GM[..., 1:, :, :]
+    dx, dy, dz = GM[..., 1:, 0, :], GM[..., 1:, 1, :], GM[..., 1:, 2, :]
+    J = np.zeros(u.shape + (2, 6))
+    J[..., 0, :3] = np.swapaxes((dx - u[..., None, :] * dz) / z[..., None, :], -1, -2)
+    J[..., 1, :3] = np.swapaxes((dy - v[..., None, :] * dz) / z[..., None, :], -1, -2)
+    J[..., 0, 3] = J[..., 1, 4] = 1.0 / z
+    J[..., 0, 5], J[..., 1, 5] = -u / z, -v / z
+    return h, J.reshape(*h.shape, 6)
 
 
 @dataclass(frozen=True)
@@ -203,13 +213,6 @@ class Projection:
         return self.normalized.ravel(order="F")
 
 
-def _camera_frame(pose_vec: Array, model: ObjectModel) -> Array:
-    """The model's points in the camera frame: (3, n) for one pose
-    vector, (N, 3, n) for an (N, 6) array of them."""
-    Q = euler_to_rotation(pose_vec[..., :3])
-    return Q @ model.points + pose_vec[..., 3:, None]
-
-
 def _require_positive_depth(depth: Array, context: str = "") -> None:
     bad = np.nonzero(depth <= 0)[0]
     if bad.size:
@@ -219,20 +222,30 @@ def _require_positive_depth(depth: Array, context: str = "") -> None:
         )
 
 
-def _pixels(C: Array, cam: CameraIntrinsics) -> Array:
-    """Pixel coordinates (..., 2, n) of camera-frame points (..., 3, n)."""
-    x, y, z = C[..., 0, :], C[..., 1, :], C[..., 2, :]
-    u = cam.fx * x / z + cam.u0
-    v = cam.fy * y / z + cam.v0
-    return np.stack([u, v], axis=-2)
+def _observe(
+    P, model: ObjectModel, cam: CameraIntrinsics,
+    rng: np.random.Generator | None = None, noise_variance: float = 0.0,
+) -> tuple[Array, Array]:
+    """Pixel coordinates (..., 2, n) of the model's points at pose vectors
+    P, one (6,) or rows (N, 6), plus white noise when `noise_variance` is
+    positive (for rows, the draws `observe` makes pose by pose in row
+    order from the same `rng`), and the points' depths (..., n). A pixel
+    is NaN where its depth is not positive."""
+    C = euler_to_rotation(P[..., :3]) @ model.points
+    C += P[..., 3:, None]
+    x, y = C[..., 0, :], C[..., 1, :]
+    z = np.where(C[..., 2, :] > 0, C[..., 2, :], np.nan)
+    px = np.stack([cam.fx * x / z + cam.u0, cam.fy * y / z + cam.v0], axis=-2)
+    if noise_variance > 0:
+        if rng is None:
+            raise ValueError("noisy observation requires an rng")
+        px += rng.normal(0.0, math.sqrt(noise_variance), px.shape)
+    return px, C[..., 2, :]
 
 
 def project(pose: Pose, model: ObjectModel, cam: CameraIntrinsics) -> Projection:
     """Perspective projection; every point must have positive depth."""
-    C = _camera_frame(pose.vector(), model)
-    _require_positive_depth(C[2])
-    px = _pixels(C, cam)
-    return Projection(points2d=px, normalized=normalize_pixels(px, cam))
+    return observe(pose, model, cam)
 
 
 def normalize_pixels(points2d, cam: CameraIntrinsics) -> Array:
@@ -250,60 +263,30 @@ def observe(
     rng: np.random.Generator | None = None,
     noise_variance: float = 0.0,
 ) -> Projection:
-    """Project and optionally add white pixel noise before normalizing."""
-    proj = project(pose, model, cam)
-    if noise_variance > 0:
-        if rng is None:
-            raise ValueError("noisy observation requires an rng")
-        px = proj.points2d + rng.normal(0.0, math.sqrt(noise_variance), proj.points2d.shape)
-        return Projection(points2d=px, normalized=normalize_pixels(px, cam))
-    return proj
+    """Project, and optionally add white pixel noise before normalizing;
+    every point must have positive depth."""
+    px, depth = _observe(pose.vector(), model, cam, rng, noise_variance)
+    _require_positive_depth(depth)
+    return Projection(points2d=px, normalized=normalize_pixels(px, cam))
 
 
 def projection_feature_map(model: ObjectModel) -> SmoothMap:
     """Pose vector -> flattened normalized projection, with analytic Jacobian.
 
-    Unlike `project`, evaluation does not enforce positive depth; a zero
-    or negative depth yields non-finite features, which downstream
+    One kernel serves a single pose and (N, 6) rows, and returns the
+    Jacobian together with the value (the `fused` hook) from one camera
+    frame. Unlike `project`, evaluation does not enforce positive depth;
+    a zero or negative depth yields NaN features, which downstream
     iteration code reports as divergence.
     """
     M = model.points
-    n = model.n_points
-
-    def fn(p):
-        C = _camera_frame(p, model)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uv = np.stack([C[0] / C[2], C[1] / C[2]])
-        uv[:, C[2] <= 0] = np.nan  # behind-camera points poison the feature
-        return uv.ravel(order="F")
-
-    def rows(P):
-        C = _camera_frame(P, model)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uv = np.stack([C[:, 0] / C[:, 2], C[:, 1] / C[:, 2]], axis=-1)
-        uv[C[:, 2] <= 0] = np.nan
-        return uv.reshape(len(P), 2 * n)
-
-    def jac(p):
-        C = _camera_frame(p, model)
-        dQ = _rotation_derivatives(p[:3])
-        J = np.empty((2 * n, 6))
-        z = C[2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(3):
-                dC = dQ[k] @ M
-                J[0::2, k] = (dC[0] * z - C[0] * dC[2]) / (z * z)
-                J[1::2, k] = (dC[1] * z - C[1] * dC[2]) / (z * z)
-            J[0::2, 3] = 1.0 / z
-            J[1::2, 3] = 0.0
-            J[0::2, 4] = 0.0
-            J[1::2, 4] = 1.0 / z
-            J[0::2, 5] = -C[0] / (z * z)
-            J[1::2, 5] = -C[1] / (z * z)
-        return J
-
-    return SmoothMap(6, 2 * n, fn, jac=jac, name=f"projection-{model.name or 'model'}",
-                     rows=rows)
+    return SmoothMap(
+        6, 2 * model.n_points, lambda p: _projection(p, M),
+        jac=lambda p: _projection(p, M, with_jacobian=True)[1],
+        name=f"projection-{model.name or 'model'}",
+        rows=lambda P: _projection(P, M),
+        fused=lambda p: _projection(p, M, with_jacobian=True),
+    )
 
 
 def pose_grid_spec(
@@ -352,25 +335,19 @@ def train_pose_sdm(
     step per stage.
     """
     poses = grid_poses(train_grid, base_pose)
-    C = _camera_frame(poses, model)
-    behind = np.flatnonzero((C[:, 2] <= 0).any(axis=1))
+    px, depth = _observe(poses, model, cam, rng, noise_variance)
+    behind = np.flatnonzero((depth <= 0).any(axis=1))
     if behind.size:
         i = behind[0]
         _require_positive_depth(
-            C[i, 2],
+            depth[i],
             f"training pose euler={poses[i, :3].tolist()} t={poses[i, 3:].tolist()} "
             "is invalid: ",
         )
-    px = _pixels(C, cam)
-    if noise_variance > 0:
-        if rng is None:
-            raise ValueError("noisy observation requires an rng")
-        px = px + rng.normal(0.0, math.sqrt(noise_variance), px.shape)
     # point-major features (u1, v1, u2, ...), as Projection.feature
     targets = normalize_pixels(px, cam).transpose(0, 2, 1).reshape(len(poses), -1)
-    tset = TrainingSet.reversed_targets(
-        projection_feature_map(model), base_pose.vector(), poses, targets
-    )
+    del px, depth  # the pixels and the camera frame behind the depths: lower peak memory
+    tset = TrainingSet.reversed_targets(model.feature_map, base_pose.vector(), poses, targets)
     return train(tset, config, partition=partition)
 
 
@@ -390,20 +367,27 @@ def estimate_pose(
         raise ValueError(
             f"observation has {observed.n_points} points, model has {model.n_points}"
         )
-    traj = apply_sequence(
-        seq, base_pose.vector(), projection_feature_map(model), y=observed.feature()
-    )
+    traj = apply_sequence(seq, base_pose.vector(), model.feature_map, y=observed.feature())
     return Pose.from_vector(traj[-1]), traj
+
+
+def _pose_errors(E: Array, T: Array) -> tuple[Array, Array]:
+    """Geodesic rotation errors (degrees) and translation distances (mm)
+    between the rows of two (N, 6) pose-vector arrays, each row the same
+    bits alone as in a stack. The angle of Q = R_E R_T^T is taken as
+    atan2(|axial part of Q|, trace Q - 1), which, unlike acos of the
+    trace, keeps its accuracy near 0 and 180 degrees."""
+    Q = np.vecdot(euler_to_rotation(E[:, :3])[:, :, None], euler_to_rotation(T[:, :3])[:, None])
+    axial = np.stack([Q[:, 2, 1] - Q[:, 1, 2], Q[:, 0, 2] - Q[:, 2, 0], Q[:, 1, 0] - Q[:, 0, 1]], 1)
+    rot = np.arctan2(np.sqrt(np.vecdot(axial, axial)), Q[:, 0, 0] + Q[:, 1, 1] + Q[:, 2, 2] - 1.0)
+    d = E[:, 3:] - T[:, 3:]
+    return np.degrees(rot), np.sqrt(np.vecdot(d, d))
 
 
 def pose_error(estimated: Pose, truth: Pose) -> tuple[float, float]:
     """(geodesic rotation error in degrees, translation distance in mm)."""
-    rel = estimated.rotation() @ truth.rotation().T
-    cos_angle = (np.trace(rel) - 1.0) / 2.0
-    cos_angle = min(1.0, max(-1.0, cos_angle))
-    rot_deg = math.degrees(math.acos(cos_angle))
-    trans_mm = float(np.linalg.norm(estimated.translation - truth.translation))
-    return rot_deg, trans_mm
+    rot, trans = _pose_errors(estimated.vector()[None], truth.vector()[None])
+    return float(rot[0]), float(trans[0])
 
 
 def load_model_file(path) -> ObjectModel:
@@ -436,7 +420,8 @@ def builtin_models() -> dict[str, ObjectModel]:
 
 @dataclass(frozen=True)
 class PoseEvalRecord:
-    """One test pose's outcome (and optional true-init baseline errors)."""
+    """One test pose's outcome (and optional true-init baseline run's
+    errors, status and iteration count)."""
 
     model: str
     truth: Pose
@@ -446,6 +431,8 @@ class PoseEvalRecord:
     wall_ms: float
     gn_rot_err_deg: float | None = None
     gn_trans_err_mm: float | None = None
+    gn_status: RunStatus | None = None
+    gn_iterations: int | None = None
 
 
 def evaluate_test_poses(
@@ -460,37 +447,45 @@ def evaluate_test_poses(
 ) -> list[PoseEvalRecord]:
     """Estimate every test pose from its noisy observation.
 
-    With `with_gauss_newton`, also solves each instance by Gauss-Newton
-    initialized at the true pose, which bounds what any method could
-    recover from the noisy projection.
+    All poses are handled at once: one projection and one noise draw
+    (equal to `observe` pose by pose from the same `rng`), the cascade
+    on rows (`apply_sequence_rows`), and errors on arrays. Each record's
+    `wall_ms` is its pose's share of the batched cascade time. With
+    `with_gauss_newton`, each instance is also solved by Gauss-Newton
+    (25 iterations, on rows) initialized at the true pose, which bounds
+    what any method could recover from the noisy projection.
+
+    The first pose that fails, in test order, raises what estimating the
+    poses one by one would: InvalidProjectionError for a point at
+    non-positive depth, DivergedError for a cascade whose map evaluation
+    turns non-finite.
     """
-    feature_map = projection_feature_map(model)
-    records = []
-    for pose in test_poses:
-        obs = observe(pose, model, cam, rng=rng, noise_variance=noise_variance)
-        t0 = time.perf_counter()
-        est, _ = estimate_pose(seq, obs, model, cam, base_pose)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        rot_err, trans_err = pose_error(est, pose)
-        gn_rot = gn_trans = None
-        if with_gauss_newton:
-            problem = NlsProblem(map=feature_map, target=obs.feature())
-            run = gauss_newton_minimize(problem, pose.vector(), max_iters=25)
-            gn_est = Pose.from_vector(run.final)
-            gn_rot, gn_trans = pose_error(gn_est, pose)
-        records.append(
-            PoseEvalRecord(
-                model=model.name,
-                truth=pose,
-                estimate=est,
-                rot_err_deg=rot_err,
-                trans_err_mm=trans_err,
-                wall_ms=wall_ms,
-                gn_rot_err_deg=gn_rot,
-                gn_trans_err_mm=gn_trans,
-            )
-        )
-    return records
+    truths = np.array([p.vector() for p in test_poses]).reshape(-1, 6)
+    px, depth = _observe(truths, model, cam, rng, noise_variance)
+    n_features = 2 * model.n_points
+    targets = normalize_pixels(px, cam).transpose(0, 2, 1).reshape(len(truths), n_features)
+    behind = np.flatnonzero((depth <= 0).any(axis=1))
+    n = behind[0] if behind.size else len(truths)
+    t0 = time.perf_counter()
+    X0 = np.tile(base_pose.vector(), (n, 1))
+    final = apply_sequence_rows(seq, X0, model.feature_map, targets[:n])[-1]
+    wall_ms = (time.perf_counter() - t0) * 1e3 / max(n, 1)
+    if behind.size:
+        _require_positive_depth(depth[n])
+    estimates = [Pose.from_vector(x) for x in final]
+    rot, trans = _pose_errors(np.array([e.vector() for e in estimates]).reshape(-1, 6), truths)
+    gn = [{}] * n
+    if with_gauss_newton:
+        runs = gauss_newton_rows(model.feature_map, targets, truths, max_iters=25)
+        gn_poses = np.array([Pose.from_vector(r.final).vector() for r in runs]).reshape(-1, 6)
+        gn = [dict(gn_rot_err_deg=float(gr), gn_trans_err_mm=float(gt), gn_status=r.status,
+                   gn_iterations=len(r.iterates) - 1)
+              for r, gr, gt in zip(runs, *_pose_errors(gn_poses, truths))]
+    return [
+        PoseEvalRecord(model=model.name, truth=truth, estimate=est, rot_err_deg=float(r),
+                       trans_err_mm=float(t), wall_ms=wall_ms, **g)
+        for truth, est, r, t, g in zip(test_poses, estimates, rot, trans, gn)
+    ]
 
 
 def subsample_poses(poses: Array, count: int, rng: np.random.Generator) -> list[Pose]:

@@ -87,6 +87,18 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
     return pts
 
 
+def _row_norms(V: Array) -> Array:
+    """Euclidean norm of every row of V, free of overflow in the squares:
+    each row is scaled by a power of two near its largest entry first,
+    an exact scaling, so the norms are bit for bit those of
+    ``np.linalg.norm(V, axis=1)`` wherever that neither overflows nor
+    underflows."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(V), axis=1))[1])
+    W = V / scale[:, None]
+    W *= W
+    return np.sqrt(W.sum(axis=1)) * scale
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Finite-sample contraction evidence: the max observed ratio
@@ -121,15 +133,16 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> Anchor
     if map.param_dim != nbhd.dim:
         raise DimensionMismatchError("param", expected=map.param_dim, got=nbhd.dim)
     pts = neighborhood_points(nbhd, seed=seed)
-    dist = np.linalg.norm(pts - nbhd.anchor, axis=1)
+    dist = _row_norms(pts - nbhd.anchor)
     # drop the anchor itself plus float-rounding ghosts of it, whose
     # difference quotients are pure cancellation noise
     keep = dist > 1e-12 * nbhd.radius
     pts, dist = pts[keep], dist[keep]
     if pts.shape[0] == 0:
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
-    h0 = map.evaluate(nbhd.anchor)
-    hv = map.evaluate_rows(pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        h0 = map.evaluate(nbhd.anchor)
+        hv = map.evaluate_rows(pts)
     if not (np.isfinite(h0).all() and np.isfinite(hv).all()):
         raise DegenerateNeighborhoodError(f"map {map.name!r} is not finite on the neighborhood")
     return AnchoredSample(nbhd, pts, dist, hv, h0)
@@ -137,7 +150,7 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> Anchor
 
 def lipschitz_anchored(s: AnchoredSample) -> float:
     """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid."""
-    ratios = np.linalg.norm(s.values - s.anchor_value, axis=1) / s.dist
+    ratios = _row_norms(s.values - s.anchor_value) / s.dist
     return float(np.max(ratios))
 
 
@@ -195,7 +208,7 @@ def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
         raise NotMonotoneError("gain @ h is not a strictly monotone operator on the grid")
     dx = s.nbhd.anchor - s.points
     rdh = (s.anchor_value - s.values) @ gain.T
-    rdh_norm = np.linalg.norm(rdh, axis=1)
+    rdh_norm = _row_norms(rdh)
     cos = np.einsum("ij,ij->i", dx, rdh) / (s.dist * rdh_norm)
     K = lipschitz_anchored(s)
     bound = (2.0 / K) * float(np.min(cos))
@@ -211,7 +224,7 @@ def contraction_certify(s: AnchoredSample, step: DescentStep, y=None) -> Contrac
     """
     y = s.anchor_value if y is None else as_vector(y, "y", dim=s.values.shape[1])
     nxt = step.advance(s.points, y - s.values)
-    ratios = np.linalg.norm(s.nbhd.anchor - nxt, axis=1) / s.dist
+    ratios = _row_norms(s.nbhd.anchor - nxt) / s.dist
     return ContractionCertificate(
         contraction_factor=float(np.max(ratios)),
         samples_checked=int(s.points.shape[0]),

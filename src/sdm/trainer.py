@@ -24,6 +24,7 @@ from .core import (
     DescentStep,
     Mode,
     SmoothMap,
+    advance_regions,
     as_matrix,
     as_vector,
     partition_coords,
@@ -251,7 +252,7 @@ def train(
     center = tset.starts[0, list(partition)]
     n_regions = 1 << len(partition)
     generalized = tset.mode is Mode.GENERALIZED
-    X = tset.starts.copy()
+    X = tset.starts
 
     def mean_sq_residual():
         errs = tset.optima - X
@@ -269,9 +270,7 @@ def train(
         regions = region_index(X, partition, center)
         stage = _solve_regions(D, Phi, regions, n_regions, with_bias=generalized, config=config)
         steps.extend(stage)
-        for r, step in enumerate(stage):
-            rows = regions == r
-            X[rows] = step.advance(X[rows], Phi[rows])
+        X = advance_regions(stage, X, Phi, regions)
         report.append(mean_sq_residual())
 
     return DescentSequence(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sdm.baselines import (
     DescentRun,
     RunStatus,
     gauss_newton_minimize,
+    gauss_newton_rows,
     newton_minimize,
     nls_hessian,
 )
@@ -104,6 +107,81 @@ class TestGaussNewton:
         prob = problem_for("cube", 1.0)
         run = gauss_newton_minimize(prob, [0.0], max_iters=5)
         assert run.status is RunStatus.SINGULAR_HESSIAN
+
+
+def counted(calls, name, fn):
+    def wrapper(x):
+        calls[name] += 1
+        return fn(x)
+    return wrapper
+
+
+def cubic_map(calls=None, fused=False):
+    """h(x) = (x0^3 + x1, x1^3 - x0, x0 x1), with its Jacobian, optionally counted."""
+    calls = Counter() if calls is None else calls
+
+    def value(x):
+        x0, x1 = np.moveaxis(np.asarray(x), -1, 0)
+        return np.stack([x0 * x0 * x0 + x1, x1 * x1 * x1 - x0, x0 * x1], axis=-1)
+
+    def jac(x):
+        x0, x1 = np.moveaxis(np.asarray(x), -1, 0)
+        one = np.ones_like(x0)
+        return np.stack([np.stack([3 * x0 * x0, one], -1), np.stack([-one, 3 * x1 * x1], -1),
+                         np.stack([x1, x0], -1)], -2)
+
+    both = counted(calls, "fused", lambda x: (value(x), jac(x))) if fused else None
+    return SmoothMap(2, 3, counted(calls, "evaluate", value), jac=counted(calls, "jac", jac),
+                     fused=both)
+
+
+class TestOneEvaluationPerIterate:
+    def test_gauss_newton_calls_the_fused_hook_once_per_iterate(self):
+        calls = Counter()
+        smap = cubic_map(calls, fused=True)
+        run = gauss_newton_minimize(NlsProblem(smap, smap.evaluate([1.0, 2.0])), [1.3, 1.6])
+        calls["evaluate"] -= 1  # the target
+        assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
+        assert +calls == {"fused": len(run.iterates)}
+
+    def test_without_the_hook_one_evaluate_and_one_jacobian_per_iterate(self):
+        calls = Counter()
+        smap = cubic_map(calls)
+        run = gauss_newton_minimize(NlsProblem(smap, smap.evaluate([1.0, 2.0])), [1.3, 1.6])
+        calls["evaluate"] -= 1
+        assert calls == {"evaluate": len(run.iterates), "jac": len(run.iterates)}
+
+    def test_rows_call_the_fused_hook_once_per_iterate_for_all_rows(self):
+        calls = Counter()
+        smap = cubic_map(calls, fused=True)
+        X0 = np.array([[1.3, 1.6], [0.9, 2.2], [1.0, 2.0]])
+        runs = gauss_newton_rows(smap, np.tile([9.0, 6.0, 2.0], (3, 1)), X0)
+        assert calls == {"fused": max(len(r.iterates) for r in runs)}
+
+
+class TestGaussNewtonRows:
+    """`gauss_newton_rows` against single runs, bit for bit, in every status."""
+
+    def test_rows_equal_single_runs_in_every_status(self):
+        cube = SmoothMap(1, 1, lambda x: x**3, jac=lambda x: 3.0 * np.reshape(x, (1, 1))**2)
+        steep = SmoothMap(1, 1, lambda x: 1e6 * x, jac=lambda x: np.array([[1e6]]))
+        cases = [
+            # converged, singular (zero Jacobian), diverged (residual above the threshold)
+            (cube, [[1.0], [1.0], [1.0]], [[0.5], [0.0], [1e3]], 30),
+            (cube, [[1.0], [8.0]], [[0.5], [3.0]], 2),  # both out of iterations
+            (steep, [[1e6 * 0.5 + 1e-9]], [[0.5]], 30),  # step below the stall tolerance
+            (cubic_map(fused=True), [[9.0, 6.0, 2.0]] * 2, [[1.3, 1.6], [0.0, 0.0]], 30),
+        ]
+        seen = set()
+        for smap, targets, starts, max_iters in cases:
+            runs = gauss_newton_rows(smap, np.array(targets), np.array(starts), max_iters)
+            for run, y, x0 in zip(runs, targets, starts):
+                want = gauss_newton_minimize(NlsProblem(smap, y), x0, max_iters)
+                assert run.status is want.status
+                assert np.array_equal(run.iterates, want.iterates)
+                assert run.residuals == want.residuals
+                seen.add(run.status)
+        assert seen == set(RunStatus)
 
 
 class TestDescentRun:

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -73,6 +74,15 @@ class TestVerifyCommand:
         assert main(["verify", "--radius", "1000", "--output-dir", str(tmp_path)]) == 2
         assert "configuration error: map 'exp' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "certificates.csv").exists()
+
+    @pytest.mark.parametrize("radius, culprit", [("1e52", "exp"), ("1e155", "cube")])
+    def test_radius_past_the_square_overflow_is_config_error(self, tmp_path, capsys, radius,
+                                                             culprit):
+        # norms of differences near 1e156 used to overflow in their squares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--radius", radius, "--output-dir", str(tmp_path)]) == 2
+        assert f"configuration error: map '{culprit}' is not finite" in capsys.readouterr().err
 
     def test_one_sample_per_neighborhood(self, tmp_path, monkeypatch):
         calls = []

@@ -1,4 +1,6 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,20 @@ from sdm.model_io import (
     sequence_bytes,
     sequence_from_bytes,
 )
-from sdm.online import init_online, rls_ingest
+from sdm.online import OnlineState, init_online, rls_ingest
+
+
+def random_steps(rng, p, m, count, mode):
+    """Random steps; biases only in generalized mode, the one mode that learns them."""
+    return tuple(
+        DescentStep(gain=rng.normal(size=(p, m)),
+                    bias=rng.normal(size=p) if mode is Mode.GENERALIZED else np.zeros(p))
+        for _ in range(count)
+    )
 
 
 def random_sequence(rng, p=3, m=5, stages=4, mode=Mode.REVERSED):
-    steps = tuple(
-        DescentStep(gain=rng.normal(size=(p, m)), bias=rng.normal(size=p))
-        for _ in range(stages)
-    )
+    steps = random_steps(rng, p, m, stages, mode)
     return DescentSequence(steps=steps, param_dim=p, feature_dim=m, mode=mode,
                            training_report=(3.0, 2.0, 1.0, 0.5, 0.25))
 
@@ -74,10 +82,7 @@ class TestSequenceFormat:
 
 
 def partitioned_sequence(rng, p=3, m=5, stages=3, partition=(2, 0)):
-    steps = tuple(
-        DescentStep(gain=rng.normal(size=(p, m)), bias=rng.normal(size=p))
-        for _ in range(stages << len(partition))
-    )
+    steps = random_steps(rng, p, m, stages << len(partition), Mode.REVERSED)
     return DescentSequence(steps=steps, param_dim=p, feature_dim=m, mode=Mode.REVERSED,
                            partition=partition, center=rng.normal(size=len(partition)))
 
@@ -120,7 +125,7 @@ class TestPartitionedFormat:
     def test_v1_file_loads_and_estimates_as_before(self):
         rng = np.random.default_rng(8)
         p, m, stages = 2, 3, 3
-        arrays = [rng.normal(size=shape) for _ in range(stages) for shape in ((p, m), (p,))]
+        arrays = [a for _ in range(stages) for a in (rng.normal(size=(p, m)), np.zeros(p))]
         v1 = b"SDMQ" + struct.pack("<HBIII", 1, 1, p, m, stages) + b"".join(
             a.astype("<f8").tobytes() for a in arrays
         )
@@ -136,6 +141,15 @@ class TestPartitionedFormat:
         for k in range(stages):  # the v1 update rule, written out
             x = x - arrays[2 * k] @ (A @ x - y)
             assert np.array_equal(traj[k + 1], x)
+
+    @pytest.mark.parametrize("mode_code", [0, 1])  # template, reversed
+    def test_nonzero_bias_outside_generalized_mode_rejected(self, mode_code):
+        p, m = 2, 3
+        v1 = b"SDMQ" + struct.pack("<HBIII", 1, mode_code, p, m, 1) + b"".join(
+            a.astype("<f8").tobytes() for a in (np.ones((p, m)), np.array([0.0, 1e-300]))
+        )
+        with pytest.raises(ModelFormatError, match="nonzero biases"):
+            sequence_from_bytes(v1)
 
     @pytest.mark.parametrize(
         "partition, center",
@@ -313,3 +327,46 @@ class TestMalformedFiles:
         except ModelFormatError:
             return
         assert sequence_bytes(seq) == bytes(corrupted)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.sampled_from(list(Mode)),
+           st.lists(st.integers(0, 3), unique=True, max_size=3), st.integers(0, 2**32 - 1))
+    def test_model_files_round_trip_byte_exactly(self, p, m, stages, mode, partition, seed):
+        rng = np.random.default_rng(seed)
+        partition = tuple(c for c in partition if c < p)
+        seq = DescentSequence(steps=random_steps(rng, p, m, stages << len(partition), mode),
+                              param_dim=p, feature_dim=m, mode=mode, partition=partition,
+                              center=rng.normal(size=len(partition)))
+        data = sequence_bytes(seq)
+        loaded = sequence_from_bytes(data)
+        assert sequence_bytes(loaded) == data
+        assert (loaded.mode, loaded.partition, len(loaded)) == (mode, partition, stages)
+        assert loaded.center.tobytes() == seq.center.tobytes()
+        for a, b in zip(loaded.steps, seq.steps):
+            assert a.gain.tobytes() == b.gain.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+           st.floats(1e-3, 1.0), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_online_state_files_round_trip_byte_exactly(self, p, m, stages, forgetting,
+                                                        weight, seed):
+        rng = np.random.default_rng(seed)
+
+        def symmetric():
+            B = rng.normal(size=(m + 1, m + 1))
+            return B + B.T
+
+        state = OnlineState(weights=[rng.normal(size=(p, m + 1)) for _ in range(stages)],
+                            inv_cov=[symmetric() for _ in range(stages)], param_dim=p,
+                            feature_dim=m, forgetting=forgetting, sample_weight=weight)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.sdmo"), Path(tmp, "b.sdmo")
+            save_online_state(state, first)
+            loaded = load_online_state(first)
+            save_online_state(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert (loaded.forgetting, loaded.sample_weight) == (forgetting, weight)
+        for got, want in zip(loaded.weights + loaded.inv_cov, state.weights + state.inv_cov):
+            assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from sdm import pose as pose_module
 from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
-from sdm.core import DescentSequence, DescentStep, Mode, region_index
+from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
+from sdm.core import DescentSequence, DescentStep, Mode, NlsProblem, region_index
 from sdm.pose import (
     DEFAULT_BASE_POSE,
     DEFAULT_CAMERA,
@@ -408,3 +410,97 @@ class TestObserve:
         assert len(a) == 10
         assert all(np.array_equal(p.vector(), q.vector()) for p, q in zip(a, b))
         assert len(subsample_poses(poses, 0, stream(5, "x"))) == len(poses)
+
+
+def per_pose_loop(seq, model, poses, rng=None, noise_variance=0.0):
+    """The per-pose reference for `evaluate_test_poses`: observe, estimate,
+    then Gauss-Newton from the truth, one pose at a time. Returns the
+    estimates, the Gauss-Newton runs and their errors, or the exception
+    of the first pose that fails."""
+    out = []
+    try:
+        for truth in poses:
+            obs = observe(truth, model, DEFAULT_CAMERA, rng=rng, noise_variance=noise_variance)
+            est, _ = estimate_pose(seq, obs, model, DEFAULT_CAMERA)
+            problem = NlsProblem(map=projection_feature_map(model), target=obs.feature())
+            run = gauss_newton_minimize(problem, truth.vector(), max_iters=25)
+            out.append((est, run, pose_error(Pose.from_vector(run.final), truth)))
+    except (DivergedError, InvalidProjectionError) as exc:
+        return exc
+    return out
+
+
+@pytest.fixture(scope="module")
+def seed42_objects():
+    """The pose command's protocol at seed 42 on 300 test poses per object:
+    the batched records and the per-pose loop's results."""
+    out = {}
+    for name, model in builtin_models().items():
+        seq = train_pose_sdm(model, DEFAULT_CAMERA, pose_grid_spec(), noise_variance=4.0,
+                             config=TrainerConfig(stages=4),
+                             rng=stream(42, f"pose-train-noise-{name}"))
+        poses = subsample_poses(grid_poses(pose_grid_spec(30.0, 7.0, 400.0, 170.0),
+                                           DEFAULT_BASE_POSE), 300,
+                                stream(42, f"pose-subsample-{name}"))
+        records = evaluate_test_poses(seq, model, DEFAULT_CAMERA, poses, noise_variance=4.0,
+                                      rng=stream(42, f"pose-test-noise-{name}"),
+                                      with_gauss_newton=True)
+        loop = per_pose_loop(seq, model, poses, stream(42, f"pose-test-noise-{name}"), 4.0)
+        out[name] = records, loop
+    return out
+
+
+def test_gauss_newton_rows_equal_single_runs_on_the_projection_map():
+    model = builtin_models()["face"]
+    rng = stream(5, "gn-rows")
+    truths = [Pose.from_vector(v) for v in grid_poses(
+        pose_grid_spec(30.0, 20.0, 400.0, 400.0), DEFAULT_BASE_POSE)[::29]]
+    targets = [observe(p, model, DEFAULT_CAMERA, rng, 4.0).feature() for p in truths]
+    runs = gauss_newton_rows(model.feature_map, np.array(targets),
+                             np.array([p.vector() for p in truths]), max_iters=25)
+    for run, y, truth in zip(runs, targets, truths):
+        want = gauss_newton_minimize(NlsProblem(model.feature_map, y), truth.vector(), 25)
+        assert run.status is want.status
+        assert np.array_equal(run.iterates, want.iterates)
+        assert run.residuals == want.residuals
+
+
+class TestRowsEqualThePerPoseLoop:
+    @pytest.mark.parametrize("name, max_iters", [("cube", 0), ("body", 0), ("face", 9)])
+    def test_estimates_and_gauss_newton_runs(self, seed42_objects, name, max_iters):
+        records, loop = seed42_objects[name]
+        assert len(records) == len(loop) == 300
+        for rec, (est, run, gn_err) in zip(records, loop):
+            # the cascade sums its products in another order on rows
+            assert np.allclose(rec.estimate.vector(), est.vector(), rtol=0, atol=1e-9)
+            assert rec.gn_status is run.status
+            assert rec.gn_iterations == len(run.iterates) - 1
+            assert (rec.gn_rot_err_deg, rec.gn_trans_err_mm) == pytest.approx(gn_err, abs=1e-9)
+        statuses = Counter(r.gn_status for r in records)
+        assert statuses == +Counter({RunStatus.CONVERGED: 300 - max_iters,
+                                     RunStatus.MAX_ITERS: max_iters})
+
+    @pytest.mark.parametrize("order", [("diverges", "behind"), ("behind", "diverges")])
+    def test_first_failing_pose_raises_as_in_the_loop(self, small_cube_seq, order):
+        cube, _ = small_cube_seq
+        huge = DescentStep(gain=1e9 * np.ones((6, 16)), bias=np.zeros(6))
+        seq = DescentSequence(steps=(huge, huge), param_dim=6, feature_dim=16,
+                              mode=Mode.REVERSED)
+        poses = {
+            # an all-negative residual: the huge step throws the pose behind the camera
+            "diverges": Pose(euler=np.zeros(3), translation=[-50.0, -50.0, 2000.0]),
+            "behind": Pose(euler=np.zeros(3), translation=[0.0, 0.0, -3000.0]),
+        }
+        # the base pose is a fixed point of any cascade, so it passes
+        test_poses = [DEFAULT_BASE_POSE] + [poses[k] for k in order] + [DEFAULT_BASE_POSE]
+        want = per_pose_loop(seq, cube, test_poses)
+        with pytest.raises(type(want)) as got:
+            evaluate_test_poses(seq, cube, DEFAULT_CAMERA, test_poses, with_gauss_newton=True)
+        assert isinstance(want, DivergedError if order[0] == "diverges" else
+                          InvalidProjectionError)
+        if isinstance(want, DivergedError):
+            assert len(got.value.trajectory) == len(want.trajectory) == 2
+            assert np.allclose(got.value.trajectory, want.trajectory, rtol=1e-12, atol=0)
+        else:
+            assert got.value.indices == want.indices
+            assert str(got.value) == str(want)

@@ -365,3 +365,31 @@ class TestGridPoints:
             *[np.linspace(lo, hi, n) for lo, hi, n in ((-1, 1, 5), (0, 0.5, 3), (2, 3, 2))]
         )]
         assert np.array_equal(around + offsets, np.array(want))
+
+
+class TestLinearMapsOneStage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([Mode.TEMPLATE, Mode.REVERSED]),
+           st.integers(0, 2**32 - 1))
+    def test_full_rank_linear_map_is_solved_exactly_in_one_stage(self, p, extra, mode, seed):
+        rng = np.random.default_rng(seed)
+        m = p + extra
+        # full column rank, singular values in [0.5, 2]
+        U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        A = U[:, :p] @ np.diag(rng.uniform(0.5, 2.0, p)) @ V
+        smap = SmoothMap(p, m, lambda x: np.asarray(x) @ A.T)
+        n = 2 * m + p
+        if mode is Mode.TEMPLATE:
+            x_opt = rng.normal(size=p)
+            tset = TrainingSet.template(smap, x_opt, rng.normal(size=(n, p)))
+            start, x_star, y = rng.normal(size=p), x_opt, smap.evaluate(x_opt)
+        else:
+            x0 = rng.normal(size=p)
+            tset = TrainingSet.reversed_targets(smap, x0, rng.normal(size=(n, p)))
+            start, x_star = x0, rng.normal(size=p)
+            y = smap.evaluate(x_star)
+        seq = train(tset, TrainerConfig(stages=1, ridge=0.0))
+        assert seq.training_report[1] <= 1e-20 * max(1.0, seq.training_report[0])
+        final = apply_sequence(seq, start, smap, y=y)[-1]
+        assert np.allclose(final, x_star, rtol=0, atol=1e-9)
