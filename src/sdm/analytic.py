@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import RunStatus, newton_minimize
-from .core import DescentSequence, NlsProblem, SmoothMap, apply_sequence
+from .baselines import RunStatus, newton_rows
+from .core import DescentSequence, SmoothMap, apply_sequence_rows
 from .trainer import TrainerConfig, TrainingSet, train
 
 RESIDUAL_CAP = 1e8
@@ -22,6 +22,14 @@ RESIDUAL_CAP = 1e8
 # below this, both methods sit in float rounding dust and accuracy
 # comparisons between them are meaningless
 ACCURACY_FLOOR = 1e-14
+
+
+def _exp(t: float) -> float:
+    """math.exp, but inf where the result overflows instead of OverflowError."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def _bisect_inverse(f, y: float, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -111,9 +119,9 @@ def registry() -> dict[str, AnalyticFunction]:
         ),
         "exp": AnalyticFunction(
             name="exp",
-            h=math.exp,
-            h_prime=math.exp,
-            h_double_prime=math.exp,
+            h=_exp,
+            h_prime=_exp,
+            h_double_prime=_exp,
             h_inverse=math.log,
             y_lo=1.1, y_hi=4.0, train_step=0.05, test_step=0.025, x0=-2.0,
         ),
@@ -170,24 +178,18 @@ def _padded_errors(iterates, x_star: float, length: int) -> np.ndarray:
 
 
 def run_comparison(fn: AnalyticFunction, stages: int = 10) -> ComparisonResult:
-    """Train a reversed cascade, then race it against Newton on test targets."""
+    """Train a reversed cascade, then race it against Newton on all test
+    targets at once."""
     seq = train(build_training_set(fn), TrainerConfig(stages=stages, ridge=0.0))
     smap = fn.smooth_map()
-    x0 = np.array([fn.x0])
-
-    ys = fn.test_targets()
-    sdm_errs = np.empty((len(ys), stages + 1))
-    newton_errs = np.empty((len(ys), stages + 1))
-    statuses = []
-    for i, y in enumerate(ys):
-        x_star = fn.h_inverse(y)
-        traj = apply_sequence(seq, x0, smap, y=np.array([y]))
-        sdm_errs[i] = _padded_errors(traj, x_star, stages + 1)
-        problem = NlsProblem(map=smap, target=np.array([y]))
-        run = newton_minimize(problem, x0, max_iters=stages)
-        newton_errs[i] = _padded_errors(run.iterates, x_star, stages + 1)
-        statuses.append(run.status.value)
-
+    Y = fn.test_targets()[:, None]
+    X0 = np.full_like(Y, fn.x0)
+    x_star = [fn.h_inverse(y) for y in Y[:, 0]]
+    traj = apply_sequence_rows(seq, X0, smap, Y)
+    runs = newton_rows(smap, Y, X0, max_iters=stages)
+    sdm_errs = np.array([_padded_errors(traj[:, i], x, stages + 1) for i, x in enumerate(x_star)])
+    newton_errs = np.array([_padded_errors(run.iterates, x, stages + 1)
+                            for run, x in zip(runs, x_star)])
     sdm_mean = sdm_errs.mean(axis=0)
     newton_mean = newton_errs.mean(axis=0)
     return ComparisonResult(
@@ -195,8 +197,8 @@ def run_comparison(fn: AnalyticFunction, stages: int = 10) -> ComparisonResult:
         iterations=tuple(range(stages + 1)),
         sdm_mean=tuple(sdm_mean),
         newton_mean=tuple(np.minimum(newton_mean, RESIDUAL_CAP)),
-        n_test=len(ys),
-        newton_statuses=tuple(statuses),
+        n_test=len(Y),
+        newton_statuses=tuple(run.status.value for run in runs),
         sdm_final_mean=float(sdm_mean[-1]),
         newton_final_mean=float(newton_mean[-1]),
         sequence=seq,

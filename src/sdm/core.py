@@ -21,6 +21,9 @@ from .errors import DimensionMismatchError, DivergedError, PartitionError
 
 Array = np.ndarray
 
+# step of `central_differences` along coordinate i: JACOBIAN_FD_STEP * max(1, |x_i|)
+JACOBIAN_FD_STEP = 1e-6
+
 
 def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
     """Coerce to a finite, read-only 1-D float64 array."""
@@ -48,6 +51,18 @@ def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None
     return arr
 
 
+def central_differences(f: Callable[[Array], Array], x: Array) -> Array:
+    """Central differences of f at the point x (p,), one per coordinate, on a new last axis."""
+    columns = []
+    for i in range(x.size):
+        h = JACOBIAN_FD_STEP * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        columns.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
 class Mode(str, Enum):
     """Training/test-time convention for how targets enter the update."""
 
@@ -62,14 +77,13 @@ class SmoothMap:
 
     `fn` must be a pure function of its input. `jac` (m x p) and `hess`
     (m x p x p component second derivatives) are optional; when `jac` is
-    absent, `jacobian` falls back to central finite differences with a
-    per-coordinate step of ``jacobian_fd_step * max(1, |x_i|)``. `rows`
-    is an optional vectorized kernel taking an (N, p) array to the
-    (N, m) array of its rows' values; without it, `evaluate_rows` calls
-    `evaluate` row by row. `fused` is an optional kernel returning the
-    value and the Jacobian together, for one point or for (N, p) rows
-    (see `value_and_jacobian`); without it, they come from separate
-    evaluations.
+    absent, `jacobian` falls back to central finite differences
+    (`fd_jacobian`). `rows` is an optional vectorized kernel taking an
+    (N, p) array to the (N, m) array of its rows' values; without it,
+    `evaluate_rows` calls `evaluate` row by row. `fused` is an optional
+    kernel returning the value and the Jacobian together, for one point
+    or for (N, p) rows (see `value_and_jacobian`); without it, they come
+    from separate evaluations.
     """
 
     param_dim: int
@@ -77,7 +91,6 @@ class SmoothMap:
     fn: Callable[[Array], Array]
     jac: Callable[[Array], Array] | None = None
     hess: Callable[[Array], Array] | None = None
-    jacobian_fd_step: float = 1e-6
     name: str = ""
     rows: Callable[[Array], Array] | None = None
     fused: Callable[[Array], tuple[Array, Array]] | None = None
@@ -85,8 +98,6 @@ class SmoothMap:
     def __post_init__(self):
         if self.param_dim < 1 or self.feature_dim < 1:
             raise ValueError("param_dim and feature_dim must be >= 1")
-        if not self.jacobian_fd_step > 0:
-            raise ValueError("jacobian_fd_step must be > 0")
 
     def evaluate(self, x: Array) -> Array:
         """Evaluate the map; the result is a length-m float64 array."""
@@ -94,8 +105,6 @@ class SmoothMap:
         if out.size != self.feature_dim:
             raise DimensionMismatchError("feature", expected=self.feature_dim, got=out.size)
         return out
-
-    __call__ = evaluate
 
     def evaluate_rows(self, X) -> Array:
         """Evaluate the map at every row of an (N, p) array; returns (N, m)."""
@@ -134,16 +143,7 @@ class SmoothMap:
 
     def fd_jacobian(self, x: Array) -> Array:
         """Central finite-difference Jacobian, regardless of `jac`."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        J = np.empty((self.feature_dim, self.param_dim))
-        for i in range(self.param_dim):
-            h = self.jacobian_fd_step * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            J[:, i] = (self.evaluate(xp) - self.evaluate(xm)) / (2.0 * h)
-        return J
+        return central_differences(self.evaluate, np.asarray(x, dtype=float).reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import registry
 from .core import Array, DescentStep, SmoothMap, as_vector
 from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError
 
@@ -231,30 +232,15 @@ def contraction_certify(s: AnchoredSample, step: DescentStep, y=None) -> Contrac
     )
 
 
-def _exp(t: float) -> float:
-    """math.exp, but inf where the result overflows instead of OverflowError."""
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
+# anchor and radius of the neighborhood of each scalar map of `analytic.registry`
+_NEIGHBORHOODS = {"linear": (0.0, 1.0), "cube": (1.0, 0.5), "exp": (0.0, 1.0), "erf": (0.0, 2.0)}
 
 
 def monotone_1d_registry(grid_per_dim: int = 1001):
     """Named 1-D monotone maps with anchors used by the certificate suite."""
-
-    def _map(name, f):
-        return SmoothMap(1, 1, lambda x, f=f: np.array([f(x[0])]), name=name)
-
-    entries = [
-        ("linear", _map("linear", lambda t: 2.0 * t), 0.0, 1.0),
-        ("cube", _map("cube", lambda t: t**3), 1.0, 0.5),
-        ("exp", _map("exp", _exp), 0.0, 1.0),
-        ("erf", _map("erf", math.erf), 0.0, 2.0),
-    ]
-    return [
-        (name, m, Neighborhood(np.array([anchor]), radius, grid_per_dim))
-        for name, m, anchor, radius in entries
-    ]
+    fns = registry()
+    return [(name, fns[name].smooth_map(), Neighborhood(np.array([a]), r, grid_per_dim))
+            for name, (a, r) in _NEIGHBORHOODS.items()]
 
 
 def random_operator_suite(seed: int = 0, count: int = 10):

@@ -5,14 +5,21 @@ import pytest
 
 from sdm.analytic import registry
 from sdm.baselines import (
+    DIVERGENCE_THRESHOLD,
+    GRAD_TOL,
+    RESIDUAL_TOL,
+    STALL_STEP_TOL,
+    STEP_REL_TOL,
     DescentRun,
     RunStatus,
     gauss_newton_minimize,
     gauss_newton_rows,
     newton_minimize,
+    newton_rows,
     nls_hessian,
 )
 from sdm.core import NlsProblem, SmoothMap
+from sdm.errors import DimensionMismatchError
 
 
 def problem_for(fn_name, y):
@@ -151,6 +158,14 @@ class TestOneEvaluationPerIterate:
         calls["evaluate"] -= 1
         assert calls == {"evaluate": len(run.iterates), "jac": len(run.iterates)}
 
+    def test_newton_evaluates_value_and_jacobian_once_per_iterate_and_hess_per_step(self):
+        calls = Counter()
+        smap = cube_1d(calls)
+        run = newton_minimize(NlsProblem(smap, [1.0]), [1.3], max_iters=30)
+        assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
+        n = len(run.iterates)
+        assert calls == {"fn": n, "jac": n, "hess": n - 1}
+
     def test_rows_call_the_fused_hook_once_per_iterate_for_all_rows(self):
         calls = Counter()
         smap = cubic_map(calls, fused=True)
@@ -182,6 +197,152 @@ class TestGaussNewtonRows:
                 assert run.residuals == want.residuals
                 seen.add(run.status)
         assert seen == set(RunStatus)
+
+
+def cube_1d(calls=None, points=None):
+    """h(x) = x^3 with both derivatives; counts calls in `calls` and
+    records the points where the second derivative is taken in `points`."""
+    calls = Counter() if calls is None else calls
+
+    def hess(x):
+        if points is not None:
+            points.append(float(x[0]))
+        return np.array([[[6.0 * x[0]]]])
+
+    return SmoothMap(1, 1, counted(calls, "fn", lambda x: x**3),
+                     jac=counted(calls, "jac", lambda x: np.array([[3.0 * x[0] ** 2]])),
+                     hess=counted(calls, "hess", hess))
+
+
+def reference_run(problem, x0, max_iters, newton):
+    """One Newton (`newton`) or Gauss-Newton run written out on plain
+    vectors, one problem at a time: the semantics every entry point keeps
+    bit for bit. Gauss-Newton evaluates with `value_and_jacobian`, Newton
+    with `evaluate`, `jacobian` and the analytic `hess`."""
+    smap, y = problem.map, problem.target
+    m, p = smap.feature_dim, smap.param_dim
+    x = np.array(x0, dtype=float)
+    h, J = smap.value_and_jacobian(x) if not newton else (smap.evaluate(x), None)
+    r = h - y
+    iterates, residuals = [x], [float(np.linalg.norm(r))]
+
+    def run(status):
+        return DescentRun(iterates=tuple(iterates), residuals=tuple(residuals), status=status)
+
+    for _ in range(max_iters):
+        rn = residuals[-1]
+        if not np.isfinite(rn) or rn > DIVERGENCE_THRESHOLD:
+            return run(RunStatus.DIVERGED)
+        if rn <= RESIDUAL_TOL:
+            return run(RunStatus.CONVERGED)
+        if newton:
+            J = smap.jacobian(x)
+            curvature = np.einsum("i,ijk->jk", r, np.reshape(smap.hess(x), (m, p, p)))
+            A, g = 2.0 * (J.T @ J + curvature), 2.0 * J.T @ r
+        else:
+            A, g = J.T @ J, J.T @ r
+        try:
+            step = np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:
+            saddle = newton and np.linalg.norm(g) <= GRAD_TOL
+            return run(RunStatus.SADDLE_STALL if saddle else RunStatus.SINGULAR_HESSIAN)
+        if not np.all(np.isfinite(step)):
+            return run(RunStatus.DIVERGED)
+        if np.linalg.norm(step) < STALL_STEP_TOL:
+            return run(RunStatus.SADDLE_STALL)
+        x_next = x - step
+        h, J = smap.value_and_jacobian(x_next) if not newton else (smap.evaluate(x_next), None)
+        r = h - y
+        iterates.append(x_next)
+        residuals.append(float(np.linalg.norm(r)))
+        if np.linalg.norm(x_next - x) <= STEP_REL_TOL * max(1.0, np.linalg.norm(x_next)):
+            return run(RunStatus.CONVERGED)
+        x = x_next
+    if residuals[-1] > residuals[0] and residuals[-1] > RESIDUAL_TOL:
+        return run(RunStatus.DIVERGED)
+    return run(RunStatus.MAX_ITERS)
+
+
+def assert_same_run(got, want):
+    assert got.status is want.status
+    assert len(got.iterates) == len(want.iterates)
+    assert all(np.array_equal(a, b) for a, b in zip(got.iterates, want.iterates))
+    assert got.residuals == want.residuals
+
+
+def fold_map():
+    """h(x) = x0 + x1: a rank-one Jacobian, singular for both methods."""
+    return SmoothMap(2, 1, lambda x: np.array([x[0] + x[1]]), jac=lambda x: np.array([[1.0, 1.0]]),
+                     hess=lambda x: np.zeros((1, 2, 2)))
+
+
+STEEP = SmoothMap(1, 1, lambda x: 1e6 * x, jac=lambda x: np.array([[1e6]]),
+                  hess=lambda x: np.zeros((1, 1, 1)))
+
+# (map, targets, starts, max_iters), one map per case, several rows each
+STATUS_CASES = [
+    # converged, singular (Gauss-Newton) or saddle through the singular
+    # branch (Newton) at the zero Jacobian of 0, diverged at the start
+    # (residual above the threshold), converged from a far start
+    (cube_1d(), [[1.0], [1.0], [1.0], [8.0]], [[0.5], [0.0], [1e3], [3.0]], 30),
+    (cube_1d(), [[1.0], [8.0]], [[0.5], [3.0]], 2),  # both out of iterations
+    (STEEP, [[1e6 * 0.5 + 1e-9]], [[0.5]], 30),  # step below the stall tolerance
+    (fold_map(), [[1.0]], [[0.0, 0.0]], 5),  # singular with a nonzero gradient
+    (registry()["exp"].smooth_map(), [[1.1], [2.0], [4.0]], [[-2.0]] * 3, 10),  # the exp bench
+    (registry()["erf"].smooth_map(), [[0.5], [0.89], [-0.3]], [[0.0], [1.5], [0.0]], 10),
+]
+
+
+class TestScalarReference:
+    """Every entry point against `reference_run`, bit for bit, in every status."""
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    def test_single_and_row_calls_equal_the_reference(self, newton):
+        single, rows = ((newton_minimize, newton_rows) if newton
+                        else (gauss_newton_minimize, gauss_newton_rows))
+        cases = STATUS_CASES + ([] if newton else [
+            (cubic_map(fused=True), [[9.0, 6.0, 2.0]] * 2, [[1.3, 1.6], [0.0, 0.0]], 30)])
+        seen = Counter()
+        for smap, targets, starts, max_iters in cases:
+            got = rows(smap, np.array(targets), np.array(starts), max_iters)
+            assert len(got) == len(targets)
+            for run, y, x0 in zip(got, targets, starts):
+                want = reference_run(NlsProblem(smap, y), x0, max_iters, newton)
+                assert_same_run(run, want)
+                assert_same_run(single(NlsProblem(smap, y), x0, max_iters), want)
+                seen[want.status] += 1
+        assert set(seen) == set(RunStatus)
+
+    def test_no_hessian_at_a_row_that_has_ended(self):
+        calls, points = Counter(), []
+        smap = cube_1d(calls, points)
+        # the first row converges in a few steps, the second takes many more
+        runs = newton_rows(smap, [[1.0], [1.0]], [[1.001], [4.0]], max_iters=40)
+        assert all(r.status is RunStatus.CONVERGED for r in runs)
+        short, long = (len(r.iterates) - 1 for r in runs)
+        assert 0 < short < long
+        assert calls["hess"] == short + long
+        stepped_from = {float(x[0]) for r in runs for x in r.iterates[:-1]}
+        assert set(points) == stepped_from
+
+
+class TestRowArguments:
+    @pytest.mark.parametrize("rows", [gauss_newton_rows, newton_rows])
+    def test_row_count_and_width_mismatches_are_refused(self, rows):
+        smap = cube_1d()
+        with pytest.raises(DimensionMismatchError):
+            rows(smap, np.ones((3, 1)), np.ones((5, 1)))
+        with pytest.raises(DimensionMismatchError):
+            rows(smap, np.ones((3, 2)), np.ones((3, 1)))
+        with pytest.raises(DimensionMismatchError):
+            rows(smap, np.ones((3, 1)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("rows", [gauss_newton_rows, newton_rows])
+    def test_negative_max_iters_is_refused(self, rows):
+        with pytest.raises(ValueError, match="max_iters"):
+            rows(cube_1d(), np.ones((2, 1)), np.ones((2, 1)), max_iters=-3)
+        with pytest.raises(ValueError, match="max_iters"):
+            gauss_newton_minimize(NlsProblem(cube_1d(), [1.0]), [0.5], max_iters=-1)
 
 
 class TestDescentRun:
