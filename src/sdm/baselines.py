@@ -67,11 +67,6 @@ def _newton_system(map: SmoothMap, x: Array, r: Array, J: Array) -> tuple[Array,
     return 2.0 * (J.T @ J + curvature), 2.0 * J.T @ r
 
 
-def nls_gradient(problem: NlsProblem, x: Array) -> Array:
-    h, J = problem.map.value_and_jacobian(x)
-    return _newton_system(problem.map, x, h - problem.target, J)[1]
-
-
 def nls_hessian(problem: NlsProblem, x: Array) -> Array:
     h, J = problem.map.value_and_jacobian(x)
     return _newton_system(problem.map, x, h - problem.target, J)[0]

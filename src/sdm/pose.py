@@ -74,18 +74,20 @@ class ObjectModel:
         return self.points.shape[1]
 
     @cached_property
+    def homogeneous(self) -> Array:
+        """The points as homogeneous rows (x, y, z, 1), n x 4, built once."""
+        h = np.vstack([self.points, np.ones(self.n_points)]).T.copy()
+        h.setflags(write=False)
+        return h
+
+    @cached_property
     def feature_map(self) -> SmoothMap:
         """The model's `projection_feature_map`, built once per model."""
         return projection_feature_map(self)
 
 
-def _wrap_angle(a: float) -> float:
-    w = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if w == -math.pi else w
-
-
 def _wrap_angles(angles: Array) -> Array:
-    """`_wrap_angle` of every entry of an array, into (-pi, pi]."""
+    """Every entry of an array wrapped into (-pi, pi]."""
     w = np.remainder(angles + math.pi, 2.0 * math.pi) - math.pi
     w[w == -math.pi] = math.pi
     return w
@@ -99,11 +101,15 @@ class Pose:
     translation: Array
 
     def __post_init__(self):
-        e = as_vector(self.euler, "euler", dim=3)
-        e = np.array([_wrap_angle(a) for a in e])
+        self._store(as_vector(self.euler, "euler", dim=3),
+                    as_vector(self.translation, "translation", dim=3))
+
+    def _store(self, euler: Array, translation: Array) -> None:
+        """Set the fields from checked read-only vectors, angles wrapped."""
+        e = _wrap_angles(euler)
         e.setflags(write=False)
         object.__setattr__(self, "euler", e)
-        object.__setattr__(self, "translation", as_vector(self.translation, "translation", dim=3))
+        object.__setattr__(self, "translation", translation)
 
     def vector(self) -> Array:
         return np.concatenate([self.euler, self.translation])
@@ -111,7 +117,9 @@ class Pose:
     @classmethod
     def from_vector(cls, v) -> "Pose":
         v = as_vector(v, "pose vector", dim=6)
-        return cls(euler=v[:3], translation=v[3:])
+        pose = object.__new__(cls)
+        pose._store(v[:3], v[3:])
+        return pose
 
     def rotation(self) -> Array:
         return euler_to_rotation(self.euler)
@@ -124,65 +132,61 @@ EULER_PARTITION = (0, 1, 2)
 DEFAULT_BASE_POSE = Pose(euler=np.zeros(3), translation=np.array([0.0, 0.0, 2000.0]))
 
 
-def euler_to_rotation(euler, with_derivatives: bool = False) -> Array:
+def _camera_columns(P, with_derivatives: bool = False) -> Array:
+    """The camera matrix [R | t] (3 x 4) at pose vectors P and, with
+    `with_derivatives`, its derivatives wrt the six pose coordinates: k = 1
+    or 7 matrices, column by column, (4, k, 3) for one pose (6,) and
+    (4, k, 3, N) for rows (N, 6). Every entry is the same product of sines
+    and cosines for a single pose (Python floats) and for rows (arrays)."""
+    s, c, t = np.sin(P[..., :3].T), np.cos(P[..., :3].T), P[..., 3:].T
+    if P.ndim == 1:
+        s, c, t = s.tolist(), c.tolist(), t.tolist()
+    (sa, sb, sc), (ca, cb, cc) = s, c
+    # the columns of R = Rz(yaw) @ Ry(pitch) @ Rx(roll)
+    x = [ca * cb, sa * cb, -sb]
+    y = [ca * sb * sc - sa * cc, sa * sb * sc + ca * cc, cb * sc]
+    z = [ca * sb * cc + sa * sc, sa * sb * cc - ca * sc, cb * cc]
+    if not with_derivatives:
+        entries = [*x, *y, *z, *t]
+    else:
+        o, i = 0.0 * sa, 0.0 * sa + 1.0
+        # column by column: [R | t], then d/d(yaw, pitch, roll, tx, ty, tz)
+        entries = [
+            *x, -x[1], x[0], o, -ca * sb, -sa * sb, -cb, *[o] * 12,
+            *y, -y[1], y[0], o, x[0] * sc, x[1] * sc, x[2] * sc, *z, *[o] * 9,
+            *z, -z[1], z[0], o, x[0] * cc, x[1] * cc, x[2] * cc, -y[0], -y[1], -y[2], *[o] * 9,
+            *t, *[o] * 9, i, o, o, o, i, o, o, o, i,
+        ]
+    return np.array(entries).reshape(4, -1, 3, *P.shape[:-1])
+
+
+def euler_to_rotation(euler) -> Array:
     """Intrinsic Z-Y-X rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll).
 
     One angle triple gives a 3x3 matrix; an (N, 3) array gives the
-    (N, 3, 3) stack of its rows' rotations, bit for bit the same: every
-    entry is the same product of sines and cosines for a single triple
-    (Python floats) and for rows (arrays). With `with_derivatives`, the
-    derivatives with respect to yaw, pitch and roll follow the rotation:
-    (4, 3, 3) or (N, 4, 3, 3).
+    (N, 3, 3) stack of its rows' rotations, bit for bit the same.
     """
     e = np.asarray(euler, dtype=float)
-    s, c = np.sin(e.T), np.cos(e.T)
-    if e.ndim == 1:
-        s, c = s.tolist(), c.tolist()
-    (sa, sb, sc), (ca, cb, cc) = s, c
-    r0 = [ca * cb, ca * sb * sc - sa * cc, ca * sb * cc + sa * sc]
-    r1 = [sa * cb, sa * sb * sc + ca * cc, sa * sb * cc - ca * sc]
-    mats = [[r0, r1, [-sb, cb * sc, cb * cc]]]
-    if with_derivatives:
-        zero = 0.0 * sa
-        mats += [
-            [[-v for v in r1], r0, [zero] * 3],
-            [[-ca * sb, ca * cb * sc, ca * cb * cc], [-sa * sb, sa * cb * sc, sa * cb * cc],
-             [-cb, -sb * sc, -sb * cc]],
-            [[zero, sa * sc + ca * sb * cc, sa * cc - ca * sb * sc],
-             [zero, sa * sb * cc - ca * sc, -ca * cc - sa * sb * sc], [zero, cb * cc, -cb * sc]],
-        ]
-    if e.ndim > 1:  # rows: stacked straight into a contiguous (N, k, 3, 3)
-        G = np.stack([v for m in mats for row in m for v in row], -1).reshape(-1, len(mats), 3, 3)
-    else:
-        G = np.array(mats)
-    return G if with_derivatives else G[..., 0, :, :]
+    return np.ascontiguousarray(_camera_columns(np.concatenate([e, 0.0 * e], -1))[:3, 0].T)
 
 
-def _projection(P, points: Array, with_jacobian: bool = False):
-    """Normalized projection of the points (3, n) at pose vectors P, one
-    (6,) or rows (N, 6): the point-major features (u1, v1, u2, ...) of
-    shape (..., 2n), NaN where a point has non-positive depth, and with
-    `with_jacobian` also their derivative (..., 2n, 6), both from one
-    camera frame and one set of sines and cosines."""
-    P = np.asarray(P, dtype=float)
-    GM = euler_to_rotation(P[..., :3], with_jacobian) @ points
-    C = GM[..., 0, :, :] if with_jacobian else GM
-    C += P[..., 3:, None]  # the camera frame, in the rotated points' place
-    x, y = C[..., 0, :], C[..., 1, :]
-    z = np.where(C[..., 2, :] > 0, C[..., 2, :], np.nan)  # behind the camera: NaN
-    u, v = x / z, y / z
-    h = np.stack([u, v], axis=-1).reshape(*u.shape[:-1], 2 * points.shape[1])
+def _projection(P, H: Array, with_jacobian: bool = False):
+    """Normalized projection of the points with homogeneous rows H (n, 4)
+    at pose vectors P, one (6,) or rows (N, 6): the point-major features
+    (u1, v1, u2, ...) of shape (..., 2n) and with `with_jacobian` their
+    derivative (..., 2n, 6), both from one product of H with the camera
+    matrices. A point at non-positive depth has NaN features and Jacobian."""
+    batch, n = P.shape[:-1], len(H)
+    # D[j, k, i] is row i of camera matrix k applied to point j (then poses)
+    D = (H @ _camera_columns(P, with_jacobian).reshape(4, -1)).reshape(n, -1, 3, *batch)
+    z = np.where(D[:, 0, 2] > 0, D[:, 0, 2], np.nan)  # behind the camera: NaN
+    uv = D[:, 0, :2] / z[:, None]
+    h = uv.transpose(*range(2, uv.ndim), 0, 1).reshape(*batch, 2 * n)
     if not with_jacobian:
         return h
-    # d(x/z) = (dx - u dz) / z, and likewise for y; the rotated points'
-    # derivatives wrt the angles are GM[..., 1:, :, :]
-    dx, dy, dz = GM[..., 1:, 0, :], GM[..., 1:, 1, :], GM[..., 1:, 2, :]
-    J = np.zeros(u.shape + (2, 6))
-    J[..., 0, :3] = np.swapaxes((dx - u[..., None, :] * dz) / z[..., None, :], -1, -2)
-    J[..., 1, :3] = np.swapaxes((dy - v[..., None, :] * dz) / z[..., None, :], -1, -2)
-    J[..., 0, 3] = J[..., 1, 4] = 1.0 / z
-    J[..., 0, 5], J[..., 1, 5] = -u / z, -v / z
-    return h, J.reshape(*h.shape, 6)
+    # d(x/z) = (dx - u dz) / z, and likewise for y, for all six coordinates
+    J = (D[:, 1:, :2] - uv[:, None] * D[:, 1:, 2:]) / z[:, None, None]
+    return h, J.transpose(*range(3, J.ndim), 0, 2, 1).reshape(*batch, 2 * n, 6)
 
 
 @dataclass(frozen=True)
@@ -231,16 +235,15 @@ def _observe(
     positive (for rows, the draws `observe` makes pose by pose in row
     order from the same `rng`), and the points' depths (..., n). A pixel
     is NaN where its depth is not positive."""
-    C = euler_to_rotation(P[..., :3]) @ model.points
-    C += P[..., 3:, None]
-    x, y = C[..., 0, :], C[..., 1, :]
-    z = np.where(C[..., 2, :] > 0, C[..., 2, :], np.nan)
-    px = np.stack([cam.fx * x / z + cam.u0, cam.fy * y / z + cam.v0], axis=-2)
+    C = model.homogeneous @ _camera_columns(P).reshape(4, -1)
+    C = C.reshape(len(C), 3, *P.shape[:-1])  # point, camera axis, then poses
+    z = np.where(C[:, 2] > 0, C[:, 2], np.nan)
+    px = np.stack([cam.fx * C[:, 0] / z + cam.u0, cam.fy * C[:, 1] / z + cam.v0], 1).T
     if noise_variance > 0:
         if rng is None:
             raise ValueError("noisy observation requires an rng")
         px += rng.normal(0.0, math.sqrt(noise_variance), px.shape)
-    return px, C[..., 2, :]
+    return px, C[:, 2].T
 
 
 def project(pose: Pose, model: ObjectModel, cam: CameraIntrinsics) -> Projection:
@@ -274,18 +277,20 @@ def projection_feature_map(model: ObjectModel) -> SmoothMap:
     """Pose vector -> flattened normalized projection, with analytic Jacobian.
 
     One kernel serves a single pose and (N, 6) rows, and returns the
-    Jacobian together with the value (the `fused` hook) from one camera
-    frame. Unlike `project`, evaluation does not enforce positive depth;
-    a zero or negative depth yields NaN features, which downstream
-    iteration code reports as divergence.
+    Jacobian together with the value (the `fused` hook) from one product
+    of the model's homogeneous points with the camera matrix and its six
+    derivatives. Unlike `project`, evaluation does not enforce positive
+    depth; a zero or negative depth yields NaN features and NaN Jacobian
+    entries for that point, which downstream iteration code reports as
+    divergence.
     """
-    M = model.points
+    H = model.homogeneous
     return SmoothMap(
-        6, 2 * model.n_points, lambda p: _projection(p, M),
-        jac=lambda p: _projection(p, M, with_jacobian=True)[1],
+        6, 2 * model.n_points, lambda p: _projection(p, H),
+        jac=lambda p: _projection(p, H, with_jacobian=True)[1],
         name=f"projection-{model.name or 'model'}",
-        rows=lambda P: _projection(P, M),
-        fused=lambda p: _projection(p, M, with_jacobian=True),
+        rows=lambda P: _projection(P, H),
+        fused=lambda p: _projection(p, H, with_jacobian=True),
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sdm import pose as pose_module
 from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
 from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
-from sdm.core import DescentSequence, DescentStep, Mode, NlsProblem, region_index
+from sdm.core import DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, region_index
 from sdm.pose import (
     DEFAULT_BASE_POSE,
     DEFAULT_CAMERA,
@@ -31,7 +31,7 @@ from sdm.pose import (
     projection_feature_map,
     subsample_poses,
     train_pose_sdm,
-    _wrap_angle,
+    _observe,
     _wrap_angles,
 )
 from sdm.seeds import stream
@@ -41,6 +41,41 @@ from sdm.trainer import TrainerConfig
 def tetra_model():
     pts = np.array([[0, 0, 0], [100, 0, 0], [0, 100, 0], [0, 0, 100]], dtype=float).T
     return ObjectModel(points=pts, name="tetra")
+
+
+def reference_projection(p, points):
+    """The projection kernel at one pose written out as `R @ M + t`: the
+    features (2n,), their Jacobian (2n, 6) from the rotation's derivatives,
+    and the depths (n,). Features are NaN at non-positive depth; there the
+    translation columns hold 1/z and -u/z (NaN) and finite zeros."""
+    (sa, sb, sc), (ca, cb, cc) = np.sin(p[:3]).tolist(), np.cos(p[:3]).tolist()
+    r0 = [ca * cb, ca * sb * sc - sa * cc, ca * sb * cc + sa * sc]
+    r1 = [sa * cb, sa * sb * sc + ca * cc, sa * sb * cc - ca * sc]
+    R = np.array([r0, r1, [-sb, cb * sc, cb * cc]])
+    dR = np.array([  # d/d(yaw, pitch, roll)
+        [[-v for v in r1], r0, [0.0] * 3],
+        [[-ca * sb, ca * cb * sc, ca * cb * cc], [-sa * sb, sa * cb * sc, sa * cb * cc],
+         [-cb, -sb * sc, -sb * cc]],
+        [[0.0, sa * sc + ca * sb * cc, sa * cc - ca * sb * sc],
+         [0.0, sa * sb * cc - ca * sc, -ca * cc - sa * sb * sc], [0.0, cb * cc, -cb * sc]],
+    ])
+    C = R @ points + p[3:, None]
+    z = np.where(C[2] > 0, C[2], np.nan)
+    u, v = C[0] / z, C[1] / z
+    dC = dR @ points  # angle, camera axis, point
+    J = np.zeros((points.shape[1], 2, 6))
+    J[:, 0, :3] = ((dC[:, 0] - u * dC[:, 2]) / z).T
+    J[:, 1, :3] = ((dC[:, 1] - v * dC[:, 2]) / z).T
+    J[:, 0, 3] = J[:, 1, 4] = 1.0 / z
+    J[:, 0, 5], J[:, 1, 5] = -u / z, -v / z
+    return np.stack([u, v], 1).ravel(), J.reshape(-1, 6), C[2]
+
+
+def _wrap_angle(a: float) -> float:
+    """One angle wrapped into (-pi, pi] in Python floats: the reference for
+    `_wrap_angles`."""
+    w = (a + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w == -math.pi else w
 
 
 class TestRotations:
@@ -133,6 +168,72 @@ class TestProjection:
         fmap = projection_feature_map(tetra_model())
         bad = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -5000.0])
         assert np.all(np.isnan(fmap.evaluate(bad)[:2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["cube", "body", "face"]),
+           st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                              st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
+                              st.floats(-400.0, 3000.0)),
+                    min_size=1, max_size=8))
+    def test_kernel_equals_reference_and_its_rows(self, name, poses):
+        """One pose equals its row of the (N, 6) call; at positive depth the
+        value and, where the features are finite, every Jacobian entry equal
+        `R @ M + t` written out (at a depth so small that u = x/z overflows,
+        0 * inf in the translation columns gives NaN); at non-positive depth
+        the point's features and Jacobian rows are NaN; `_observe` on rows
+        equals `observe` pose by pose."""
+        model = builtin_models()[name]
+        fmap = projection_feature_map(model)
+        P = np.array([Pose.from_vector(p).vector() for p in poses])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h, J = fmap.value_and_jacobian(P)
+            singles = [fmap.value_and_jacobian(p) for p in P]
+            px, depth = _observe(P, model, DEFAULT_CAMERA)
+        assert np.array_equal(h, [v for v, _ in singles], equal_nan=True)
+        assert np.array_equal(J, [j for _, j in singles], equal_nan=True)
+        n = model.n_points
+        for p, hp, Jp, pxp, dp in zip(P, h, J, px, depth):
+            want_h, want_J, z = reference_projection(p, model.points)
+            front = z > 0
+            assert np.array_equal(dp, z)
+            assert np.array_equal(hp.reshape(n, 2)[front], want_h.reshape(n, 2)[front])
+            finite = front & np.isfinite(want_h.reshape(n, 2)).all(1)
+            assert np.array_equal(Jp.reshape(n, 2, 6)[finite], want_J.reshape(n, 2, 6)[finite])
+            assert np.isnan(hp.reshape(n, 2)[~front]).all()
+            assert np.isnan(Jp.reshape(n, 12)[~front]).all()
+            if front.all():
+                assert np.array_equal(pxp, observe(Pose.from_vector(p), model,
+                                                   DEFAULT_CAMERA).points2d)
+            else:
+                assert np.isnan(pxp[:, ~front]).all()
+                with pytest.raises(InvalidProjectionError) as exc:
+                    observe(Pose.from_vector(p), model, DEFAULT_CAMERA)
+                assert list(exc.value.indices) == np.flatnonzero(~front).tolist()
+
+    def test_gauss_newton_diverges_where_the_reference_kernel_does(self):
+        """A point at non-positive depth makes every Jacobian entry of its
+        features NaN, the translation columns included, where `R @ M + t`
+        kept finite zeros there; Gauss-Newton tests the residual first, so
+        it still ends `diverged` at the same iterate."""
+        cube = builtin_models()["cube"]
+        ref = SmoothMap(6, 16, lambda p: reference_projection(p, cube.points)[0],
+                        fused=lambda p: reference_projection(p, cube.points)[:2])
+        y = cube.feature_map.evaluate(DEFAULT_BASE_POSE.vector())
+        rng = np.random.default_rng(0)
+        starts = [np.array([0.0, 0.0, 0.0, 0.0, 0.0, -500.0])] + [
+            np.concatenate([rng.uniform(-2, 2, 3), rng.uniform(-300, 300, 2),
+                            rng.uniform(50, 800, 1)]) for _ in range(30)]
+        ends = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x0 in starts:
+                got = gauss_newton_minimize(NlsProblem(cube.feature_map, y), x0, 25)
+                want = gauss_newton_minimize(NlsProblem(ref, y), x0, 25)
+                assert got.status is want.status
+                assert np.array_equal(got.iterates, want.iterates)
+                assert np.array_equal(got.residuals, want.residuals, equal_nan=True)
+                if got.status is RunStatus.DIVERGED:
+                    ends.append(len(got.iterates) - 1)
+        assert ends[0] == 0 and max(ends) > 0
 
 
 class TestPoseError:
