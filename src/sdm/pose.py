@@ -76,9 +76,7 @@ class ObjectModel:
     @cached_property
     def homogeneous(self) -> Array:
         """The points as homogeneous rows (x, y, z, 1), n x 4, built once."""
-        h = np.vstack([self.points, np.ones(self.n_points)]).T.copy()
-        h.setflags(write=False)
-        return h
+        return as_matrix(np.column_stack([self.points.T, np.ones(self.n_points)]), "points")
 
     @cached_property
     def feature_map(self) -> SmoothMap:
@@ -104,8 +102,7 @@ class Pose:
         self._store(as_vector(self.euler, "euler", dim=3),
                     as_vector(self.translation, "translation", dim=3))
 
-    def _store(self, euler: Array, translation: Array) -> None:
-        """Set the fields from checked read-only vectors, angles wrapped."""
+    def _store(self, euler: Array, translation: Array) -> None:  # checked, read-only vectors
         e = _wrap_angles(euler)
         e.setflags(write=False)
         object.__setattr__(self, "euler", e)
@@ -135,39 +132,40 @@ DEFAULT_BASE_POSE = Pose(euler=np.zeros(3), translation=np.array([0.0, 0.0, 2000
 def _camera_columns(P, with_derivatives: bool = False) -> Array:
     """The camera matrix [R | t] (3 x 4) at pose vectors P and, with
     `with_derivatives`, its derivatives wrt the six pose coordinates: k = 1
-    or 7 matrices, column by column, (4, k, 3) for one pose (6,) and
-    (4, k, 3, N) for rows (N, 6). Every entry is the same product of sines
-    and cosines for a single pose (Python floats) and for rows (arrays)."""
-    s, c, t = np.sin(P[..., :3].T), np.cos(P[..., :3].T), P[..., 3:].T
-    if P.ndim == 1:
-        s, c, t = s.tolist(), c.tolist(), t.tolist()
-    (sa, sb, sc), (ca, cb, cc) = s, c
+    or 7 matrices as (column, row, k), (4, 3, k) for one pose (6,) and
+    (4, 3, k, N) for rows (N, 6), each entry the same product of sines and
+    cosines for a single pose (Python floats) and for rows (arrays)."""
+    trig = np.sin(P[..., :3].T), np.cos(P[..., :3].T), P[..., 3:].T
+    (sa, sb, sc), (ca, cb, cc), t = [v.tolist() for v in trig] if P.ndim == 1 else trig
     # the columns of R = Rz(yaw) @ Ry(pitch) @ Rx(roll)
     x = [ca * cb, sa * cb, -sb]
     y = [ca * sb * sc - sa * cc, sa * sb * sc + ca * cc, cb * sc]
     z = [ca * sb * cc + sa * sc, sa * sb * cc - ca * sc, cb * cc]
-    if not with_derivatives:
-        entries = [*x, *y, *z, *t]
-    else:
+    entries = [*x, *y, *z, *t]
+    if with_derivatives:
         o, i = 0.0 * sa, 0.0 * sa + 1.0
-        # column by column: [R | t], then d/d(yaw, pitch, roll, tx, ty, tz)
+        # R's entries column by column, then t's: each, then d/d(yaw, pitch, roll, tx, ty, tz)
         entries = [
-            *x, -x[1], x[0], o, -ca * sb, -sa * sb, -cb, *[o] * 12,
-            *y, -y[1], y[0], o, x[0] * sc, x[1] * sc, x[2] * sc, *z, *[o] * 9,
-            *z, -z[1], z[0], o, x[0] * cc, x[1] * cc, x[2] * cc, -y[0], -y[1], -y[2], *[o] * 9,
-            *t, *[o] * 9, i, o, o, o, i, o, o, o, i,
+            x[0], -x[1], -ca * sb, o, o, o, o,
+            x[1], x[0], -sa * sb, o, o, o, o,
+            x[2], o, -cb, o, o, o, o,
+            y[0], -y[1], x[0] * sc, z[0], o, o, o,
+            y[1], y[0], x[1] * sc, z[1], o, o, o,
+            y[2], o, x[2] * sc, z[2], o, o, o,
+            z[0], -z[1], x[0] * cc, -y[0], o, o, o,
+            z[1], z[0], x[1] * cc, -y[1], o, o, o,
+            z[2], o, x[2] * cc, -y[2], o, o, o,
+            t[0], o, o, o, i, o, o, t[1], o, o, o, o, i, o, t[2], o, o, o, o, o, i,
         ]
-    return np.array(entries).reshape(4, -1, 3, *P.shape[:-1])
+    return np.array(entries).reshape(4, 3, -1, *P.shape[:-1])
 
 
 def euler_to_rotation(euler) -> Array:
-    """Intrinsic Z-Y-X rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll).
-
-    One angle triple gives a 3x3 matrix; an (N, 3) array gives the
-    (N, 3, 3) stack of its rows' rotations, bit for bit the same.
-    """
+    """Intrinsic Z-Y-X rotation Rz(yaw) @ Ry(pitch) @ Rx(roll): 3x3 for one
+    angle triple, and for an (N, 3) array the (N, 3, 3) stack of its rows'
+    rotations, bit for bit the same."""
     e = np.asarray(euler, dtype=float)
-    return np.ascontiguousarray(_camera_columns(np.concatenate([e, 0.0 * e], -1))[:3, 0].T)
+    return np.ascontiguousarray(_camera_columns(np.concatenate([e, 0.0 * e], -1))[:3, :, 0].T)
 
 
 def _projection(P, H: Array, with_jacobian: bool = False):
@@ -177,16 +175,18 @@ def _projection(P, H: Array, with_jacobian: bool = False):
     derivative (..., 2n, 6), both from one product of H with the camera
     matrices. A point at non-positive depth has NaN features and Jacobian."""
     batch, n = P.shape[:-1], len(H)
-    # D[j, k, i] is row i of camera matrix k applied to point j (then poses)
-    D = (H @ _camera_columns(P, with_jacobian).reshape(4, -1)).reshape(n, -1, 3, *batch)
-    z = np.where(D[:, 0, 2] > 0, D[:, 0, 2], np.nan)  # behind the camera: NaN
-    uv = D[:, 0, :2] / z[:, None]
-    h = uv.transpose(*range(2, uv.ndim), 0, 1).reshape(*batch, 2 * n)
+    # D[j, i, k] is row i of camera matrix k applied to point j (then poses)
+    D = (H @ _camera_columns(P, with_jacobian).reshape(4, -1)).reshape(n, 3, -1, *batch)
+    z = np.where(D[:, 2, 0] > 0, D[:, 2, 0], np.nan)  # behind the camera: NaN
+    uv = D[:, :2, 0] / z[:, None]
+    # poses first, C-contiguous: the bits of batched products downstream follow the layout
+    h = np.ascontiguousarray(uv.transpose(*range(2, uv.ndim), 0, 1)).reshape(*batch, 2 * n)
     if not with_jacobian:
         return h
     # d(x/z) = (dx - u dz) / z, and likewise for y, for all six coordinates
-    J = (D[:, 1:, :2] - uv[:, None] * D[:, 1:, 2:]) / z[:, None, None]
-    return h, J.transpose(*range(3, J.ndim), 0, 2, 1).reshape(*batch, 2 * n, 6)
+    J = (D[:, :2, 1:] - uv[:, :, None] * D[:, 2:, 1:]) / z[:, None, None]
+    J = np.ascontiguousarray(J.transpose(*range(3, J.ndim), 0, 1, 2))
+    return h, J.reshape(*batch, 2 * n, 6)
 
 
 @dataclass(frozen=True)
