@@ -185,30 +185,33 @@ class TestProjection:
         model = builtin_models()[name]
         fmap = projection_feature_map(model)
         P = np.array([Pose.from_vector(p).vector() for p in poses])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # features and pixels may overflow or be NaN
             h, J = fmap.value_and_jacobian(P)
             singles = [fmap.value_and_jacobian(p) for p in P]
             px, depth = _observe(P, model, DEFAULT_CAMERA)
-        assert np.array_equal(h, [v for v, _ in singles], equal_nan=True)
-        assert np.array_equal(J, [j for _, j in singles], equal_nan=True)
-        n = model.n_points
-        for p, hp, Jp, pxp, dp in zip(P, h, J, px, depth):
-            want_h, want_J, z = reference_projection(p, model.points)
-            front = z > 0
-            assert np.array_equal(dp, z)
-            assert np.array_equal(hp.reshape(n, 2)[front], want_h.reshape(n, 2)[front])
-            finite = front & np.isfinite(want_h.reshape(n, 2)).all(1)
-            assert np.array_equal(Jp.reshape(n, 2, 6)[finite], want_J.reshape(n, 2, 6)[finite])
-            assert np.isnan(hp.reshape(n, 2)[~front]).all()
-            assert np.isnan(Jp.reshape(n, 12)[~front]).all()
-            if front.all():
-                assert np.array_equal(pxp, observe(Pose.from_vector(p), model,
-                                                   DEFAULT_CAMERA).points2d)
-            else:
-                assert np.isnan(pxp[:, ~front]).all()
-                with pytest.raises(InvalidProjectionError) as exc:
-                    observe(Pose.from_vector(p), model, DEFAULT_CAMERA)
-                assert list(exc.value.indices) == np.flatnonzero(~front).tolist()
+            assert np.array_equal(h, [v for v, _ in singles], equal_nan=True)
+            assert np.array_equal(J, [j for _, j in singles], equal_nan=True)
+            n = model.n_points
+            for p, hp, Jp, pxp, dp in zip(P, h, J, px, depth):
+                want_h, want_J, z = reference_projection(p, model.points)
+                front = z > 0
+                assert np.array_equal(dp, z)
+                assert np.array_equal(hp.reshape(n, 2)[front], want_h.reshape(n, 2)[front])
+                finite = front & np.isfinite(want_h.reshape(n, 2)).all(1)
+                assert np.array_equal(Jp.reshape(n, 2, 6)[finite], want_J.reshape(n, 2, 6)[finite])
+                assert np.isnan(hp.reshape(n, 2)[~front]).all()
+                assert np.isnan(Jp.reshape(n, 12)[~front]).all()
+                if not front.all():
+                    assert np.isnan(pxp[:, ~front]).all()
+                    with pytest.raises(InvalidProjectionError) as exc:
+                        observe(Pose.from_vector(p), model, DEFAULT_CAMERA)
+                    assert list(exc.value.indices) == np.flatnonzero(~front).tolist()
+                elif np.isfinite(pxp).all():
+                    assert np.array_equal(pxp, observe(Pose.from_vector(p), model,
+                                                       DEFAULT_CAMERA).points2d)
+                else:  # a depth so small that a pixel overflows: `Projection` refuses it
+                    with pytest.raises(ValueError, match="must be finite"):
+                        observe(Pose.from_vector(p), model, DEFAULT_CAMERA)
 
     def test_gauss_newton_diverges_where_the_reference_kernel_does(self):
         """A point at non-positive depth makes every Jacobian entry of its
