@@ -46,6 +46,21 @@ def _bisect_inverse(f, y: float, lo: float, hi: float, tol: float = 1e-12) -> fl
     return 0.5 * (lo + hi)
 
 
+def scalar_map(h, h_prime, h_double_prime, name: str = "") -> SmoothMap:
+    """h and both derivatives as one kernel of order 2, each callable applied
+    entry by entry to float64 scalars; past overflow a value is inf, silently."""
+    oracles = [np.frompyfunc(lambda t, f=f: f(np.float64(t)), 1, 1)
+               for f in (h, h_prime, h_double_prime)]
+
+    def kernel(X, order=0):
+        with np.errstate(over="ignore"):
+            out = tuple(f(X.reshape(*X.shape, *(1,) * d)).astype(float)
+                        for d, f in enumerate(oracles[:order + 1]))
+        return out if order else out[0]
+
+    return SmoothMap(1, 1, kernel, order=2, name=name)
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
     """A scalar benchmark function with oracle derivatives and inverse."""
@@ -66,14 +81,7 @@ class AnalyticFunction:
             raise ValueError("test targets must be generated at a finer step than training")
 
     def smooth_map(self) -> SmoothMap:
-        return SmoothMap(
-            1,
-            1,
-            lambda x: np.array([self.h(x[0])]),
-            jac=lambda x: np.array([[self.h_prime(x[0])]]),
-            hess=lambda x: np.array([[[self.h_double_prime(x[0])]]]),
-            name=self.name,
-        )
+        return scalar_map(self.h, self.h_prime, self.h_double_prime, self.name)
 
     def _targets(self, step: float) -> np.ndarray:
         n = int(round((self.y_hi - self.y_lo) / step)) + 1

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector, central_differences
+from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector
 from .errors import DimensionMismatchError
 
 RESIDUAL_TOL = 1e-12
@@ -50,26 +50,17 @@ class DescentRun:
         return self.iterates[-1]
 
 
-def _component_hessians(map: SmoothMap, x: Array) -> Array:
-    """(m, p, p) second derivatives, analytic or FD on the Jacobian."""
-    if map.hess is not None:
-        H = np.asarray(map.hess(x), dtype=float)
-        return H.reshape(map.feature_dim, map.param_dim, map.param_dim)
-    out = central_differences(map.jacobian, x)
-    # symmetrize across the two parameter axes
-    return (out + out.transpose(0, 2, 1)) / 2.0
-
-
-def _newton_system(map: SmoothMap, x: Array, r: Array, J: Array) -> tuple[Array, Array]:
-    """Hessian ``2 (J^T J + sum_i r_i d2h_i)`` and gradient ``2 J^T r`` of
-    ||h - y||^2 at x, from the residual r = h(x) - y and J = h'(x)."""
-    curvature = np.einsum("i,ijk->jk", r, _component_hessians(map, x))
-    return 2.0 * (J.T @ J + curvature), 2.0 * J.T @ r
+def _newton_systems(R: Array, J: Array, D2: Array) -> tuple[Array, Array]:
+    """Hessians ``2 (J^T J + sum_i r_i d2h_i)`` and gradients ``2 J^T r`` of
+    ||h - y||^2 for every row, from the residuals R = h - y (N, m), the
+    Jacobians J (N, m, p) and the second derivatives D2 (N, m, p, p)."""
+    Jt = J.transpose(0, 2, 1)
+    return 2.0 * (Jt @ J + np.einsum("ni,nijk->njk", R, D2)), 2.0 * (Jt @ R[..., None])[..., 0]
 
 
 def nls_hessian(problem: NlsProblem, x: Array) -> Array:
-    h, J = problem.map.value_and_jacobian(x)
-    return _newton_system(problem.map, x, h - problem.target, J)[0]
+    h, J, D2 = problem.map.derivatives(np.asarray(x, dtype=float)[None], 2)
+    return _newton_systems(h - problem.target, J, D2)[0][0]
 
 
 def _norms(V: Array) -> Array:
@@ -89,12 +80,14 @@ def _solve(A: Array, B: Array) -> tuple[Array, Array]:
         return np.concatenate(S), np.concatenate(singular)
 
 
-def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int, newton: bool,
-             one_point: bool = False) -> list[DescentRun]:
+def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
+             newton: bool) -> list[DescentRun]:
     """Newton (`newton`) or Gauss-Newton from every row of X0 (N, p), row i
-    against the target Y[i] (N, m), with one `value_and_jacobian` call per
-    iterate for the rows still going (`one_point`: for the one row, on
-    the map's one-point path).
+    against the target Y[i] (N, m). Each iterate makes one kernel call on
+    the rows still going, for the value and Jacobian (Gauss-Newton) or the
+    value (Newton); Newton makes one more, for the value and both
+    derivatives, on the rows that step. A single row goes through the
+    map's one-point path, which gives it the same bits sooner.
 
     Each round tests the live rows in this order: the residual diverged
     (non-finite or above DIVERGENCE_THRESHOLD), it converged, the system
@@ -105,19 +98,21 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int, newton: bool,
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    iterates, residuals = [[] for _ in range(len(X0))], [[] for _ in range(len(X0))]
-    status = [None] * len(X0)
+    n = len(X0)
+    traj, res = np.empty((max_iters + 1, *X0.shape)), np.empty((max_iters + 1, n))
+    length, status = np.zeros(n, dtype=np.intp), np.empty(n, dtype=object)
 
-    def observe(live, X, Y):
-        H, J = map.value_and_jacobian(X[0] if one_point else X)
-        if one_point:
-            H, J = H[None], J[None]
+    def kernel(X, order):
+        x = X[0] if len(X) == 1 else X
+        out = map.derivatives(x, order) if order else (map.evaluate(x),)
+        return tuple(v[None] for v in out) if len(X) == 1 else out
+
+    def observe(live, X, Y, k):
+        H, *D = kernel(X, 0 if newton else 1)
         R = H - Y
         rn = _norms(R)
-        for i, x, v in zip(live.tolist(), X, rn.tolist()):
-            iterates[i].append(x)
-            residuals[i].append(v)
-        return R, J, rn
+        traj[k, live], res[k, live], length[live] = X, rn, k + 1
+        return R, rn, D
 
     def stop(tests, live, *arrays):
         """End the rows of `live` failing one of `tests`, (mask, status) pairs
@@ -126,29 +121,27 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int, newton: bool,
         failed = tests[0][0]
         for mask, _ in tests[1:]:
             failed = failed | mask
-        ended = failed.nonzero()[0]
-        if not ended.size:
+        if not failed.any():
             return (live, *arrays)
-        for j in ended:
-            status[live[j]] = next(s for mask, s in tests if mask[j])
+        for mask, s in reversed(tests):
+            status[live[mask]] = s
         return tuple(a[~failed] for a in (live, *arrays))
 
-    live, X = np.arange(len(X0)), X0
-    R, J, rn = observe(live, X, Y)
-    moved = np.zeros(len(X0), dtype=bool)  # the last move met the step-size test
-    for _ in range(max_iters):
+    live, X = np.arange(n), X0
+    R, rn, D = observe(live, X, Y, 0)
+    moved = np.zeros(n, dtype=bool)  # the last move met the step-size test
+    for k in range(1, max_iters + 1):
         # NaN compares false: a residual that is not finite has diverged
-        live, X, Y, R, J = stop([(moved, RunStatus.CONVERGED),
-                                 (~(rn <= DIVERGENCE_THRESHOLD), RunStatus.DIVERGED),
-                                 (rn <= RESIDUAL_TOL, RunStatus.CONVERGED)], live, X, Y, R, J)
+        live, X, Y, R, *D = stop([(moved, RunStatus.CONVERGED),
+                                  (~(rn <= DIVERGENCE_THRESHOLD), RunStatus.DIVERGED),
+                                  (rn <= RESIDUAL_TOL, RunStatus.CONVERGED)], live, X, Y, R, *D)
         if not live.size:
             break
         if newton:
-            systems = [_newton_system(map, x, r, j) for x, r, j in zip(X, R, J)]
-            A, G = np.array([a for a, _ in systems]), np.array([g for _, g in systems])
+            A, G = _newton_systems(R, *kernel(X, 2)[1:])
         else:
-            Jt = J.transpose(0, 2, 1)
-            A, G = Jt @ J, (Jt @ R[..., None])[..., 0]
+            Jt = D[0].transpose(0, 2, 1)
+            A, G = Jt @ D[0], (Jt @ R[..., None])[..., 0]
         S, singular = _solve(A, G)
         saddle = [(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)] if newton else []
         finite = np.logical_and.reduce(np.isfinite(S), axis=1)
@@ -159,17 +152,21 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int, newton: bool,
         if not live.size:
             break
         X = X_prev - S
-        R, J, rn = observe(live, X, Y)
+        R, rn, D = observe(live, X, Y, k)
         moved = _norms(X - X_prev) <= STEP_REL_TOL * np.maximum(1.0, _norms(X))
     else:
         live, = stop([(moved, RunStatus.CONVERGED)], live)
-    for i in live:
-        # out of iterations while moving away from the data is a divergence,
-        # even with a bounded residual (a parameter escaping on a saturating map)
-        r = residuals[i]
-        status[i] = RunStatus.DIVERGED if r[-1] > max(r[0], RESIDUAL_TOL) else RunStatus.MAX_ITERS
-    return [DescentRun(iterates=tuple(x), residuals=tuple(r), status=s)
-            for x, r, s in zip(iterates, residuals, status)]
+    # out of iterations while moving away from the data is a divergence,
+    # even with a bounded residual (a parameter escaping on a saturating map)
+    away = res[length[live] - 1, live] > np.maximum(res[0, live], RESIDUAL_TOL)
+    status[live[away]], status[live[~away]] = RunStatus.DIVERGED, RunStatus.MAX_ITERS
+    return _runs(traj, res, length, status)
+
+
+def _runs(traj: Array, res: Array, length: Array, status: Array) -> list[DescentRun]:
+    """One DescentRun per row of `_descend`'s (iterate, row) arrays."""
+    return [DescentRun(iterates=tuple(traj[:k, i]), residuals=tuple(res[:k, i].tolist()), status=s)
+            for i, (k, s) in enumerate(zip(length.tolist(), status))]
 
 
 def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[DescentRun]:
@@ -184,13 +181,11 @@ def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[Des
 
 def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     """Full Newton iteration ``x - H^{-1} grad`` as a one-row call: one
-    evaluation of value and Jacobian per iterate, second derivatives only
-    where it steps. An exactly singular system yields status
-    `singular_hessian` (`saddle_stall` when the gradient also vanishes),
-    never an exception."""
+    evaluation per iterate, derivatives only where it steps. An exactly
+    singular system yields status `singular_hessian` (`saddle_stall` when
+    the gradient also vanishes), never an exception."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
-    return _descend(problem.map, problem.target[None], x0[None], max_iters,
-                    newton=True, one_point=True)[0]
+    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=True)[0]
 
 
 def newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[DescentRun]:
@@ -202,10 +197,9 @@ def newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[Descen
 def gauss_newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     """Gauss-Newton iteration ``x + (J^T J)^{-1} J^T (y - h)`` as a one-row
     call, with one evaluation of value and Jacobian
-    (`SmoothMap.value_and_jacobian`) per iterate."""
+    (`SmoothMap.derivatives`) per iterate."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
-    return _descend(problem.map, problem.target[None], x0[None], max_iters,
-                    newton=False, one_point=True)[0]
+    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=False)[0]
 
 
 def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[DescentRun]:
@@ -214,7 +208,7 @@ def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[
 
     Each round evaluates value and Jacobian once, on the rows of every
     run still going. The runs are those of N single calls, bit for bit,
-    when the map's row kernels give each row the bits of a one-point
-    evaluation, as the projection kernel does.
+    when the map's kernel gives each row the bits of a one-point call,
+    as the package's kernels do.
     """
     return _rows(map, targets, X0, max_iters, newton=False)

@@ -306,10 +306,15 @@ def cmd_verify(cfg) -> int:
     return 0 if all_valid else 1
 
 
+def _demo_map(A) -> SmoothMap:
+    """x -> A x from one A @ x per row: a row gets the bits of one point."""
+    m, p = A.shape
+    return SmoothMap(p, m, lambda X: (X[..., None, :] @ A.T)[..., 0, :], name="demo-linear")
+
+
 def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
     """One single-stage equivalence check; returns relative deviation."""
-    A = rng.normal(size=(m, p))
-    smap = SmoothMap(p, m, lambda x, A=A: A @ x, name="demo-linear")
+    smap = _demo_map(rng.normal(size=(m, p)))
     zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
     seq_stub = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m, mode=Mode.GENERALIZED)
     state = init_online(seq_stub, ridge=ridge, forgetting=lam)
@@ -319,7 +324,7 @@ def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
         rls_ingest(state, x_opt, x0, smap)
     W_online = state.weights[0]
 
-    feats = np.array([np.append(smap.evaluate(x0), 1.0) for x0 in starts])
+    feats = np.column_stack([smap.evaluate(starts), np.ones(n)])
     resid = optima - starts
     if lam == 1.0:
         # matching batch problem: ridge over all augmented coefficients
@@ -365,8 +370,8 @@ def cmd_train(cfg) -> int:
 
 
 def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
-    """Data rows after the header as floats: `width` values each, or the first
-    cell only if `width` is None. Blank rows and '#' rows are skipped."""
+    """Data rows after the header as finite floats: `width` values each, or the
+    first cell only if `width` is None. Blank rows and '#' rows are skipped."""
     with _reading("inputs file", path), open(path, newline="") as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
@@ -380,6 +385,8 @@ def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
             values.append(np.array([float(v) for v in (row if width else row[:1])]))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: expected numbers, got {row}") from None
+        if not np.isfinite(values[-1]).all():
+            raise ConfigError(f"{path}:{lineno}: expected finite numbers, got {row}")
     return values
 
 
@@ -389,12 +396,15 @@ def cmd_apply(cfg) -> int:
     out_rows = []
     if cfg.problem == "pose":
         model = _pick(pose.builtin_models(), cfg.model, "model")
+        smap = model.feature_map
+    else:
+        fn = _pick(analytic.registry(), cfg.function, "function")
+        smap = fn.smooth_map()
+    if (seq.param_dim, seq.feature_dim) != (smap.param_dim, smap.feature_dim):
+        raise ConfigError(f"model file maps {seq.param_dim} parameters to {seq.feature_dim} "
+                          f"features, {smap.name} maps {smap.param_dim} to {smap.feature_dim}")
+    if cfg.problem == "pose":
         cam = pose.DEFAULT_CAMERA
-        if seq.feature_dim != 2 * model.n_points:
-            raise ConfigError(
-                f"model file expects {seq.feature_dim} features, object gives "
-                f"{2 * model.n_points}"
-            )
         for row in _read_inputs(cfg.inputs, seq.feature_dim):
             px = row.reshape(-1, 2).T
             proj = pose.Projection(points2d=px, normalized=pose.normalize_pixels(px, cam))
@@ -402,8 +412,6 @@ def cmd_apply(cfg) -> int:
             out_rows.append((*est.euler, *est.translation))
         header = ("yaw", "pitch", "roll", "tx", "ty", "tz")
     else:
-        fn = _pick(analytic.registry(), cfg.function, "function")
-        smap = fn.smooth_map()
         for (y,) in _read_inputs(cfg.inputs):
             traj = apply_sequence(seq, np.array([fn.x0]), smap, y=np.array([y]))
             out_rows.append((y, float(traj[-1][0])))

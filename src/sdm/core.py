@@ -51,16 +51,19 @@ def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None
     return arr
 
 
-def central_differences(f: Callable[[Array], Array], x: Array) -> Array:
-    """Central differences of f at the point x (p,), one per coordinate, on a new last axis."""
-    columns = []
-    for i in range(x.size):
-        h = JACOBIAN_FD_STEP * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        columns.append((f(xp) - f(xm)) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+def central_differences(f: Callable[[Array], Array], X: Array) -> Array:
+    """Central differences of f at the point X (p,), or at every row of an
+    (N, p) array, one per coordinate, on a new last axis. `f` takes rows
+    (K, p) to (K, ...) and is called once, on the 2p shifted copies of
+    every point."""
+    P = X.reshape(-1, X.shape[-1])
+    n, p = P.shape
+    h = JACOBIAN_FD_STEP * np.maximum(1.0, np.abs(P))
+    shift = np.eye(p)[:, None] * h  # shift k moves coordinate k of every point
+    F = np.asarray(f(np.concatenate([P + shift, P - shift]).reshape(-1, p)))
+    F = F.reshape(2, p, n, *F.shape[1:])
+    D = (F[0] - F[1]) / (2.0 * h.T).reshape(p, n, *(1,) * (F.ndim - 3))
+    return np.moveaxis(D, 0, -1).reshape(*X.shape[:-1], *F.shape[3:], p)
 
 
 class Mode(str, Enum):
@@ -73,77 +76,67 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """An evaluatable map h: R^p -> R^m with optional analytic derivatives.
+    """A map h: R^p -> R^m given by one array kernel.
 
-    `fn` must be a pure function of its input. `jac` (m x p) and `hess`
-    (m x p x p component second derivatives) are optional; when `jac` is
-    absent, `jacobian` falls back to central finite differences
-    (`fd_jacobian`). `rows` is an optional vectorized kernel taking an
-    (N, p) array to the (N, m) array of its rows' values; without it,
-    `evaluate_rows` calls `evaluate` row by row. `fused` is an optional
-    kernel returning the value and the Jacobian together, for one point
-    or for (N, p) rows (see `value_and_jacobian`); without it, they come
-    from separate evaluations.
+    The kernel takes one point x (p,) or the rows of an (N, p) array, and
+    must give each row the bits it gives that row alone. ``kernel(X)`` is
+    h, of shape (m,) or (N, m). A map of `order` k >= 1 also gives its
+    derivatives: ``kernel(X, d)`` for 1 <= d <= k is the tuple h, J
+    (..., m, p) and, for d = 2, the component second derivatives
+    (..., m, p, p). Derivatives the map does not declare come from
+    central differences on rows (see `derivatives`).
     """
 
     param_dim: int
     feature_dim: int
-    fn: Callable[[Array], Array]
-    jac: Callable[[Array], Array] | None = None
-    hess: Callable[[Array], Array] | None = None
+    kernel: Callable
+    order: int = 0
     name: str = ""
-    rows: Callable[[Array], Array] | None = None
-    fused: Callable[[Array], tuple[Array, Array]] | None = None
 
     def __post_init__(self):
         if self.param_dim < 1 or self.feature_dim < 1:
             raise ValueError("param_dim and feature_dim must be >= 1")
 
-    def evaluate(self, x: Array) -> Array:
-        """Evaluate the map; the result is a length-m float64 array."""
-        out = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float).reshape(-1)
-        if out.size != self.feature_dim:
-            raise DimensionMismatchError("feature", expected=self.feature_dim, got=out.size)
-        return out
-
-    def evaluate_rows(self, X) -> Array:
-        """Evaluate the map at every row of an (N, p) array; returns (N, m)."""
+    def _points(self, X) -> Array:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.param_dim:
-            raise ValueError(f"rows must have shape (N, {self.param_dim}), got {X.shape}")
-        if self.rows is None:
-            out = np.array([self.evaluate(x) for x in X]).reshape(len(X), self.feature_dim)
-        else:
-            out = np.asarray(self.rows(X), dtype=float)
-        if out.shape != (len(X), self.feature_dim):
-            raise DimensionMismatchError("feature", expected=self.feature_dim, got=out.shape[-1])
-        return out
+        if X.ndim not in (1, 2) or X.shape[-1] != self.param_dim:
+            raise DimensionMismatchError("param", expected=self.param_dim, got=X.shape)
+        return X
 
-    def jacobian(self, x: Array) -> Array:
-        """Analytic Jacobian when supplied, otherwise central differences."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.param_dim:
-            raise DimensionMismatchError("param", expected=self.param_dim, got=x.size)
-        if self.jac is not None:
-            J = np.asarray(self.jac(x), dtype=float).reshape(self.feature_dim, self.param_dim)
-            return J
-        return self.fd_jacobian(x)
+    def _checked(self, value, X: Array, d: int) -> Array:
+        """A kernel output for X: the value (d = 0) or its d-th derivative."""
+        value = np.asarray(value, dtype=float)
+        shape = (*X.shape[:-1], self.feature_dim) + (self.param_dim,) * d
+        if value.shape != shape:
+            raise DimensionMismatchError("feature", expected=shape, got=value.shape)
+        return value
 
-    def value_and_jacobian(self, X) -> tuple[Array, Array]:
-        """The map and its Jacobian at one point x (p,), shapes (m,) and
-        (m, p), or at every row of an (N, p) array, shapes (N, m) and
-        (N, m, p): from one `fused` call when the map has the hook,
-        otherwise from `evaluate` (`evaluate_rows`) and `jacobian`."""
-        X = np.asarray(X, dtype=float)
-        if self.fused is not None:
-            return self.fused(X)
-        if X.ndim == 2:
-            return self.evaluate_rows(X), np.array([self.jacobian(x) for x in X])
-        return self.evaluate(X), self.jacobian(X)
+    def evaluate(self, X) -> Array:
+        """The map at one point x (p,), shape (m,), or at every row of an
+        (N, p) array, shape (N, m)."""
+        X = self._points(X)
+        return self._checked(self.kernel(X), X, 0)
 
-    def fd_jacobian(self, x: Array) -> Array:
-        """Central finite-difference Jacobian, regardless of `jac`."""
-        return central_differences(self.evaluate, np.asarray(x, dtype=float).reshape(-1))
+    def derivatives(self, X, order: int = 1) -> tuple[Array, ...]:
+        """h, J and, for `order` 2, the second derivatives at one point or at
+        every row of an (N, p) array. Beyond the map's own `order`, the top
+        one is central differences of the one below, on rows (symmetrized
+        for second derivatives)."""
+        X = self._points(X)
+        if order <= self.order:
+            return tuple(self._checked(v, X, d) for d, v in enumerate(self.kernel(X, order)))
+        if order == 1:
+            return self.evaluate(X), self.fd_jacobian(X)
+        D = central_differences(self.jacobian, X)
+        return (*self.derivatives(X, 1), (D + D.swapaxes(-1, -2)) / 2.0)
+
+    def jacobian(self, X) -> Array:
+        """J (m, p) at one point or (N, m, p) at rows, declared or by `derivatives`."""
+        return self.derivatives(X, 1)[1]
+
+    def fd_jacobian(self, X) -> Array:
+        """Central finite-difference Jacobian, whatever the map declares."""
+        return central_differences(self.evaluate, self._points(X))
 
 
 @dataclass(frozen=True)
@@ -345,7 +338,7 @@ def apply_sequence_rows(seq: DescentSequence, X0, map: SmoothMap, Y=None) -> Arr
     """`apply_sequence` from every row of X0 (N, p) at once, row i against
     the target Y[i] of an (N, m) array (omitted in generalized mode).
 
-    Each stage evaluates the map once for all rows (`evaluate_rows`) and
+    Each stage evaluates the map once for all rows (`SmoothMap.evaluate`) and
     advances every row by the step of its region (`advance_regions`), so
     the results match the one-point path to rounding: the products are
     summed in another order. Returns the (len(seq) + 1, N, p) array of
@@ -362,7 +355,7 @@ def apply_sequence_rows(seq: DescentSequence, X0, map: SmoothMap, Y=None) -> Arr
     broke = np.full(len(X0), len(seq))  # the stage at which a row's evaluation broke down
     for k in range(len(seq)):
         X = traj[k]
-        Phi = Y - map.evaluate_rows(X)
+        Phi = Y - map.evaluate(X)
         bad = ~np.isfinite(Phi).all(axis=1)
         broke[bad & (broke > k)] = k
         Phi[bad] = 0.0  # what such a row does next is never reported

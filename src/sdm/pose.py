@@ -276,22 +276,16 @@ def observe(
 def projection_feature_map(model: ObjectModel) -> SmoothMap:
     """Pose vector -> flattened normalized projection, with analytic Jacobian.
 
-    One kernel serves a single pose and (N, 6) rows, and returns the
-    Jacobian together with the value (the `fused` hook) from one product
-    of the model's homogeneous points with the camera matrix and its six
-    derivatives. Unlike `project`, evaluation does not enforce positive
-    depth; a zero or negative depth yields NaN features and NaN Jacobian
-    entries for that point, which downstream iteration code reports as
-    divergence.
+    One kernel of order 1 serves a single pose and (N, 6) rows, and gives
+    the Jacobian together with the value from one product of the model's
+    homogeneous points with the camera matrix and its six derivatives.
+    Unlike `project`, evaluation does not enforce positive depth; a zero
+    or negative depth yields NaN features and NaN Jacobian entries for
+    that point, which downstream iteration code reports as divergence.
     """
     H = model.homogeneous
-    return SmoothMap(
-        6, 2 * model.n_points, lambda p: _projection(p, H),
-        jac=lambda p: _projection(p, H, with_jacobian=True)[1],
-        name=f"projection-{model.name or 'model'}",
-        rows=lambda P: _projection(P, H),
-        fused=lambda p: _projection(p, H, with_jacobian=True),
-    )
+    return SmoothMap(6, 2 * model.n_points, lambda P, order=0: _projection(P, H, order > 0),
+                     order=1, name=f"projection-{model.name or 'model'}")
 
 
 def pose_grid_spec(

@@ -122,6 +122,7 @@ class AnchoredSample:
     `anchor_value` (m,) the map at the anchor.
     """
 
+    map: SmoothMap
     nbhd: Neighborhood
     points: Array
     dist: Array
@@ -143,10 +144,10 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> Anchor
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         h0 = map.evaluate(nbhd.anchor)
-        hv = map.evaluate_rows(pts)
+        hv = map.evaluate(pts)
     if not (np.isfinite(h0).all() and np.isfinite(hv).all()):
         raise DegenerateNeighborhoodError(f"map {map.name!r} is not finite on the neighborhood")
-    return AnchoredSample(nbhd, pts, dist, hv, h0)
+    return AnchoredSample(map, nbhd, pts, dist, hv, h0)
 
 
 def lipschitz_anchored(s: AnchoredSample) -> float:
@@ -262,10 +263,10 @@ def random_operator_suite(seed: int = 0, count: int = 10):
         anchor = rng.uniform(-0.5, 0.5, size=p)
         nonlinear = i % 3 == 2
 
-        def fn(x, A=A, anchor=anchor, nonlinear=nonlinear):
-            out = A @ x
+        def fn(X, A=A, anchor=anchor, nonlinear=nonlinear):
+            out = (X[..., None, :] @ A.T)[..., 0, :]  # one A @ x per row, the bits of one point
             if nonlinear:
-                out = out + 0.05 * np.sin(x - anchor)
+                out = out + 0.05 * np.sin(X - anchor)
             return out
 
         m = SmoothMap(p, p, fn, name=f"random-{i}{'-nl' if nonlinear else ''}")

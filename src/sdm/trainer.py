@@ -123,7 +123,7 @@ class TrainingSet:
         x0 = as_vector(x0, "x0", dim=map.param_dim)
         optima = _rows(optima, "optima", map.param_dim)
         if targets is None:
-            targets = map.evaluate_rows(optima)
+            targets = map.evaluate(optima)
         return cls(Mode.REVERSED, map, optima, targets, np.tile(x0, (len(optima), 1)))
 
     @classmethod
@@ -233,7 +233,7 @@ def train(
     """Learn a cascade of descent steps by alternating solve and update.
 
     Each stage evaluates the map once over all samples' current
-    estimates (`SmoothMap.evaluate_rows`), fits the stage, and advances
+    estimates (`SmoothMap.evaluate`), fits the stage, and advances
     every sample with it; the mean squared parameter residual before
     training and after each stage is recorded in the sequence's
     training_report (non-increasing on the training set).
@@ -261,7 +261,7 @@ def train(
     report = [mean_sq_residual()]
     steps: list[DescentStep] = []
     for k in range(config.stages):
-        H = tset.map.evaluate_rows(X)
+        H = tset.map.evaluate(X)
         diverged = np.flatnonzero(~np.isfinite(H).all(axis=1))
         if diverged.size:
             raise TrainingDivergedError(stage=k, sample=int(diverged[0]))

@@ -37,7 +37,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> bool:
 
 def linear_smooth_map(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return SmoothMap(A.shape[1], A.shape[0], lambda x: A @ x, jac=lambda x: A)
+    return SmoothMap(A.shape[1], A.shape[0], lambda x: x @ A.T)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sdm.analytic import registry
+from sdm.analytic import registry, scalar_map
 from sdm.baselines import (
     DIVERGENCE_THRESHOLD,
     GRAD_TOL,
@@ -28,13 +28,7 @@ def problem_for(fn_name, y):
 
 
 def scalar_problem(h, hp, hpp, y):
-    smap = SmoothMap(
-        1, 1,
-        lambda x: np.array([h(x[0])]),
-        jac=lambda x: np.array([[hp(x[0])]]),
-        hess=lambda x: np.array([[[hpp(x[0])]]]),
-    )
-    return NlsProblem(map=smap, target=np.array([y]))
+    return NlsProblem(map=scalar_map(h, hp, hpp), target=np.array([y]))
 
 
 class TestNewton:
@@ -73,7 +67,7 @@ class TestNewton:
     def test_fd_hessian_close_to_analytic_step(self):
         fn = registry()["erf"]
         analytic_map = fn.smooth_map()
-        fd_map = SmoothMap(1, 1, analytic_map.fn, jac=analytic_map.jac)  # no hess
+        fd_map = SmoothMap(1, 1, analytic_map.kernel, order=1)  # no second derivatives
         x = np.array([0.4])
         y = np.array([0.7])
         pa = NlsProblem(map=analytic_map, target=y)
@@ -93,7 +87,7 @@ class TestNewton:
 class TestGaussNewton:
     def test_linear_one_step_any_start(self):
         A = np.array([[2.0, 1.0], [0.0, 1.5], [1.0, -1.0]])
-        smap = SmoothMap(2, 3, lambda x: A @ x, jac=lambda x: A)
+        smap = SmoothMap(2, 3, lambda x, order=0: (A @ x, A) if order else A @ x, order=1)
         x_star = np.array([0.3, -0.6])
         prob = NlsProblem(map=smap, target=A @ x_star)
         for x0 in ([5.0, 5.0], [-2.0, 0.1], [0.0, 0.0]):
@@ -116,30 +110,24 @@ class TestGaussNewton:
         assert run.status is RunStatus.SINGULAR_HESSIAN
 
 
-def counted(calls, name, fn):
-    def wrapper(x):
-        calls[name] += 1
-        return fn(x)
-    return wrapper
-
-
 def cubic_map(calls=None, fused=False):
-    """h(x) = (x0^3 + x1, x1^3 - x0, x0 x1), with its Jacobian, optionally counted."""
+    """h(x) = (x0^3 + x1, x1^3 - x0, x0 x1), with its Jacobian in the kernel
+    (order 1) when `fused`, else without declared derivatives. Counts the
+    kernel's calls in `calls`: "evaluate" for the value alone, "fused" for
+    the value and Jacobian together."""
     calls = Counter() if calls is None else calls
 
-    def value(x):
-        x0, x1 = np.moveaxis(np.asarray(x), -1, 0)
-        return np.stack([x0 * x0 * x0 + x1, x1 * x1 * x1 - x0, x0 * x1], axis=-1)
-
-    def jac(x):
-        x0, x1 = np.moveaxis(np.asarray(x), -1, 0)
+    def kernel(x, order=0):
+        calls["fused" if order else "evaluate"] += 1
+        x0, x1 = np.moveaxis(x, -1, 0)
+        h = np.stack([x0 * x0 * x0 + x1, x1 * x1 * x1 - x0, x0 * x1], axis=-1)
+        if not order:
+            return h
         one = np.ones_like(x0)
-        return np.stack([np.stack([3 * x0 * x0, one], -1), np.stack([-one, 3 * x1 * x1], -1),
-                         np.stack([x1, x0], -1)], -2)
+        return h, np.stack([np.stack([3 * x0 * x0, one], -1), np.stack([-one, 3 * x1 * x1], -1),
+                            np.stack([x1, x0], -1)], -2)
 
-    both = counted(calls, "fused", lambda x: (value(x), jac(x))) if fused else None
-    return SmoothMap(2, 3, counted(calls, "evaluate", value), jac=counted(calls, "jac", jac),
-                     fused=both)
+    return SmoothMap(2, 3, kernel, order=int(fused))
 
 
 class TestOneEvaluationPerIterate:
@@ -156,15 +144,16 @@ class TestOneEvaluationPerIterate:
         smap = cubic_map(calls)
         run = gauss_newton_minimize(NlsProblem(smap, smap.evaluate([1.0, 2.0])), [1.3, 1.6])
         calls["evaluate"] -= 1
-        assert calls == {"evaluate": len(run.iterates), "jac": len(run.iterates)}
+        # per iterate, the value and one call for central differences on all shifted points
+        assert calls == {"evaluate": 2 * len(run.iterates)}
 
-    def test_newton_evaluates_value_and_jacobian_once_per_iterate_and_hess_per_step(self):
+    def test_newton_value_per_iterate_derivatives_per_step(self):
         calls = Counter()
         smap = cube_1d(calls)
         run = newton_minimize(NlsProblem(smap, [1.0]), [1.3], max_iters=30)
         assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
         n = len(run.iterates)
-        assert calls == {"fn": n, "jac": n, "hess": n - 1}
+        assert calls == {"fn": n, "hess": n - 1}
 
     def test_rows_call_the_fused_hook_once_per_iterate_for_all_rows(self):
         calls = Counter()
@@ -178,8 +167,10 @@ class TestGaussNewtonRows:
     """`gauss_newton_rows` against single runs, bit for bit, in every status."""
 
     def test_rows_equal_single_runs_in_every_status(self):
-        cube = SmoothMap(1, 1, lambda x: x**3, jac=lambda x: 3.0 * np.reshape(x, (1, 1))**2)
-        steep = SmoothMap(1, 1, lambda x: 1e6 * x, jac=lambda x: np.array([[1e6]]))
+        cube = SmoothMap(1, 1, lambda x, order=0: (x**3, 3.0 * x[..., None]**2) if order else x**3,
+                         order=1)
+        steep = SmoothMap(1, 1, lambda x, order=0: (1e6 * x, np.full((*x.shape, 1), 1e6))
+                          if order else 1e6 * x, order=1)
         cases = [
             # converged, singular (zero Jacobian), diverged (residual above the threshold)
             (cube, [[1.0], [1.0], [1.0]], [[0.5], [0.0], [1e3]], 30),
@@ -200,29 +191,30 @@ class TestGaussNewtonRows:
 
 
 def cube_1d(calls=None, points=None):
-    """h(x) = x^3 with both derivatives; counts calls in `calls` and
-    records the points where the second derivative is taken in `points`."""
+    """h(x) = x^3 with both derivatives; counts in `calls` the points each
+    kernel call takes, by the highest derivative asked for ("fn", "jac" or
+    "hess"), and records the points where the second derivative is taken
+    in `points`."""
     calls = Counter() if calls is None else calls
 
-    def hess(x):
-        if points is not None:
-            points.append(float(x[0]))
-        return np.array([[[6.0 * x[0]]]])
+    def kernel(x, order=0):
+        calls[("fn", "jac", "hess")[order]] += x.size
+        if order == 2 and points is not None:
+            points.extend(x.ravel().tolist())
+        out = (x**3, 3.0 * x[..., None] ** 2, 6.0 * x[..., None, None])
+        return out[:order + 1] if order else out[0]
 
-    return SmoothMap(1, 1, counted(calls, "fn", lambda x: x**3),
-                     jac=counted(calls, "jac", lambda x: np.array([[3.0 * x[0] ** 2]])),
-                     hess=counted(calls, "hess", hess))
+    return SmoothMap(1, 1, kernel, order=2)
 
 
 def reference_run(problem, x0, max_iters, newton):
     """One Newton (`newton`) or Gauss-Newton run written out on plain
     vectors, one problem at a time: the semantics every entry point keeps
-    bit for bit. Gauss-Newton evaluates with `value_and_jacobian`, Newton
-    with `evaluate`, `jacobian` and the analytic `hess`."""
+    bit for bit. Gauss-Newton evaluates with `derivatives(x, 1)`, Newton
+    with `evaluate` and, where it steps, `derivatives(x, 2)`."""
     smap, y = problem.map, problem.target
-    m, p = smap.feature_dim, smap.param_dim
     x = np.array(x0, dtype=float)
-    h, J = smap.value_and_jacobian(x) if not newton else (smap.evaluate(x), None)
+    h, J = smap.derivatives(x, 1) if not newton else (smap.evaluate(x), None)
     r = h - y
     iterates, residuals = [x], [float(np.linalg.norm(r))]
 
@@ -236,8 +228,8 @@ def reference_run(problem, x0, max_iters, newton):
         if rn <= RESIDUAL_TOL:
             return run(RunStatus.CONVERGED)
         if newton:
-            J = smap.jacobian(x)
-            curvature = np.einsum("i,ijk->jk", r, np.reshape(smap.hess(x), (m, p, p)))
+            _, J, second = smap.derivatives(x, 2)
+            curvature = np.einsum("i,ijk->jk", r, second)
             A, g = 2.0 * (J.T @ J + curvature), 2.0 * J.T @ r
         else:
             A, g = J.T @ J, J.T @ r
@@ -251,7 +243,7 @@ def reference_run(problem, x0, max_iters, newton):
         if np.linalg.norm(step) < STALL_STEP_TOL:
             return run(RunStatus.SADDLE_STALL)
         x_next = x - step
-        h, J = smap.value_and_jacobian(x_next) if not newton else (smap.evaluate(x_next), None)
+        h, J = smap.derivatives(x_next, 1) if not newton else (smap.evaluate(x_next), None)
         r = h - y
         iterates.append(x_next)
         residuals.append(float(np.linalg.norm(r)))
@@ -272,12 +264,15 @@ def assert_same_run(got, want):
 
 def fold_map():
     """h(x) = x0 + x1: a rank-one Jacobian, singular for both methods."""
-    return SmoothMap(2, 1, lambda x: np.array([x[0] + x[1]]), jac=lambda x: np.array([[1.0, 1.0]]),
-                     hess=lambda x: np.zeros((1, 2, 2)))
+    def kernel(x, order=0):
+        out = (x[..., :1] + x[..., 1:], np.ones((*x.shape[:-1], 1, 2)),
+               np.zeros((*x.shape[:-1], 1, 2, 2)))
+        return out[:order + 1] if order else out[0]
+
+    return SmoothMap(2, 1, kernel, order=2)
 
 
-STEEP = SmoothMap(1, 1, lambda x: 1e6 * x, jac=lambda x: np.array([[1e6]]),
-                  hess=lambda x: np.zeros((1, 1, 1)))
+STEEP = scalar_map(lambda t: 1e6 * t, lambda t: 1e6, lambda t: 0.0)
 
 # (map, targets, starts, max_iters), one map per case, several rows each
 STATUS_CASES = [

@@ -373,6 +373,28 @@ class TestApplyInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {inputs}:2: expected 16 values, got {width}")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("problem, model_file, width", [("analytic", "analytic.sdm", 1),
+                                                            ("pose", "cube.sdm", 16)])
+    def test_non_finite_cell_names_the_line(self, files, capsys, problem, model_file, width,
+                                            cell):
+        inputs = files / "inputs.csv"
+        row = ["500.0"] * (width - 1) + [cell]
+        inputs.write_text(",".join(["c"] * width) + "\n" + ",".join(row) + "\n")
+        assert self.apply(files, problem, files / model_file, inputs) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {inputs}:2: expected finite numbers")
+
+    @pytest.mark.parametrize("problem, model_file", [("analytic", "cube.sdm"),
+                                                     ("pose", "analytic.sdm")])
+    def test_model_of_the_wrong_size_is_refused(self, files, capsys, problem, model_file):
+        inputs = files / "inputs.csv"
+        inputs.write_text("target\n1.0\n")
+        assert self.apply(files, problem, files / model_file, inputs) == 2
+        p, m = (6, 16) if model_file == "cube.sdm" else (1, 1)
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: model file maps {p} parameters to {m} features")
+
     def test_malformed_model_file_stays_exit_1(self, files, capsys):
         (files / "bad.sdm").write_bytes(b"not a model")
         inputs = files / "targets.csv"

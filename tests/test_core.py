@@ -16,7 +16,7 @@ from sdm.errors import DimensionMismatchError, DivergedError, PartitionError
 
 def linear_map(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return SmoothMap(A.shape[1], A.shape[0], lambda x: A @ x, jac=lambda x: A, name="linear")
+    return SmoothMap(A.shape[1], A.shape[0], lambda x: x @ A.T, name="linear")
 
 
 def one_step(step, mode=Mode.TEMPLATE):
@@ -227,15 +227,15 @@ class TestPartitionedSequence:
 
 class TestSmoothMap:
     def test_fd_jacobian_matches_analytic(self):
-        def fn(x):
-            return np.array([np.sin(x[0]) * x[1], x[0] ** 2 + np.exp(x[1])])
+        def kernel(x, order=0):
+            x0, x1 = x[..., 0], x[..., 1]
+            h = np.stack([np.sin(x0) * x1, x0 ** 2 + np.exp(x1)], -1)
+            if not order:
+                return h
+            return h, np.stack([np.stack([np.cos(x0) * x1, np.sin(x0)], -1),
+                                np.stack([2 * x0, np.exp(x1)], -1)], -2)
 
-        def jac(x):
-            return np.array(
-                [[np.cos(x[0]) * x[1], np.sin(x[0])], [2 * x[0], np.exp(x[1])]]
-            )
-
-        smap = SmoothMap(2, 2, fn, jac=jac)
+        smap = SmoothMap(2, 2, kernel, order=1)
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)

@@ -161,7 +161,7 @@ class TestProjection:
         fmap = projection_feature_map(builtin_models()["cube"])
         want = np.array([fmap.evaluate(p) for p in P])
         with np.errstate(divide="ignore", invalid="ignore"):
-            got = fmap.evaluate_rows(P)
+            got = fmap.evaluate(P)
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_behind_camera_features_are_nan(self):
@@ -186,8 +186,8 @@ class TestProjection:
         fmap = projection_feature_map(model)
         P = np.array([Pose.from_vector(p).vector() for p in poses])
         with np.errstate(all="ignore"):  # features and pixels may overflow or be NaN
-            h, J = fmap.value_and_jacobian(P)
-            singles = [fmap.value_and_jacobian(p) for p in P]
+            h, J = fmap.derivatives(P)
+            singles = [fmap.derivatives(p) for p in P]
             px, depth = _observe(P, model, DEFAULT_CAMERA)
             assert np.array_equal(h, [v for v, _ in singles], equal_nan=True)
             assert np.array_equal(J, [j for _, j in singles], equal_nan=True)
@@ -219,8 +219,8 @@ class TestProjection:
         kept finite zeros there; Gauss-Newton tests the residual first, so
         it still ends `diverged` at the same iterate."""
         cube = builtin_models()["cube"]
-        ref = SmoothMap(6, 16, lambda p: reference_projection(p, cube.points)[0],
-                        fused=lambda p: reference_projection(p, cube.points)[:2])
+        ref = SmoothMap(6, 16, lambda p, order=0: reference_projection(p, cube.points)[:order + 1]
+                        if order else reference_projection(p, cube.points)[0], order=1)
         y = cube.feature_map.evaluate(DEFAULT_BASE_POSE.vector())
         rng = np.random.default_rng(0)
         starts = [np.array([0.0, 0.0, 0.0, 0.0, 0.0, -500.0])] + [

@@ -24,7 +24,7 @@ from sdm.theory import (
 
 
 def scalar_map(f, name=""):
-    return SmoothMap(1, 1, lambda x: np.array([f(x[0])]), name=name)
+    return SmoothMap(1, 1, lambda x: np.frompyfunc(f, 1, 1)(x).astype(float), name=name)
 
 
 def nb(anchor, radius, grid=1001):
@@ -116,7 +116,7 @@ class TestMonotoneOperator:
         B = rng.normal(size=(2, 2))
         A = B @ B.T + 2 * np.eye(2)
         assert np.all(np.linalg.eigvalsh(A) > 0)  # oracle: positive definite
-        smap = SmoothMap(2, 2, lambda x: A @ x)
+        smap = SmoothMap(2, 2, lambda x: x @ A.T)
         assert monotone_operator_check(sample(smap, [0.2, -0.1], 0.8, 31), np.eye(2))
 
 
@@ -136,7 +136,7 @@ class TestFrobeniusBound:
 
     def test_diagonal_2d_case_certifies(self):
         A = np.diag([1.0, 2.0])
-        smap = SmoothMap(2, 2, lambda x: A @ x)
+        smap = SmoothMap(2, 2, lambda x: x @ A.T)
         region = sample(smap, [0.0, 0.0], 1.0, 41)
         gain0 = A.T
         bound, _ = frobenius_dm_bound(region, gain0)

@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdm.core import Mode, SmoothMap, apply_sequence, region_index
+from sdm import pose
+from sdm.analytic import registry
+from sdm.cli import _demo_map
+from sdm.core import Mode, SmoothMap, apply_sequence, central_differences, region_index
 from sdm.errors import (
     DimensionMismatchError,
     PartitionError,
     RankDeficiencyError,
     TrainingDivergedError,
 )
+from sdm.theory import random_operator_suite
 from sdm.trainer import TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
 
 
 def linear_map(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return SmoothMap(A.shape[1], A.shape[0], lambda x: A @ x, jac=lambda x: A, name="linear")
+    return SmoothMap(A.shape[1], A.shape[0], lambda x: x @ A.T, name="linear")
 
 
 def cubic_map():
-    return SmoothMap(
-        1, 1, lambda x: np.array([x[0] ** 3]), jac=lambda x: np.array([[3 * x[0] ** 2]]),
-        name="cube",
-    )
+    return SmoothMap(1, 1, lambda x: x**3, name="cube")
 
 
 def gaussian_starts(center, stddev, count, seed):
@@ -149,7 +150,7 @@ class TestTrain:
 
     def test_divergent_sample_aborts_with_indices(self):
         def fn(x):
-            return np.array([np.inf if abs(x[0]) > 10 else x[0]])
+            return np.where(np.abs(x) > 10, np.inf, x)
 
         smap = SmoothMap(1, 1, fn)
         starts = [np.array([1.0]), np.array([11.0])]
@@ -176,7 +177,7 @@ class TestPartitionedTrain:
     @staticmethod
     def kinked_map():
         # slope 2 right of the origin, 1/2 left of it: no single gain fits both
-        return SmoothMap(1, 1, lambda x: np.array([x[0] * (2.0 if x[0] > 0 else 0.5)]))
+        return SmoothMap(1, 1, lambda x: x * np.where(x > 0, 2.0, 0.5))
 
     def test_one_step_per_region_solves_a_kinked_map(self):
         smap = self.kinked_map()
@@ -263,15 +264,18 @@ def loop_train(tset, config, partition=()):
     return steps, report
 
 
-def generic_map(rows_kernel: bool):
+def generic_map(gemm: bool):
+    """h(x) = tanh(A x) + 0.1 (A x)^2 from one A @ x per row, or with `gemm`
+    from one matrix product over all rows, which sums in another order
+    than a one-point call."""
     A = np.array([[0.9, -0.4, 0.3], [0.2, 1.1, -0.5], [-0.3, 0.2, 0.8],
                   [0.5, 0.5, 0.5], [0.1, -0.7, 0.4]])
 
-    def rows(X):
-        return np.tanh(X @ A.T) + 0.1 * (X @ A.T) ** 2
+    def kernel(X):
+        Z = X @ A.T if gemm else (X[..., None, :] @ A.T)[..., 0, :]
+        return np.tanh(Z) + 0.1 * Z ** 2
 
-    return SmoothMap(3, 5, lambda x: rows(x[None, :])[0],
-                     rows=rows if rows_kernel else None, name="generic")
+    return SmoothMap(3, 5, kernel, name="generic")
 
 
 class TestArrayTrainMatchesLoopReference:
@@ -287,7 +291,7 @@ class TestArrayTrainMatchesLoopReference:
         x_star = np.array([0.3, -0.2, 0.5])
         starts = x_star + 1.5 * rng.normal(size=(n, 3))
         optima = x_star + 0.5 * rng.normal(size=(n, 3))
-        noisy = smap.evaluate_rows(optima) + 0.01 * rng.normal(size=(n, 5))
+        noisy = smap.evaluate(optima) + 0.01 * rng.normal(size=(n, 5))
         reversed_set = TrainingSet.reversed_targets(smap, np.zeros(3), optima, noisy)
         return {
             "template": (TrainingSet.template(smap, x_star, starts), (), 2),
@@ -296,10 +300,10 @@ class TestArrayTrainMatchesLoopReference:
             "partitioned": (reversed_set, (0, 2), 4),
         }
 
-    @pytest.mark.parametrize("rows_kernel", [False, True])
+    @pytest.mark.parametrize("gemm", [False, True])
     @pytest.mark.parametrize("name", ["template", "reversed", "generalized", "partitioned"])
-    def test_steps_and_report_match(self, name, rows_kernel):
-        tset, partition, stages = self.training_sets(generic_map(rows_kernel))[name]
+    def test_steps_and_report_match(self, name, gemm):
+        tset, partition, stages = self.training_sets(generic_map(gemm))[name]
         config = TrainerConfig(stages=stages)
         seq = train(tset, config, partition=partition)
         want_steps, want_report = loop_train(tset, config, partition)
@@ -320,7 +324,13 @@ class TestTrainMatchesApplySequence:
     def test_iterates_match(self, name):
         seen = []
         base = generic_map(True)
-        smap = SmoothMap(3, 5, base.fn, rows=lambda X: seen.append(X.copy()) or base.rows(X))
+
+        def kernel(X):
+            if X.ndim == 2:
+                seen.append(X.copy())
+            return base.kernel(X)
+
+        smap = SmoothMap(3, 5, kernel)
         tset, partition, stages = TestArrayTrainMatchesLoopReference.training_sets(smap)[name]
         seen.clear()
         seq = train(tset, TrainerConfig(stages=stages), partition=partition)
@@ -337,24 +347,61 @@ class TestTrainMatchesApplySequence:
             np.mean(np.sum(errs * errs, axis=1)), rel=1e-12)
 
 
+def package_map(name):
+    """A map the package builds, by name, and points in its domain: past
+    the overflow of exp for the analytic maps, one pose behind the camera
+    for the projections."""
+    rng = np.random.default_rng(17)
+    if name == "generic":
+        return generic_map(False), rng.uniform(-3.0, 3.0, (9, 3))
+    if name in registry():
+        return registry()[name].smooth_map(), np.append(
+            np.linspace(-3.0, 3.0, 13), [709.0, 710.0, 1000.0])[:, None]
+    if name == "demo-linear":
+        return _demo_map(rng.normal(size=(6, 3))), rng.normal(size=(9, 3))
+    if name.startswith("projection-"):
+        offsets = np.column_stack([rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-300, 300, (8, 3))])
+        poses = np.vstack([pose.DEFAULT_BASE_POSE.vector() + offsets, [0, 0, 0, 0, 0, -500.0]])
+        return pose.builtin_models()[name.removeprefix("projection-")].feature_map, poses
+    sample = next(s for n, s, _ in random_operator_suite() if n == name)
+    return sample.map, sample.points[::97]
+
+
+PACKAGE_MAPS = ["generic", *registry(), *(n for n, _, _ in random_operator_suite()),
+                "demo-linear", "projection-cube", "projection-body", "projection-face"]
+
+
 class TestEvaluateRows:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-                    min_size=1, max_size=12))
-    def test_rows_equal_per_row_evaluate(self, points):
-        X = np.array(points)
-        want = np.array([generic_map(False).evaluate(x) for x in X])
-        assert np.array_equal(generic_map(False).evaluate_rows(X), want)
-        # the vectorized kernel sums its matrix products in another order
-        assert np.allclose(generic_map(True).evaluate_rows(X), want, rtol=1e-13, atol=1e-15)
+    @pytest.mark.parametrize("name", PACKAGE_MAPS)
+    def test_rows_equal_per_row_evaluate(self, name):
+        """N rows get the bits of N one-point calls at every order, declared
+        or from central differences; a declared derivative matches central
+        differences of the one below within criterion 8's tolerance."""
+        smap, X = package_map(name)
+        with np.errstate(all="ignore"):  # rows past overflow or behind the camera
+            for order in range(3):
+                rows = smap.derivatives(X, order) if order else (smap.evaluate(X),)
+                singles = [smap.derivatives(x, order) if order else (smap.evaluate(x),)
+                           for x in X]
+                for d, got in enumerate(rows):
+                    assert np.array_equal(got, [s[d] for s in singles], equal_nan=True)
+            for order in range(1, smap.order + 1):
+                top = smap.derivatives(X, order)[-1]
+                fd = central_differences(smap.jacobian if order > 1 else smap.evaluate, X)
+                ok = (np.isfinite(top) & np.isfinite(fd)).reshape(len(X), -1).all(1)
+                assert ok.sum() >= len(X) - 3  # all but the rows past overflow or behind
+                rel = np.abs(top[ok] - fd[ok]).max() / max(1.0, np.abs(top[ok]).max())
+                assert rel <= 1e-5
 
     def test_row_shapes_checked(self):
         smap = generic_map(False)
-        with pytest.raises(ValueError, match="shape"):
-            smap.evaluate_rows(np.zeros(3))
-        bad = SmoothMap(3, 5, smap.fn, rows=lambda X: np.zeros((len(X), 4)))
-        with pytest.raises(DimensionMismatchError):
-            bad.evaluate_rows(np.zeros((2, 3)))
+        for wrong in (np.zeros(2), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+            with pytest.raises(DimensionMismatchError, match="param"):
+                smap.evaluate(wrong)
+        bad = SmoothMap(3, 5, lambda X: np.zeros((*X.shape[:-1], 4)))
+        for X in (np.zeros(3), np.zeros((2, 3))):
+            with pytest.raises(DimensionMismatchError, match="feature"):
+                bad.evaluate(X)
 
 
 class TestGridPoints:
