@@ -51,9 +51,8 @@ class DescentRun:
 
 
 def _newton_systems(R: Array, J: Array, D2: Array) -> tuple[Array, Array]:
-    """Hessians ``2 (J^T J + sum_i r_i d2h_i)`` and gradients ``2 J^T r`` of
-    ||h - y||^2 for every row, from the residuals R = h - y (N, m), the
-    Jacobians J (N, m, p) and the second derivatives D2 (N, m, p, p)."""
+    """Hessians ``2 (J^T J + sum_i r_i d2h_i)`` and gradients ``2 J^T r`` of ||h - y||^2
+    per row, from R = h - y (N, m), J (N, m, p) and d2h (N, m, p, p)."""
     Jt = J.transpose(0, 2, 1)
     return 2.0 * (Jt @ J + np.einsum("ni,nijk->njk", R, D2)), 2.0 * (Jt @ R[..., None])[..., 0]
 
@@ -105,13 +104,14 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     def kernel(X, order):
         x = X[0] if len(X) == 1 else X
         out = map.derivatives(x, order) if order else (map.evaluate(x),)
-        return tuple(v[None] for v in out) if len(X) == 1 else out
+        return [v[None] for v in out] if len(X) == 1 else out
 
     def observe(live, X, Y, k):
         H, *D = kernel(X, 0 if newton else 1)
         R = H - Y
         rn = _norms(R)
-        traj[k, live], res[k, live], length[live] = X, rn, k + 1
+        rows = slice(None) if len(live) == n else live
+        traj[k, rows], res[k, rows], length[rows] = X, rn, k + 1
         return R, rn, D
 
     def stop(tests, live, *arrays):
@@ -121,10 +121,11 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         failed = tests[0][0]
         for mask, _ in tests[1:]:
             failed = failed | mask
-        if not failed.any():
+        ended = failed.nonzero()[0]
+        if not ended.size:
             return (live, *arrays)
-        for mask, s in reversed(tests):
-            status[live[mask]] = s
+        for j in ended.tolist():  # each row ends once
+            status[live[j]] = next(s for mask, s in tests if mask[j])
         return tuple(a[~failed] for a in (live, *arrays))
 
     live, X = np.arange(n), X0
@@ -156,10 +157,10 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         moved = _norms(X - X_prev) <= STEP_REL_TOL * np.maximum(1.0, _norms(X))
     else:
         live, = stop([(moved, RunStatus.CONVERGED)], live)
-    # out of iterations while moving away from the data is a divergence,
-    # even with a bounded residual (a parameter escaping on a saturating map)
-    away = res[length[live] - 1, live] > np.maximum(res[0, live], RESIDUAL_TOL)
-    status[live[away]], status[live[~away]] = RunStatus.DIVERGED, RunStatus.MAX_ITERS
+        # out of iterations while moving away from the data is a divergence,
+        # even with a bounded residual (a parameter escaping on a saturating map)
+        away = res[-1, live] > np.maximum(res[0, live], RESIDUAL_TOL)
+        status[live[away]], status[live[~away]] = RunStatus.DIVERGED, RunStatus.MAX_ITERS
     return _runs(traj, res, length, status)
 
 

@@ -124,7 +124,7 @@ class SmoothMap:
         for second derivatives)."""
         X = self._points(X)
         if order <= self.order:
-            return tuple(self._checked(v, X, d) for d, v in enumerate(self.kernel(X, order)))
+            return tuple([self._checked(v, X, d) for d, v in enumerate(self.kernel(X, order))])
         if order == 1:
             return self.evaluate(X), self.fd_jacobian(X)
         D = central_differences(self.jacobian, X)
