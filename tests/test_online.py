@@ -11,7 +11,7 @@ from sdm.trainer import solve_stage
 
 def linear_map(A):
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return SmoothMap(A.shape[1], A.shape[0], lambda x: x @ A.T, name="linear")
+    return SmoothMap(A.shape[1], A.shape[0], lambda x: A @ x, name="linear")
 
 
 def empty_sequence(p, m, stages=1):
