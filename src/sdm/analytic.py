@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import RunStatus, newton_rows
-from .core import DescentSequence, SmoothMap, apply_sequence_rows
+from .core import DescentSequence, SmoothMap, apply_sequence
 from .trainer import TrainerConfig, TrainingSet, train
 
 RESIDUAL_CAP = 1e8
@@ -193,7 +193,7 @@ def run_comparison(fn: AnalyticFunction, stages: int = 10) -> ComparisonResult:
     Y = fn.test_targets()[:, None]
     X0 = np.full_like(Y, fn.x0)
     x_star = [fn.h_inverse(y) for y in Y[:, 0]]
-    traj = apply_sequence_rows(seq, X0, smap, Y)
+    traj = apply_sequence(seq, X0, smap, Y)
     runs = newton_rows(smap, Y, X0, max_iters=stages)
     sdm_errs = np.array([_padded_errors(traj[:, i], x, stages + 1) for i, x in enumerate(x_star)])
     newton_errs = np.array([_padded_errors(run.iterates, x, stages + 1)

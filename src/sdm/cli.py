@@ -393,7 +393,6 @@ def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
 def cmd_apply(cfg) -> int:
     with _reading("model file", cfg.model_file):
         seq = model_io.load_sequence(cfg.model_file)
-    out_rows = []
     if cfg.problem == "pose":
         model = _pick(pose.builtin_models(), cfg.model, "model")
         smap = model.feature_map
@@ -403,18 +402,19 @@ def cmd_apply(cfg) -> int:
     if (seq.param_dim, seq.feature_dim) != (smap.param_dim, smap.feature_dim):
         raise ConfigError(f"model file maps {seq.param_dim} parameters to {seq.feature_dim} "
                           f"features, {smap.name} maps {smap.param_dim} to {smap.feature_dim}")
+    # all input rows in one cascade run, each from the problem's start point
     if cfg.problem == "pose":
-        cam = pose.DEFAULT_CAMERA
-        for row in _read_inputs(cfg.inputs, seq.feature_dim):
-            px = row.reshape(-1, 2).T
-            proj = pose.Projection(points2d=px, normalized=pose.normalize_pixels(px, cam))
-            est, _ = pose.estimate_pose(seq, proj, model, cam)
-            out_rows.append((*est.euler, *est.translation))
+        px = np.array(_read_inputs(cfg.inputs, seq.feature_dim)).reshape(-1, model.n_points, 2)
+        Y = pose.normalize_pixels(px.swapaxes(1, 2), pose.DEFAULT_CAMERA).swapaxes(1, 2)
+        Y, x0 = Y.reshape(len(px), -1), pose.DEFAULT_BASE_POSE.vector()
+    else:
+        Y, x0 = np.array(_read_inputs(cfg.inputs)).reshape(-1, 1), [fn.x0]
+    final = apply_sequence(seq, np.tile(x0, (len(Y), 1)), smap, Y)[-1]
+    if cfg.problem == "pose":
+        out_rows = [(*e.euler, *e.translation) for e in map(pose.Pose.from_vector, final)]
         header = ("yaw", "pitch", "roll", "tx", "ty", "tz")
     else:
-        for (y,) in _read_inputs(cfg.inputs):
-            traj = apply_sequence(seq, np.array([fn.x0]), smap, y=np.array([y]))
-            out_rows.append((y, float(traj[-1][0])))
+        out_rows = [(y, float(x)) for (y,), (x,) in zip(Y, final)]
         header = ("target", "estimate")
     write_csv(cfg.out, header, out_rows)
     print(f"wrote {cfg.out}: {len(out_rows)} rows")

@@ -7,7 +7,9 @@ linear update, ``x <- x + R (y - h(x)) + b`` (`DescentStep.advance`;
 generalized mode has y = 0 and a learned bias b, the other modes b = 0),
 and a DescentSequence is the trained cascade that gets applied at test
 time; a partitioned cascade holds one step per region of parameter
-space at every stage.
+space at every stage. `apply_sequence` runs a cascade from one point or
+from the rows of an array, and a row gets the same bits alone as in a
+stack.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
 
 
 def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None) -> Array:
-    """Coerce to a finite, read-only 2-D float64 array."""
-    arr = np.array(values, dtype=float, copy=True)
+    """Coerce to a finite, read-only, C-contiguous 2-D float64 array."""
+    arr = np.array(values, dtype=float, copy=True, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -173,9 +175,10 @@ class DescentStep:
 
     def advance(self, X, Phi) -> Array:
         """``X + R (y - h) + b``: one point X (p,) with its feature
-        residual Phi = y - h (m,), or (N, p) points with (N, m)
-        residuals, one per row. Generalized mode passes y = 0."""
-        return X + Phi @ self.gain.T + self.bias
+        residual Phi = y - h (m,), or (N, p) points with (N, m) residuals.
+        Generalized mode passes y = 0. Each entry of R (y - h) is one dot
+        product, so a row has the same bits alone as in a stack."""
+        return X + np.vecdot(Phi[..., None, :], self.gain) + self.bias
 
 
 def partition_coords(partition, param_dim: int) -> tuple[int, ...]:
@@ -264,18 +267,20 @@ class DescentSequence:
     def __len__(self) -> int:
         return len(self.steps) // self.n_regions
 
-    def step_at(self, stage: int, x) -> DescentStep:
-        """The step that stage `stage` applies at the point `x`."""
-        return self.steps[stage * self.n_regions + region_index(x, self.partition, self.center)]
 
-
-def advance_regions(steps, X: Array, Phi: Array, regions: Array) -> Array:
-    """Every row of X (N, p) advanced with its residual Phi (N, m) by the
-    step of its region, ``steps[regions[i]]`` (see `region_index`)."""
-    out = np.empty_like(X)
-    for r, step in enumerate(steps):
-        rows = regions == r
-        out[rows] = step.advance(X[rows], Phi[rows])
+def advance_regions(steps, X: Array, Phi: Array, regions) -> Array:
+    """Advance the point X (p,), or each row i of X (N, p), with its
+    residual Phi by the step of its region, ``steps[regions]`` or
+    ``steps[regions[i]]`` (see `region_index`). One stable sort groups
+    the rows by region, and only the regions that hold rows are visited."""
+    if X.ndim == 1:
+        return steps[regions].advance(X, Phi)
+    order = np.argsort(regions, kind="stable")
+    ends = np.cumsum(np.bincount(regions, minlength=len(steps)))
+    X, Phi, out = X[order], Phi[order], np.empty_like(X)
+    for r, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
+        if hi > lo:
+            out[order[lo:hi]] = steps[r].advance(X[lo:hi], Phi[lo:hi])
     return out
 
 
@@ -291,80 +296,56 @@ class NlsProblem:
         object.__setattr__(self, "target", target)
 
 
-def _cascade_target(seq: DescentSequence, map: SmoothMap, y, rows: int | None) -> Array:
-    """The validated target of a cascade run: y (m,) for one point, or
-    (rows, m) for `rows` rows; zeros in generalized mode, which takes no
-    target."""
+def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
+    """Run the cascade from one point x0 (p,), or from every row of an
+    (N, p) array at once, re-evaluating the map at every stage.
+
+    Returns the (len(seq) + 1, p) or (len(seq) + 1, N, p) trajectory of
+    iterates starting at x0. Each stage evaluates the map once and
+    advances every row by the step of the region holding it, ``x =
+    step.advance(x, y - h(x))`` (`advance_regions`), so a row has the
+    same bits alone as in a stack. In generalized mode `y` must be
+    omitted and is taken as zero (the steps' biases stand in for it);
+    otherwise it is the target, (m,) for a point or (N, m) with row i's
+    target in row i. If some row's evaluation turns non-finite, the
+    first such row raises DivergedError once every row has run, with
+    the partial trajectory its one-point run gives.
+    """
     if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
         raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
                                      (map.param_dim, map.feature_dim))
-    shape = (seq.feature_dim,) if rows is None else (rows, seq.feature_dim)
+    X0 = as_matrix(x0, "x0") if np.ndim(x0) == 2 else as_vector(x0, "x0")
+    if X0.shape[-1] != seq.param_dim:
+        raise DimensionMismatchError("x0", expected=seq.param_dim, got=X0.shape[-1])
+    shape = (*X0.shape[:-1], seq.feature_dim)
     if seq.mode is Mode.GENERALIZED:
         if y is not None:
             raise ValueError("generalized-mode sequences take no target")
-        return np.zeros(shape)
-    if y is None:
+        Y = np.zeros(shape)
+    elif y is None:
         raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
-    return as_vector(y, "y", dim=seq.feature_dim) if rows is None else as_matrix(y, "y", shape)
-
-
-def apply_sequence(
-    seq: DescentSequence,
-    x0,
-    map: SmoothMap,
-    y=None,
-) -> list[Array]:
-    """Run the cascade from `x0`, re-evaluating the map at every step.
-
-    Returns the full trajectory, ``len(seq) + 1`` iterates starting at
-    `x0`. Each stage applies its step for the region holding the current
-    iterate, as ``x = step.advance(x, y - h(x))``. In generalized mode
-    `y` must be omitted and is taken as zero (the steps' biases stand in
-    for it); otherwise it is the target for the residual. A non-finite
-    evaluation raises DivergedError carrying the partial trajectory.
-    """
-    x = as_vector(x0, "x0", dim=seq.param_dim)
-    y = _cascade_target(seq, map, y, None)
-    trajectory = [np.array(x)]
-    for k in range(len(seq)):
-        h = map.evaluate(trajectory[-1])
-        if not np.all(np.isfinite(h)):
-            raise DivergedError("map produced a non-finite value mid-trajectory", trajectory)
-        trajectory.append(seq.step_at(k, trajectory[-1]).advance(trajectory[-1], y - h))
-    return trajectory
-
-
-def apply_sequence_rows(seq: DescentSequence, X0, map: SmoothMap, Y=None) -> Array:
-    """`apply_sequence` from every row of X0 (N, p) at once, row i against
-    the target Y[i] of an (N, m) array (omitted in generalized mode).
-
-    Each stage evaluates the map once for all rows (`SmoothMap.evaluate`) and
-    advances every row by the step of its region (`advance_regions`), so
-    the results match the one-point path to rounding: the products are
-    summed in another order. Returns the (len(seq) + 1, N, p) array of
-    trajectories. If some row's evaluation turns non-finite, the first
-    such row in row order raises DivergedError once every row has run,
-    with the partial trajectory `apply_sequence` would give it.
-    """
-    X0 = as_matrix(X0, "x0")
-    if X0.shape[1] != seq.param_dim:
-        raise DimensionMismatchError("x0", expected=seq.param_dim, got=X0.shape[1])
-    Y = _cascade_target(seq, map, Y, len(X0))
-    traj = np.empty((len(seq) + 1, *X0.shape))
+    else:
+        Y = as_matrix(y, "y", shape) if len(shape) == 2 else as_vector(y, "y", dim=shape[0])
+    n = len(seq)
+    traj = np.empty((n + 1, *X0.shape))
     traj[0] = X0
-    broke = np.full(len(X0), len(seq))  # the stage at which a row's evaluation broke down
-    for k in range(len(seq)):
+    broke = None  # per row, the stage at which its evaluation broke down, or n
+    for k in range(n):
         X = traj[k]
         Phi = Y - map.evaluate(X)
-        bad = ~np.isfinite(Phi).all(axis=1)
-        broke[bad & (broke > k)] = k
-        Phi[bad] = 0.0  # what such a row does next is never reported
+        if not np.isfinite(Phi).all():
+            bad = ~np.isfinite(Phi).all(axis=-1)
+            broke = np.full(bad.shape, n) if broke is None else broke
+            broke[bad & (broke > k)] = k
+            if (broke < n).all():
+                break
+            Phi[bad] = 0.0  # what such a row does next is never reported
         regions = region_index(X, seq.partition, seq.center)
-        stage = seq.steps[k * seq.n_regions:(k + 1) * seq.n_regions]
-        traj[k + 1] = advance_regions(stage, X, Phi, regions)
-    failed = np.flatnonzero(broke < len(seq))
-    if failed.size:
-        i = failed[0]
-        raise DivergedError(f"map produced a non-finite value mid-trajectory (row {i})",
-                            list(traj[:broke[i] + 1, i]))
+        traj[k + 1] = advance_regions(seq.steps[k * seq.n_regions:(k + 1) * seq.n_regions],
+                                      X, Phi, regions)
+    if broke is not None:
+        i = np.flatnonzero(broke.reshape(-1) < n)[0]
+        where = f" (row {i})" if X0.ndim == 2 else ""
+        raise DivergedError(f"map produced a non-finite value mid-trajectory{where}",
+                            traj.reshape(n + 1, -1, seq.param_dim)[:broke.flat[i] + 1, i])
     return traj

@@ -26,7 +26,6 @@ from .core import (
     DescentSequence,
     SmoothMap,
     apply_sequence,
-    apply_sequence_rows,
     as_matrix,
     as_vector,
 )
@@ -246,11 +245,6 @@ def _observe(
     return px, C[:, 2].T
 
 
-def project(pose: Pose, model: ObjectModel, cam: CameraIntrinsics) -> Projection:
-    """Perspective projection; every point must have positive depth."""
-    return observe(pose, model, cam)
-
-
 def normalize_pixels(points2d, cam: CameraIntrinsics) -> Array:
     """Normalized image coordinates of pixels (..., 2, n)."""
     px = np.asarray(points2d, dtype=float)
@@ -279,7 +273,7 @@ def projection_feature_map(model: ObjectModel) -> SmoothMap:
     One kernel of order 1 serves a single pose and (N, 6) rows, and gives
     the Jacobian together with the value from one product of the model's
     homogeneous points with the camera matrix and its six derivatives.
-    Unlike `project`, evaluation does not enforce positive depth; a zero
+    Unlike `observe`, evaluation does not enforce positive depth; a zero
     or negative depth yields NaN features and NaN Jacobian entries for
     that point, which downstream iteration code reports as divergence.
     """
@@ -356,11 +350,11 @@ def estimate_pose(
     model: ObjectModel,
     cam: CameraIntrinsics,
     base_pose: Pose = DEFAULT_BASE_POSE,
-) -> tuple[Pose, list[Array]]:
+) -> tuple[Pose, Array]:
     """Run the cascade from the base pose against an observed projection.
 
-    Returns the last iterate as a Pose and the cascade's trajectory of
-    pose vectors (see `apply_sequence`).
+    Returns the last iterate as a Pose and the cascade's trajectory, the
+    (len(seq) + 1, 6) array of pose vectors (see `apply_sequence`).
     """
     if observed.n_points != model.n_points:
         raise ValueError(
@@ -448,7 +442,7 @@ def evaluate_test_poses(
 
     All poses are handled at once: one projection and one noise draw
     (equal to `observe` pose by pose from the same `rng`), the cascade
-    on rows (`apply_sequence_rows`), and errors on arrays. Each record's
+    on rows (`apply_sequence`), and errors on arrays. Each record's
     `wall_ms` is its pose's share of the batched cascade time. With
     `with_gauss_newton`, each instance is also solved by Gauss-Newton
     (25 iterations, on rows) initialized at the true pose, which bounds
@@ -467,7 +461,7 @@ def evaluate_test_poses(
     n = behind[0] if behind.size else len(truths)
     t0 = time.perf_counter()
     X0 = np.tile(base_pose.vector(), (n, 1))
-    final = apply_sequence_rows(seq, X0, model.feature_map, targets[:n])[-1]
+    final = apply_sequence(seq, X0, model.feature_map, targets[:n])[-1]
     wall_ms = (time.perf_counter() - t0) * 1e3 / max(n, 1)
     if behind.size:
         _require_positive_depth(depth[n])

@@ -2,8 +2,8 @@
 
 Each stage solves one linear least-squares problem (parameter residuals
 against feature residuals Phi = y - h), then advances every sample with
-the freshly learned step's `DescentStep.advance`, the same update
-`apply_sequence` applies at test time, before the next stage. Three
+the freshly learned steps by `core.advance_regions`, the function
+`apply_sequence` runs at test time, before the next stage. Three
 data conventions are supported: a fixed shared target (template), a
 fixed start with per-sample targets (reversed), and target-free
 regression with a learned bias (generalized, Phi = -h). A reversed

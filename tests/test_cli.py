@@ -194,7 +194,7 @@ class TestTrainApply:
              "--out", str(model_file), "--output-dir", str(tmp_path)]
         ) == 0
         truth = pose_mod.Pose(euler=[0.1, -0.05, 0.2], translation=[50.0, -80.0, 2100.0])
-        proj = pose_mod.project(truth, pose_mod.builtin_models()["cube"],
+        proj = pose_mod.observe(truth, pose_mod.builtin_models()["cube"],
                                 pose_mod.DEFAULT_CAMERA)
         obs = tmp_path / "obs.csv"
         with open(obs, "w", newline="") as f:
@@ -213,6 +213,64 @@ class TestTrainApply:
                             translation=[float(v) for v in row[3:]])
         rot_err, trans_err = pose_mod.pose_error(est, truth)
         assert rot_err < 0.5 and trans_err < 10.0
+
+    @pytest.mark.parametrize("problem", ["analytic", "pose"])
+    def test_rows_equal_one_row_runs(self, tmp_path, problem):
+        from sdm import pose as pose_mod
+        from sdm.core import apply_sequence
+
+        model_file = tmp_path / "model.sdm"
+        train = (["--problem", "analytic", "--function", "exp"] if problem == "analytic" else
+                 ["--problem", "pose", "--model", "cube", "--train-rot-step", "15",
+                  "--train-trans-step", "400"])
+        assert main(["train", *train, "--out", str(model_file),
+                     "--output-dir", str(tmp_path)]) == 0
+        seq = model_io.load_sequence(model_file)
+        rng = np.random.default_rng(3)
+        if problem == "analytic":
+            fn = registry()["exp"]
+            rows = [[y] for y in rng.uniform(0.5, 2.5, 7)]
+            want = [[y, apply_sequence(seq, [fn.x0], fn.smooth_map(), [y])[-1, 0]]
+                    for (y,) in rows]
+        else:
+            cube, cam = pose_mod.builtin_models()["cube"], pose_mod.DEFAULT_CAMERA
+            truths = [pose_mod.Pose(euler=rng.uniform(-0.3, 0.3, 3),
+                                    translation=rng.uniform(-200, 200, 3) + [0, 0, 2000])
+                      for _ in range(7)]
+            projections = [pose_mod.observe(t, cube, cam, rng, 4.0) for t in truths]
+            rows = [list(proj.points2d.ravel(order="F")) for proj in projections]
+            want = [[*est.euler, *est.translation] for est, _ in
+                    (pose_mod.estimate_pose(seq, proj, cube, cam) for proj in projections)]
+        inputs, out = tmp_path / "inputs.csv", tmp_path / "out.csv"
+        with open(inputs, "w", newline="") as f:
+            csv.writer(f).writerows([[f"c{i}" for i in range(len(rows[0]))], *rows])
+        assert main(["apply", *train[:4], "--model-file", str(model_file), "--inputs",
+                     str(inputs), "--out", str(out), "--output-dir", str(tmp_path)]) == 0
+        with open(out) as f:
+            got = [[float(v) for v in row] for row in list(csv.reader(f))[1:]]
+        assert got == [[float(v) for v in row] for row in want]
+
+    def test_first_diverging_row_in_file_order_fails(self, tmp_path, capsys):
+        from sdm import pose as pose_mod
+
+        # a huge gain throws an observation left of and above the base pose's
+        # behind the camera, and keeps the base pose's
+        huge = DescentStep(gain=1e9 * np.ones((6, 16)), bias=np.zeros(6))
+        model_io.save_sequence(DescentSequence(steps=(huge, huge), param_dim=6, feature_dim=16,
+                                               mode=Mode.REVERSED), tmp_path / "huge.sdm")
+        cube, cam = pose_mod.builtin_models()["cube"], pose_mod.DEFAULT_CAMERA
+        base = pose_mod.observe(pose_mod.DEFAULT_BASE_POSE, cube, cam).points2d
+        inputs = tmp_path / "obs.csv"
+        with open(inputs, "w", newline="") as f:
+            csv.writer(f).writerows([[f"c{i}" for i in range(16)]] + [
+                list((base + shift).ravel(order="F")) for shift in (0.0, 0.0, -1.0, -2.0)])
+        out = tmp_path / "out.csv"
+        assert main(["apply", "--problem", "pose", "--model-file", str(tmp_path / "huge.sdm"),
+                     "--inputs", str(inputs), "--out", str(out),
+                     "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: map produced a non-finite value mid-trajectory (row 2)")
+        assert not out.exists()
 
     def test_train_requires_out(self, tmp_path):
         assert main(["train", "--problem", "analytic", "--output-dir", str(tmp_path)]) == 2

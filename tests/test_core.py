@@ -66,7 +66,7 @@ class TestDmUpdate:
         step = DescentStep(gain=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
         X, Phi = rng.normal(size=(9, 3)), rng.normal(size=(9, 4))
         want = [step.advance(x, phi) for x, phi in zip(X, Phi)]
-        assert np.allclose(step.advance(X, Phi), want, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(step.advance(X, Phi), want)
 
     def test_dimension_mismatch_names_axis(self):
         step = DescentStep.from_gain([[1.0, 2.0]])  # p=1, m=2
@@ -165,6 +165,22 @@ class TestApplySequence:
             apply_sequence(seq, [5.0], smap, y=[0.0])
         assert len(err.value.trajectory) == 2  # x0 plus the one good step
 
+    @pytest.mark.parametrize("starts, first, trajectory", [([1.0, 4.0, 2.0], 0, [1, 3, 9, 27]),
+                                                           ([0.0, 2.0, 4.0], 1, [2, 6, 18])])
+    def test_first_diverging_row_raises_its_one_point_trajectory(self, starts, first,
+                                                                  trajectory):
+        # x <- 3x, and h(x) = x turns infinite past 10: a start of 1 breaks
+        # down at stage 3, 2 at stage 2, 4 at stage 1 and 0 never
+        smap = SmoothMap(1, 1, lambda x: np.where(x < 10.0, x, np.inf))
+        seq = DescentSequence(steps=(DescentStep.from_gain([[-2.0]]),) * 4, param_dim=1,
+                              feature_dim=1, mode=Mode.TEMPLATE)
+        with pytest.raises(DivergedError) as alone:
+            apply_sequence(seq, [starts[first]], smap, y=[0.0])
+        with pytest.raises(DivergedError, match=rf"\(row {first}\)") as rows:
+            apply_sequence(seq, np.array(starts)[:, None], smap, y=np.zeros((3, 1)))
+        assert np.array_equal(rows.value.trajectory, alone.value.trajectory)
+        assert np.array_equal(alone.value.trajectory, np.array(trajectory)[:, None])
+
     def test_target_requirements_by_mode(self):
         smap = linear_map([[1.0]])
         step = DescentStep.from_gain([[1.0]])
@@ -197,10 +213,18 @@ class TestPartitionedSequence:
         assert [region_index(x, (), np.zeros(0)) for x in points] == [0] * 7
 
     def test_stage_count_and_step_per_region(self):
-        seq = self.two_region_sequence()
-        assert (seq.n_regions, len(seq)) == (2, 2)
-        assert seq.step_at(1, [0.0, 1.0]) is seq.steps[2]  # at the center: region 0
-        assert seq.step_at(1, [0.0, 1.5]) is seq.steps[3]
+        assert (self.two_region_sequence().n_regions, len(self.two_region_sequence())) == (2, 2)
+        # stage k applies steps[2 k + region]; x[1] never moves, so neither does the region
+        gains = [DescentStep.from_gain([[g], [0.0]]) for g in (0.5, 0.75, 0.25, 0.125)]
+        seq = DescentSequence(steps=tuple(gains), param_dim=2, feature_dim=1,
+                              mode=Mode.REVERSED, partition=(1,), center=[1.0])
+        smap = SmoothMap(2, 1, lambda x: x[..., :1])
+        center = apply_sequence(seq, [0.0, 1.0], smap, y=[4.0])  # at the center: region 0
+        assert center[:, 0].tolist() == [0.0, 2.0, 2.5]
+        above = apply_sequence(seq, [0.0, 1.5], smap, y=[4.0])
+        assert above[:, 0].tolist() == [0.0, 3.0, 3.125]
+        rows = apply_sequence(seq, [[0.0, 1.5], [0.0, 1.0]], smap, y=[[4.0], [4.0]])
+        assert np.array_equal(rows, np.stack([above, center], 1))
 
     def test_apply_uses_the_step_of_the_current_region(self):
         smap = SmoothMap(2, 1, lambda x: np.array([x[0]]))

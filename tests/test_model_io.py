@@ -51,6 +51,20 @@ class TestSequenceFormat:
                 assert np.array_equal(a.gain, b.gain)
                 assert np.array_equal(a.bias, b.bias)
 
+    def test_loaded_sequence_runs_with_the_bits_of_the_saved_one(self, tmp_path):
+        # a least-squares solve hands back column-major gains; the file is
+        # row-major, and both must advance a point with the same bits
+        rng = np.random.default_rng(2)
+        steps = tuple(DescentStep.from_gain(np.asfortranarray(rng.normal(size=(3, 16))))
+                      for _ in range(4))
+        seq = DescentSequence(steps=steps, param_dim=3, feature_dim=16, mode=Mode.REVERSED)
+        save_sequence(seq, tmp_path / "m.sdm")
+        loaded = load_sequence(tmp_path / "m.sdm")
+        A = rng.normal(size=(16, 3))
+        smap = SmoothMap(3, 16, lambda x: np.tanh(x @ A.T))
+        X0, Y = rng.normal(size=(20, 3)), rng.normal(size=(20, 16))
+        assert np.array_equal(apply_sequence(loaded, X0, smap, Y), apply_sequence(seq, X0, smap, Y))
+
     def test_training_report_not_persisted(self, tmp_path):
         seq = random_sequence(np.random.default_rng(1))
         path = tmp_path / "m.sdm"
@@ -138,8 +152,8 @@ class TestPartitionedFormat:
         y = rng.normal(size=m)
         x = np.zeros(p)
         traj = apply_sequence(loaded, x, smap, y=y)
-        for k in range(stages):  # the v1 update rule, written out
-            x = x - arrays[2 * k] @ (A @ x - y)
+        for k in range(stages):  # the v1 update rule, one dot product per parameter
+            x = x + np.vecdot((y - A @ x)[None], arrays[2 * k]) + arrays[2 * k + 1]
             assert np.array_equal(traj[k + 1], x)
 
     @pytest.mark.parametrize("mode_code", [0, 1])  # template, reversed

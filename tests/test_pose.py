@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from sdm import pose as pose_module
 from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
 from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
-from sdm.core import DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, region_index
+from sdm.core import (DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, apply_sequence,
+                      region_index)
+from sdm.online import init_online, rls_ingest
 from sdm.pose import (
     DEFAULT_BASE_POSE,
     DEFAULT_CAMERA,
@@ -27,7 +29,6 @@ from sdm.pose import (
     observe,
     pose_error,
     pose_grid_spec,
-    project,
     projection_feature_map,
     subsample_poses,
     train_pose_sdm,
@@ -110,19 +111,19 @@ class TestRotations:
 
 class TestProjection:
     def test_optical_axis_point_hits_principal_point(self):
-        proj = project(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
+        proj = observe(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
         assert proj.points2d[:, 0] == pytest.approx([500.0, 500.0], abs=1e-12)
         assert proj.normalized[:, 0] == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_offset_point_pixel_arithmetic(self):
         # u = 1000 * 100 / 2000 + 500 = 550
-        proj = project(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
+        proj = observe(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
         assert proj.points2d[:, 1] == pytest.approx([550.0, 500.0], abs=1e-9)
 
     def test_zero_depth_rejected_with_indices(self):
         pose = Pose(euler=np.zeros(3), translation=np.zeros(3))
         with pytest.raises(InvalidProjectionError) as err:
-            project(pose, tetra_model(), DEFAULT_CAMERA)
+            observe(pose, tetra_model(), DEFAULT_CAMERA)
         assert 0 in err.value.indices
 
     def test_normalization_is_intrinsics_free(self):
@@ -137,7 +138,7 @@ class TestProjection:
                 fx=rng.uniform(200, 3000), fy=rng.uniform(200, 3000),
                 u0=rng.uniform(-50, 900), v0=rng.uniform(-50, 900),
             )
-            proj = project(pose, model, cam)
+            proj = observe(pose, model, cam)
             assert proj.normalized == pytest.approx(expected, abs=1e-12)
 
     def test_feature_map_matches_project_and_fd_jacobian(self):
@@ -145,7 +146,7 @@ class TestProjection:
         fmap = projection_feature_map(model)
         pose = Pose(euler=[0.1, 0.2, -0.3], translation=[30.0, -40.0, 2100.0])
         feat = fmap.evaluate(pose.vector())
-        proj = project(pose, model, DEFAULT_CAMERA)
+        proj = observe(pose, model, DEFAULT_CAMERA)
         assert feat == pytest.approx(proj.feature(), abs=1e-15)
         assert fmap.jacobian(pose.vector()) == pytest.approx(
             fmap.fd_jacobian(pose.vector()), rel=1e-5, abs=1e-9
@@ -350,7 +351,7 @@ def small_cube_seq():
 class TestEstimation:
     def test_exact_observation_is_fixed_point(self, small_cube_seq):
         cube, seq = small_cube_seq
-        obs = project(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
+        obs = observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
         est, traj = estimate_pose(seq, obs, cube, DEFAULT_CAMERA)
         rot, trans = pose_error(est, DEFAULT_BASE_POSE)
         assert rot < 1e-6 and trans < 1e-6
@@ -382,7 +383,7 @@ class TestEstimation:
                 euler=[math.radians(deg), 0.0, 0.0],
                 translation=DEFAULT_BASE_POSE.translation,
             )
-            obs = project(truth, cube, DEFAULT_CAMERA)
+            obs = observe(truth, cube, DEFAULT_CAMERA)
             est, _ = estimate_pose(seq, obs, cube, DEFAULT_CAMERA)
             return pose_error(est, truth)[0]
 
@@ -395,7 +396,7 @@ class TestEstimation:
         huge = DescentStep(gain=1e9 * np.ones((6, 16)), bias=np.zeros(6))
         seq = DescentSequence(steps=(huge, huge), param_dim=6, feature_dim=16,
                               mode=Mode.REVERSED)
-        clean = project(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
+        clean = observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
         target = Projection(
             points2d=clean.points2d, normalized=clean.normalized - 0.001
         )
@@ -405,7 +406,7 @@ class TestEstimation:
 
     def test_observation_point_count_checked(self, small_cube_seq):
         cube, seq = small_cube_seq
-        obs = project(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
+        obs = observe(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
         with pytest.raises(ValueError, match="points"):
             estimate_pose(seq, obs, cube, DEFAULT_CAMERA)
 
@@ -486,7 +487,7 @@ class TestObserve:
     def test_noise_statistics(self):
         cube = builtin_models()["cube"]
         rng = np.random.default_rng(11)
-        clean = project(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
+        clean = observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
         deltas = []
         for _ in range(400):
             noisy = observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA, rng, noise_variance=4.0)
@@ -537,7 +538,8 @@ def per_pose_loop(seq, model, poses, rng=None, noise_variance=0.0):
 @pytest.fixture(scope="module")
 def seed42_objects():
     """The pose command's protocol at seed 42 on 300 test poses per object:
-    the batched records and the per-pose loop's results."""
+    the cascade, the test poses, the batched records and the per-pose
+    loop's results."""
     out = {}
     for name, model in builtin_models().items():
         seq = train_pose_sdm(model, DEFAULT_CAMERA, pose_grid_spec(), noise_variance=4.0,
@@ -550,8 +552,20 @@ def seed42_objects():
                                       rng=stream(42, f"pose-test-noise-{name}"),
                                       with_gauss_newton=True)
         loop = per_pose_loop(seq, model, poses, stream(42, f"pose-test-noise-{name}"), 4.0)
-        out[name] = records, loop
+        out[name] = seq, poses, records, loop
     return out
+
+
+def online_cascade(model, starts):
+    """A generalized-mode cascade served from an online state: four stages
+    refreshed by 200 samples that run from `starts` to the base pose."""
+    m = model.feature_map.feature_dim
+    zero = DescentStep(gain=np.zeros((6, m)), bias=np.zeros(6))
+    state = init_online(DescentSequence(steps=(zero,) * 4, param_dim=6, feature_dim=m,
+                                        mode=Mode.GENERALIZED), ridge=1e-3)
+    for x0 in starts[:200]:
+        rls_ingest(state, DEFAULT_BASE_POSE.vector(), x0, model.feature_map)
+    return state.to_sequence()
 
 
 def test_gauss_newton_rows_equal_single_runs_on_the_projection_map():
@@ -572,17 +586,40 @@ def test_gauss_newton_rows_equal_single_runs_on_the_projection_map():
 class TestRowsEqualThePerPoseLoop:
     @pytest.mark.parametrize("name, max_iters", [("cube", 0), ("body", 0), ("face", 9)])
     def test_estimates_and_gauss_newton_runs(self, seed42_objects, name, max_iters):
-        records, loop = seed42_objects[name]
+        _, _, records, loop = seed42_objects[name]
         assert len(records) == len(loop) == 300
         for rec, (est, run, gn_err) in zip(records, loop):
-            # the cascade sums its products in another order on rows
-            assert np.allclose(rec.estimate.vector(), est.vector(), rtol=0, atol=1e-9)
+            assert np.array_equal(rec.estimate.vector(), est.vector())
             assert rec.gn_status is run.status
             assert rec.gn_iterations == len(run.iterates) - 1
             assert (rec.gn_rot_err_deg, rec.gn_trans_err_mm) == pytest.approx(gn_err, abs=1e-9)
         statuses = Counter(r.gn_status for r in records)
         assert statuses == +Counter({RunStatus.CONVERGED: 300 - max_iters,
                                      RunStatus.MAX_ITERS: max_iters})
+
+    @pytest.mark.parametrize("name", ["cube", "body", "face", "flat", "online"])
+    def test_cascade_rows_equal_one_point_runs(self, seed42_objects, euler_cascades, name):
+        # each object's partitioned cascade from the base pose, the cube's
+        # one-region cascade, and a generalized-mode cube cascade served
+        # from an online state, which starts every row at its own test pose
+        obj = "cube" if name in ("flat", "online") else name
+        seq, poses, _, _ = seed42_objects[obj]
+        model = builtin_models()[obj]
+        rng = stream(42, "cascade-rows")
+        Y = np.array([observe(p, model, DEFAULT_CAMERA, rng, 4.0).feature() for p in poses])
+        X0 = np.tile(DEFAULT_BASE_POSE.vector(), (len(poses), 1))
+        if name == "flat":
+            seq = euler_cascades["flat"]
+        elif name == "online":
+            X0 = np.array([p.vector() for p in poses])
+            seq, Y = online_cascade(model, X0[::-1]), None
+        fmap = model.feature_map
+        for n in (1, 2, len(X0)):
+            traj = apply_sequence(seq, X0[:n], fmap, None if Y is None else Y[:n])
+            assert traj.shape == (len(seq) + 1, n, 6)
+            for i in range(n):
+                one = apply_sequence(seq, X0[i], fmap, None if Y is None else Y[i])
+                assert np.array_equal(traj[:, i], one)
 
     @pytest.mark.parametrize("order", [("diverges", "behind"), ("behind", "diverges")])
     def test_first_failing_pose_raises_as_in_the_loop(self, small_cube_seq, order):
@@ -604,7 +641,7 @@ class TestRowsEqualThePerPoseLoop:
                           InvalidProjectionError)
         if isinstance(want, DivergedError):
             assert len(got.value.trajectory) == len(want.trajectory) == 2
-            assert np.allclose(got.value.trajectory, want.trajectory, rtol=1e-12, atol=0)
+            assert np.array_equal(got.value.trajectory, want.trajectory)
         else:
             assert got.value.indices == want.indices
             assert str(got.value) == str(want)
