@@ -213,11 +213,11 @@ class TestPartitionedSequence:
         assert [region_index(x, (), np.zeros(0)) for x in points] == [0] * 7
 
     def test_stage_count_and_step_per_region(self):
-        assert (self.two_region_sequence().n_regions, len(self.two_region_sequence())) == (2, 2)
         # stage k applies steps[2 k + region]; x[1] never moves, so neither does the region
         gains = [DescentStep.from_gain([[g], [0.0]]) for g in (0.5, 0.75, 0.25, 0.125)]
         seq = DescentSequence(steps=tuple(gains), param_dim=2, feature_dim=1,
                               mode=Mode.REVERSED, partition=(1,), center=[1.0])
+        assert (seq.n_regions, len(seq)) == (2, 2)
         smap = SmoothMap(2, 1, lambda x: x[..., :1])
         center = apply_sequence(seq, [0.0, 1.0], smap, y=[4.0])  # at the center: region 0
         assert center[:, 0].tolist() == [0.0, 2.0, 2.5]
