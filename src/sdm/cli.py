@@ -24,8 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analytic, model_io, pose
-from .core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence
-from .errors import ConfigError, DegenerateNeighborhoodError, SdmError
+from .core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence, matvec_rows
+from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError
 from .online import init_online, rls_ingest
 from .seeds import stream
 from .theory import (
@@ -38,7 +38,7 @@ from .theory import (
     monotone_1d_registry,
     random_operator_suite,
 )
-from .trainer import TrainerConfig, solve_stage, train
+from .trainer import TrainerConfig, train
 
 
 def _fmt(value) -> str:
@@ -306,15 +306,11 @@ def cmd_verify(cfg) -> int:
     return 0 if all_valid else 1
 
 
-def _demo_map(A) -> SmoothMap:
-    """x -> A x from one A @ x per row: a row gets the bits of one point."""
-    m, p = A.shape
-    return SmoothMap(p, m, lambda X: (X[..., None, :] @ A.T)[..., 0, :], name="demo-linear")
-
-
 def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
-    """One single-stage equivalence check; returns relative deviation."""
-    smap = _demo_map(rng.normal(size=(m, p)))
+    """One single-stage check against the exponentially weighted ridge solve
+    (at lam = 1, the plain one); returns the relative deviation."""
+    A = rng.normal(size=(m, p))
+    smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
     zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
     seq_stub = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m, mode=Mode.GENERALIZED)
     state = init_online(seq_stub, ridge=ridge, forgetting=lam)
@@ -326,15 +322,10 @@ def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
 
     feats = np.column_stack([smap.evaluate(starts), np.ones(n)])
     resid = optima - starts
-    if lam == 1.0:
-        # matching batch problem: ridge over all augmented coefficients
-        batch = solve_stage(resid, feats, with_bias=False, ridge=ridge)
-        W_batch = batch.gain  # regression coefficients in the additive convention
-    else:
-        weights = lam ** np.arange(n - 1, -1, -1)
-        gram = feats.T @ (weights[:, None] * feats) + (lam**n) * ridge * np.eye(m + 1)
-        rhs = feats.T @ (weights[:, None] * resid)
-        W_batch = np.linalg.solve(gram, rhs).T
+    # ridge over all augmented coefficients, decayed as the recursive state's is
+    weights = lam ** np.arange(n - 1, -1, -1)
+    gram = feats.T @ (weights[:, None] * feats) + (lam**n) * ridge * np.eye(m + 1)
+    W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * resid)).T
     return float(
         np.linalg.norm(W_online - W_batch, "fro") / np.linalg.norm(W_batch, "fro")
     )
@@ -369,9 +360,10 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
+def _read_inputs(path, width: int | None = None) -> tuple[list[np.ndarray], list[int]]:
     """Data rows after the header as finite floats: `width` values each, or the
-    first cell only if `width` is None. Blank rows and '#' rows are skipped."""
+    first cell only if `width` is None. Blank rows and '#' rows are skipped.
+    Returns the rows and the line number of each."""
     with _reading("inputs file", path), open(path, newline="") as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
@@ -387,7 +379,7 @@ def _read_inputs(path, width: int | None = None) -> list[np.ndarray]:
             raise ConfigError(f"{path}:{lineno}: expected numbers, got {row}") from None
         if not np.isfinite(values[-1]).all():
             raise ConfigError(f"{path}:{lineno}: expected finite numbers, got {row}")
-    return values
+    return values, [lineno for lineno, _ in rows[1:]]
 
 
 def cmd_apply(cfg) -> int:
@@ -404,12 +396,17 @@ def cmd_apply(cfg) -> int:
                           f"features, {smap.name} maps {smap.param_dim} to {smap.feature_dim}")
     # all input rows in one cascade run, each from the problem's start point
     if cfg.problem == "pose":
-        px = np.array(_read_inputs(cfg.inputs, seq.feature_dim)).reshape(-1, model.n_points, 2)
-        Y = pose.normalize_pixels(px.swapaxes(1, 2), pose.DEFAULT_CAMERA).swapaxes(1, 2)
-        Y, x0 = Y.reshape(len(px), -1), pose.DEFAULT_BASE_POSE.vector()
+        rows, lines = _read_inputs(cfg.inputs, seq.feature_dim)
+        px = np.array(rows).reshape(-1, model.n_points, 2).swapaxes(1, 2)  # (u, v) per point
+        Y, x0 = pose.pixel_features(px, pose.DEFAULT_CAMERA), pose.DEFAULT_BASE_POSE.vector()
     else:
-        Y, x0 = np.array(_read_inputs(cfg.inputs)).reshape(-1, 1), [fn.x0]
-    final = apply_sequence(seq, np.tile(x0, (len(Y), 1)), smap, Y)[-1]
+        rows, lines = _read_inputs(cfg.inputs)
+        Y, x0 = np.array(rows).reshape(-1, 1), [fn.x0]
+    try:
+        final = apply_sequence(seq, np.tile(x0, (len(Y), 1)), smap, Y)[-1]
+    except DivergedError as exc:  # name the input line, as every other input error does
+        raise DivergedError(f"{cfg.inputs}:{lines[exc.row]}: {exc.args[0]}",
+                            exc.trajectory) from None
     if cfg.problem == "pose":
         out_rows = [(*e.euler, *e.translation) for e in map(pose.Pose.from_vector, final)]
         header = ("yaw", "pitch", "roll", "tx", "ty", "tz")

@@ -53,6 +53,12 @@ def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None
     return arr
 
 
+def matvec_rows(A: Array, X: Array) -> Array:
+    """``A @ x`` at the point X (p,) or at each row of X (N, p), as a stack of
+    one-row products: a row gets the bits of that point alone."""
+    return (X[..., None, :] @ A.T)[..., 0, :]
+
+
 def central_differences(f: Callable[[Array], Array], X: Array) -> Array:
     """Central differences of f at the point X (p,), or at every row of an
     (N, p) array, one per coordinate, on a new last axis. `f` takes rows
@@ -309,7 +315,7 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
     otherwise it is the target, (m,) for a point or (N, m) with row i's
     target in row i. If some row's evaluation turns non-finite, the
     first such row raises DivergedError once every row has run, with
-    the partial trajectory its one-point run gives.
+    its index and the partial trajectory its one-point run gives.
     """
     if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
         raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
@@ -345,7 +351,7 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
                                       X, Phi, regions)
     if broke is not None:
         i = np.flatnonzero(broke.reshape(-1) < n)[0]
-        where = f" (row {i})" if X0.ndim == 2 else ""
-        raise DivergedError(f"map produced a non-finite value mid-trajectory{where}",
-                            traj.reshape(n + 1, -1, seq.param_dim)[:broke.flat[i] + 1, i])
+        raise DivergedError("map produced a non-finite value mid-trajectory",
+                            traj.reshape(n + 1, -1, seq.param_dim)[:broke.flat[i] + 1, i],
+                            row=int(i) if X0.ndim == 2 else None)
     return traj

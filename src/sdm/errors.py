@@ -18,12 +18,17 @@ class DimensionMismatchError(SdmError):
 class DivergedError(SdmError):
     """An iteration produced a non-finite evaluation.
 
-    Carries the iterates computed before the breakdown in `trajectory`.
+    Carries the iterates computed before the breakdown in `trajectory`,
+    and in `row` the failing row of a run on rows, shown as " (row i)".
     """
 
-    def __init__(self, message: str, trajectory):
+    def __init__(self, message: str, trajectory, row: int | None = None):
         self.trajectory = list(trajectory)
+        self.row = row
         super().__init__(message)
+
+    def __str__(self) -> str:
+        return self.args[0] if self.row is None else f"{self.args[0]} (row {self.row})"
 
 
 class DegenerateNeighborhoodError(SdmError):

@@ -14,8 +14,8 @@ information matrix per stage. Round-trips are exact.
 Loading checks the header's sizes against the bytes that follow before
 reading any array, and refuses a file with bytes left over, zero stages
 or dimensions, a non-finite number, a nonzero bias outside generalized
-mode, or (online states) an inverse information matrix that is not
-exactly symmetric; every malformed file raises ModelFormatError.
+mode, or (online states) a state that breaks a rule of `OnlineState`;
+every malformed file raises ModelFormatError.
 """
 from __future__ import annotations
 
@@ -88,6 +88,17 @@ def _read_header(reader: _Reader, magic: bytes, versions=(FORMAT_VERSION,)):
     return version, _CODE_MODES[mode_code], p, m, stages
 
 
+def _steps_bytes(steps) -> list[bytes]:
+    """Each step's gain (row-major) and then its bias, step by step."""
+    return [np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for step in steps for a in (step.gain, step.bias)]
+
+
+def _read_steps(reader: _Reader, n: int, p: int, m: int) -> list[DescentStep]:
+    return [DescentStep(gain=reader.array((p, m), "gain"), bias=reader.array((p,), "bias"))
+            for _ in range(n)]
+
+
 def sequence_bytes(seq: DescentSequence) -> bytes:
     k = len(seq.partition)
     version = PARTITIONED_FORMAT_VERSION if k else FORMAT_VERSION
@@ -96,10 +107,7 @@ def sequence_bytes(seq: DescentSequence) -> bytes:
     if k:
         parts.append(struct.pack(f"<I{k}I", k, *seq.partition))
         parts.append(np.ascontiguousarray(seq.center, dtype="<f8").tobytes())
-    for step in seq.steps:
-        parts.append(np.ascontiguousarray(step.gain, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(step.bias, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return b"".join(parts + _steps_bytes(seq.steps))
 
 
 def save_sequence(seq: DescentSequence, path) -> None:
@@ -121,11 +129,7 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
         center = reader.array((k,), "partition center")
     n_steps = stages << len(partition)
     reader.expect(n_steps * (p * m + p))
-    steps = []
-    for _ in range(n_steps):
-        gain = reader.array((p, m), "gain")
-        bias = reader.array((p,), "bias")
-        steps.append(DescentStep(gain=gain, bias=bias))
+    steps = _read_steps(reader, n_steps, p, m)
     try:
         return DescentSequence(steps=tuple(steps), param_dim=p, feature_dim=m, mode=mode,
                                partition=partition, center=center)
@@ -147,12 +151,9 @@ def save_online_state(state: OnlineState, path) -> None:
             state.n_stages,
         ),
         struct.pack("<dd", state.forgetting, state.sample_weight),
+        *_steps_bytes(state.steps),
+        *[np.ascontiguousarray(S, dtype="<f8").tobytes() for S in state.inv_cov],
     ]
-    for step in state.steps:
-        parts.append(np.ascontiguousarray(step.gain, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(step.bias, dtype="<f8").tobytes())
-    for S in state.inv_cov:
-        parts.append(np.ascontiguousarray(S, dtype="<f8").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
@@ -166,27 +167,12 @@ def online_state_from_bytes(data: bytes) -> OnlineState:
     reader = _Reader(data)
     _, _, p, m, stages = _read_header(reader, ONLINE_MAGIC)
     forgetting, sample_weight = reader.unpack("<dd")
-    if not (0 < forgetting <= 1 and 0 < sample_weight < math.inf):
-        raise ModelFormatError(
-            f"forgetting {forgetting} must lie in (0, 1] and sample weight "
-            f"{sample_weight} must be finite and > 0"
-        )
     reader.expect(stages * (p * m + p + (m + 1) ** 2))
-    weights = []
-    for _ in range(stages):
-        gain = reader.array((p, m), "gain")
-        bias = reader.array((p,), "bias")
-        weights.append(_weights_from_step(DescentStep(gain=gain, bias=bias)))
+    weights = [_weights_from_step(step) for step in _read_steps(reader, stages, p, m)]
     inv_cov = [reader.array((m + 1, m + 1), "inverse information matrix")
                for _ in range(stages)]
-    for k, S in enumerate(inv_cov):
-        if not np.array_equal(S, S.T):
-            raise ModelFormatError(f"inverse information matrix {k} is not exactly symmetric")
-    return OnlineState(
-        weights=weights,
-        inv_cov=inv_cov,
-        param_dim=p,
-        feature_dim=m,
-        forgetting=forgetting,
-        sample_weight=sample_weight,
-    )
+    try:
+        return OnlineState(weights=weights, inv_cov=inv_cov, param_dim=p, feature_dim=m,
+                           forgetting=forgetting, sample_weight=sample_weight)
+    except ValueError as exc:  # forgetting, sample weight or symmetry out of rule
+        raise ModelFormatError(str(exc)) from exc

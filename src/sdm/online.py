@@ -36,12 +36,12 @@ def _weights_from_step(step: DescentStep) -> Array:
 class OnlineState:
     """Mutable per-stage weights and inverse information matrices.
 
-    `forgetting` is the exponential discount (1.0 keeps all history);
-    `sample_weight` scales each new sample. Single writer. An ingest
-    swaps new weight arrays in with one assignment, so readers of
-    `weights`, `steps` and `to_sequence()` never see a half-applied
-    update; it downdates the `inv_cov` arrays in place, which must
-    therefore be exactly symmetric and share no memory.
+    `forgetting` in (0, 1] is the exponential discount (1.0 keeps all
+    history); `sample_weight`, finite and > 0, scales each new sample.
+    Single writer. An ingest swaps new weight arrays in with one
+    assignment, so readers of `weights`, `steps` and `to_sequence()`
+    never see a half-applied update, and downdates the `inv_cov` arrays
+    in place, so they must be exactly symmetric and share no memory.
     """
 
     weights: list[Array]
@@ -53,9 +53,9 @@ class OnlineState:
 
     def __post_init__(self):
         if not (0 < self.forgetting <= 1):
-            raise ValueError("forgetting factor must lie in (0, 1]")
-        if not self.sample_weight > 0:
-            raise ValueError("sample_weight must be > 0")
+            raise ValueError(f"forgetting factor must lie in (0, 1], got {self.forgetting}")
+        if not 0 < self.sample_weight < np.inf:
+            raise ValueError(f"sample weight must be finite and > 0, got {self.sample_weight}")
         if len(self.weights) != len(self.inv_cov) or not self.weights:
             raise ValueError("weights and inv_cov must be aligned and nonempty")
         maug = self.feature_dim + 1

@@ -253,6 +253,13 @@ def normalize_pixels(points2d, cam: CameraIntrinsics) -> Array:
     )
 
 
+def pixel_features(points2d, cam: CameraIntrinsics) -> Array:
+    """Features of pixels (..., 2, n): normalized, point-major (u1, v1, u2,
+    ...) as (..., 2n), as `Projection.feature` and the projection map give."""
+    nm = normalize_pixels(points2d, cam)
+    return nm.swapaxes(-1, -2).reshape(*nm.shape[:-2], 2 * nm.shape[-1])
+
+
 def observe(
     pose: Pose,
     model: ObjectModel,
@@ -337,8 +344,7 @@ def train_pose_sdm(
             f"training pose euler={poses[i, :3].tolist()} t={poses[i, 3:].tolist()} "
             "is invalid: ",
         )
-    # point-major features (u1, v1, u2, ...), as Projection.feature
-    targets = normalize_pixels(px, cam).transpose(0, 2, 1).reshape(len(poses), -1)
+    targets = pixel_features(px, cam)
     del px, depth  # the pixels and the camera frame behind the depths: lower peak memory
     tset = TrainingSet.reversed_targets(model.feature_map, base_pose.vector(), poses, targets)
     return train(tset, config, partition=partition)
@@ -455,8 +461,7 @@ def evaluate_test_poses(
     """
     truths = np.array([p.vector() for p in test_poses]).reshape(-1, 6)
     px, depth = _observe(truths, model, cam, rng, noise_variance)
-    n_features = 2 * model.n_points
-    targets = normalize_pixels(px, cam).transpose(0, 2, 1).reshape(len(truths), n_features)
+    targets = pixel_features(px, cam)
     behind = np.flatnonzero((depth <= 0).any(axis=1))
     n = behind[0] if behind.size else len(truths)
     t0 = time.perf_counter()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import registry
-from .core import Array, DescentStep, SmoothMap, as_vector
+from .core import Array, DescentStep, SmoothMap, as_vector, matvec_rows
 from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError
 
 # Total sample budget for multi-dimensional lattices; beyond the largest
@@ -264,7 +264,7 @@ def random_operator_suite(seed: int = 0, count: int = 10):
         nonlinear = i % 3 == 2
 
         def fn(X, A=A, anchor=anchor, nonlinear=nonlinear):
-            out = (X[..., None, :] @ A.T)[..., 0, :]  # one A @ x per row, the bits of one point
+            out = matvec_rows(A, X)
             if nonlinear:
                 out = out + 0.05 * np.sin(X - anchor)
             return out

@@ -268,8 +268,8 @@ class TestTrainApply:
         assert main(["apply", "--problem", "pose", "--model-file", str(tmp_path / "huge.sdm"),
                      "--inputs", str(inputs), "--out", str(out),
                      "--output-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: map produced a non-finite value mid-trajectory (row 2)")
+        assert capsys.readouterr().err == (
+            f"error: {inputs}:4: map produced a non-finite value mid-trajectory\n")
         assert not out.exists()
 
     def test_train_requires_out(self, tmp_path):

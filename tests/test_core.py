@@ -180,6 +180,7 @@ class TestApplySequence:
             apply_sequence(seq, np.array(starts)[:, None], smap, y=np.zeros((3, 1)))
         assert np.array_equal(rows.value.trajectory, alone.value.trajectory)
         assert np.array_equal(alone.value.trajectory, np.array(trajectory)[:, None])
+        assert (rows.value.row, alone.value.row) == (first, None)
 
     def test_target_requirements_by_mode(self):
         smap = linear_map([[1.0]])

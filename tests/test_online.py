@@ -261,6 +261,14 @@ class TestStateValidation:
                 feature_dim=1, forgetting=1.5,
             )
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, 0.0, -1.0])
+    def test_sample_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="sample weight"):
+            OnlineState(weights=[np.zeros((1, 2))], inv_cov=[np.eye(2)], param_dim=1,
+                        feature_dim=1, sample_weight=weight)
+        with pytest.raises(ValueError, match="sample weight"):
+            init_online(empty_sequence(1, 1), ridge=1.0, sample_weight=weight)
+
     def test_inv_cov_must_be_exactly_symmetric(self):
         S = np.eye(3)
         S[0, 1] = np.nextafter(0.0, 1.0)

@@ -27,6 +27,7 @@ from sdm.pose import (
     grid_poses,
     load_model_file,
     observe,
+    pixel_features,
     pose_error,
     pose_grid_spec,
     projection_feature_map,
@@ -507,6 +508,19 @@ class TestObserve:
             ]
         )
         assert noisy.normalized == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["cube", "body", "face"])
+    def test_pixel_features_of_rows_equal_each_observed_feature(self, name):
+        model = builtin_models()[name]
+        poses = grid_poses(pose_grid_spec(30.0, 15.0, 400.0, 400.0), DEFAULT_BASE_POSE)[::7]
+        px, _ = _observe(poses, model, DEFAULT_CAMERA, stream(3, name), noise_variance=4.0)
+        rows = pixel_features(px, DEFAULT_CAMERA)
+        assert rows.shape == (len(poses), 2 * model.n_points)
+        rng = stream(3, name)
+        for row, v in zip(rows, poses):
+            obs = observe(Pose.from_vector(v), model, DEFAULT_CAMERA, rng, noise_variance=4.0)
+            assert np.array_equal(row, obs.feature())
+        assert pixel_features(px[:0], DEFAULT_CAMERA).shape == (0, 2 * model.n_points)
 
     def test_subsample_deterministic_and_bounded(self):
         poses = grid_poses(pose_grid_spec(30.0, 15.0, 0.0, 100.0), DEFAULT_BASE_POSE)

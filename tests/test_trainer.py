@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sdm import pose
 from sdm.analytic import registry
-from sdm.cli import _demo_map
-from sdm.core import Mode, SmoothMap, apply_sequence, central_differences, region_index
+from sdm.core import (Mode, SmoothMap, apply_sequence, central_differences, matvec_rows,
+                      region_index)
 from sdm.errors import (
     DimensionMismatchError,
     PartitionError,
@@ -357,8 +357,9 @@ def package_map(name):
     if name in registry():
         return registry()[name].smooth_map(), np.append(
             np.linspace(-3.0, 3.0, 13), [709.0, 710.0, 1000.0])[:, None]
-    if name == "demo-linear":
-        return _demo_map(rng.normal(size=(6, 3))), rng.normal(size=(9, 3))
+    if name == "demo-linear":  # the online-demo's map, x -> A x by `matvec_rows`, with m > p
+        A = rng.normal(size=(6, 3))
+        return SmoothMap(3, 6, lambda X: matvec_rows(A, X), name=name), rng.normal(size=(9, 3))
     if name.startswith("projection-"):
         offsets = np.column_stack([rng.uniform(-0.5, 0.5, (8, 3)), rng.uniform(-300, 300, (8, 3))])
         poses = np.vstack([pose.DEFAULT_BASE_POSE.vector() + offsets, [0, 0, 0, 0, 0, -500.0]])
