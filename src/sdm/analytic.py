@@ -154,63 +154,50 @@ def build_training_set(fn: AnalyticFunction) -> TrainingSet:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Mean normalized residual per iteration for both methods."""
+    """Mean normalized error per iteration (0 to stages) for both methods."""
 
-    function: str
-    iterations: tuple[int, ...]
-    sdm_mean: tuple[float, ...]
-    newton_mean: tuple[float, ...]
+    sdm_mean: np.ndarray
+    newton_mean: np.ndarray
     n_test: int
     newton_statuses: tuple[str, ...]
-    sdm_final_mean: float
-    newton_final_mean: float
     sequence: DescentSequence
-    constants_header: str
+
+    @property
+    def sdm_final_mean(self) -> float:
+        return float(self.sdm_mean[-1])
+
+    @property
+    def newton_final_mean(self) -> float:
+        return float(self.newton_mean[-1])
 
     def rows(self) -> list[tuple]:
-        out = []
-        for method, series in (("sdm", self.sdm_mean), ("newton", self.newton_mean)):
-            for k, v in zip(self.iterations, series):
-                out.append((method, k, v, self.n_test))
-        return out
-
-
-def _padded_errors(iterates, x_star: float, length: int) -> np.ndarray:
-    """Normalized |x_k - x*| / |x*|, last value repeated out to `length`."""
-    errs = [abs(float(x[0]) - x_star) / abs(x_star) for x in iterates]
-    while len(errs) < length:
-        errs.append(errs[-1])
-    errs = np.array(errs[:length])
-    errs[~np.isfinite(errs)] = RESIDUAL_CAP
-    return np.minimum(errs, RESIDUAL_CAP)
+        return [(method, k, v, self.n_test)
+                for method, series in (("sdm", self.sdm_mean), ("newton", self.newton_mean))
+                for k, v in enumerate(series)]
 
 
 def run_comparison(fn: AnalyticFunction, stages: int = 10) -> ComparisonResult:
     """Train a reversed cascade, then race it against Newton on all test
-    targets at once."""
+    targets at once. A Newton run that ends early keeps its last iterate; an
+    error |x_k - x*| / |x*| above RESIDUAL_CAP, or not finite, counts as the cap."""
     seq = train(build_training_set(fn), TrainerConfig(stages=stages, ridge=0.0))
     smap = fn.smooth_map()
     Y = fn.test_targets()[:, None]
     X0 = np.full_like(Y, fn.x0)
-    x_star = [fn.h_inverse(y) for y in Y[:, 0]]
+    x_star = np.array([fn.h_inverse(y) for y in Y[:, 0]])[:, None]
     traj = apply_sequence(seq, X0, smap, Y)
     runs = newton_rows(smap, Y, X0, max_iters=stages)
-    sdm_errs = np.array([_padded_errors(traj[:, i], x, stages + 1) for i, x in enumerate(x_star)])
-    newton_errs = np.array([_padded_errors(run.iterates, x, stages + 1)
-                            for run, x in zip(runs, x_star)])
-    sdm_mean = sdm_errs.mean(axis=0)
-    newton_mean = newton_errs.mean(axis=0)
+    k = np.arange(stages + 1)
+    newton_x = [run.iterates[np.minimum(k, len(run.iterates) - 1), 0] for run in runs]
+    # (method, target, iteration), C-contiguous: each table is averaged over targets in row order
+    E = np.abs(np.stack([traj[..., 0].T, newton_x]) - x_star) / np.abs(x_star)
+    sdm_mean, newton_mean = (e.mean(axis=0) for e in np.where(E <= RESIDUAL_CAP, E, RESIDUAL_CAP))
     return ComparisonResult(
-        function=fn.name,
-        iterations=tuple(range(stages + 1)),
-        sdm_mean=tuple(sdm_mean),
-        newton_mean=tuple(np.minimum(newton_mean, RESIDUAL_CAP)),
+        sdm_mean=sdm_mean,
+        newton_mean=newton_mean,
         n_test=len(Y),
         newton_statuses=tuple(run.status.value for run in runs),
-        sdm_final_mean=float(sdm_mean[-1]),
-        newton_final_mean=float(newton_mean[-1]),
         sequence=seq,
-        constants_header=fn.constants_header(),
     )
 
 
@@ -225,8 +212,7 @@ def check_registry_invariants(fn: AnalyticFunction, result: ComparisonResult) ->
         problems.append("sdm-final-error")
     if result.sdm_mean[-1] > result.sdm_mean[1]:
         problems.append("sdm-iteration-decrease")
-    sdm = np.array(result.sdm_mean)
-    if np.any(np.diff(sdm) > 1e-9):
+    if np.any(np.diff(result.sdm_mean) > 1e-9):
         problems.append("sdm-monotone-mean")
     if all(s == RunStatus.CONVERGED.value for s in result.newton_statuses):
         newton_wins = result.newton_final_mean < result.sdm_final_mean

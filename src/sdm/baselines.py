@@ -33,14 +33,14 @@ class RunStatus(str, Enum):
 
 @dataclass(frozen=True)
 class DescentRun:
-    """Iterates and per-iterate residual norms of one solver run."""
+    """Iterates (k, p) and per-iterate residual norms (k,) of one solver run."""
 
-    iterates: tuple[Array, ...]
-    residuals: tuple[float, ...]
+    iterates: Array
+    residuals: Array
     status: RunStatus
 
     def __post_init__(self):
-        if not self.iterates:
+        if not len(self.iterates):
             raise ValueError("a run records at least its starting point")
         if len(self.iterates) != len(self.residuals):
             raise ValueError("iterates and residuals must be aligned")
@@ -166,7 +166,7 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
 
 def _runs(traj: Array, res: Array, length: Array, status: Array) -> list[DescentRun]:
     """One DescentRun per row of `_descend`'s (iterate, row) arrays."""
-    return [DescentRun(iterates=tuple(traj[:k, i]), residuals=tuple(res[:k, i].tolist()), status=s)
+    return [DescentRun(iterates=traj[:k, i], residuals=res[:k, i], status=s)
             for i, (k, s) in enumerate(zip(length.tolist(), status))]
 
 

@@ -49,29 +49,30 @@ def _fmt(value) -> str:
 
 def write_csv(path, header, rows, comments=()):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    with _accessing("output file", path, "write"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            for line in comments:
+                f.write(f"# {line}\n")
+            writer = csv.writer(f)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
 
 
 @contextmanager
-def _reading(what: str, path):
-    """Turn a failure to open or decode `path` into a ConfigError."""
+def _accessing(what: str, path, verb: str = "read"):
+    """Turn a failure to open, decode or write `path` into a ConfigError."""
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot {verb} {what} {path}: {exc}") from exc
 
 
 def _read_config_file(path) -> dict:
     """Map each key (with `-` read as `_`) to its (line number, raw value)."""
     out = {}
-    with _reading("config file", path), open(path) as f:
+    with _accessing("config file", path), open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -155,7 +156,7 @@ def cmd_analytic(cfg) -> int:
     for name in names:
         fn = _pick(reg, name, "function")
         result = analytic.run_comparison(fn, stages=cfg.stages)
-        comments = [result.constants_header]
+        comments = [fn.constants_header()]
         if name == "linear":
             comments.append("linear control slot: isolates one-step cascade behavior")
         write_csv(
@@ -345,17 +346,17 @@ def cmd_online_demo(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
+    # by default, as many stages as the `pose` or `analytic` command trains
+    stages = COMMANDS[cfg.problem][2]["stages"].default if cfg.stages is None else cfg.stages
     if cfg.problem == "pose":
-        _, seq = _train_pose(cfg, cfg.model, 4 if cfg.stages is None else cfg.stages, cfg.noise)
+        _, seq = _train_pose(cfg, cfg.model, stages, cfg.noise)
     else:
         fn = _pick(analytic.registry(), cfg.function, "function")
-        seq = train(
-            analytic.build_training_set(fn),
-            TrainerConfig(stages=10 if cfg.stages is None else cfg.stages,
-                          ridge=0.0 if cfg.ridge is None else cfg.ridge),
-        )
-    Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
-    model_io.save_sequence(seq, cfg.out)
+        seq = train(analytic.build_training_set(fn),
+                    TrainerConfig(stages=stages, ridge=0.0 if cfg.ridge is None else cfg.ridge))
+    with _accessing("model file", cfg.out, "write"):
+        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
+        model_io.save_sequence(seq, cfg.out)
     print(f"wrote {cfg.out}: {len(seq)} stages, p={seq.param_dim}, m={seq.feature_dim}")
     return 0
 
@@ -364,7 +365,7 @@ def _read_inputs(path, width: int | None = None) -> tuple[list[np.ndarray], list
     """Data rows after the header as finite floats: `width` values each, or the
     first cell only if `width` is None. Blank rows and '#' rows are skipped.
     Returns the rows and the line number of each."""
-    with _reading("inputs file", path), open(path, newline="") as f:
+    with _accessing("inputs file", path), open(path, newline="") as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
     if not rows:
@@ -383,7 +384,7 @@ def _read_inputs(path, width: int | None = None) -> tuple[list[np.ndarray], list
 
 
 def cmd_apply(cfg) -> int:
-    with _reading("model file", cfg.model_file):
+    with _accessing("model file", cfg.model_file):
         seq = model_io.load_sequence(cfg.model_file)
     if cfg.problem == "pose":
         model = _pick(pose.builtin_models(), cfg.model, "model")
@@ -470,7 +471,7 @@ COMMANDS = {
     "train": (cmd_train, "train a model and save it", {
         **_SHARED,
         **_PROBLEM,
-        "stages": Setting(None, int, "> 0", "default 4 for pose, 10 for analytic"),
+        "stages": Setting(None, int, "> 0", "default: the pose or analytic command's"),
         **_POSE_TRAINING,
         "out": Setting(REQUIRED, help="model file to write"),
     }),
@@ -511,17 +512,18 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, table)
         code = handler(cfg)
+        elapsed = time.perf_counter() - started
+        # wall time goes to a sidecar log so the data files stay reproducible
+        if cfg.output_dir.exists():
+            log = cfg.output_dir / "run.log"
+            with _accessing("run log", log, "write"), open(log, "a") as f:
+                f.write(f"{args.command} exit={code} elapsed_s={elapsed:.3f}\n")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - started
-    # wall time goes to a sidecar log so the data files stay reproducible
-    if cfg.output_dir.exists():
-        with open(cfg.output_dir / "run.log", "a") as f:
-            f.write(f"{args.command} exit={code} elapsed_s={elapsed:.3f}\n")
     return code
 
 

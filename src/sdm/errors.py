@@ -19,11 +19,11 @@ class DivergedError(SdmError):
     """An iteration produced a non-finite evaluation.
 
     Carries the iterates computed before the breakdown in `trajectory`,
-    and in `row` the failing row of a run on rows, shown as " (row i)".
+    a (k, p) array, and in `row` the failing row of a run on rows, shown as " (row i)".
     """
 
     def __init__(self, message: str, trajectory, row: int | None = None):
-        self.trajectory = list(trajectory)
+        self.trajectory = trajectory
         self.row = row
         super().__init__(message)
 

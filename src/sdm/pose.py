@@ -90,6 +90,11 @@ def _wrap_angles(angles: Array) -> Array:
     return w
 
 
+def _wrap_poses(P: Array) -> Array:
+    """Pose vectors (..., 6) with their angles wrapped as in `Pose`, as a new array."""
+    return np.concatenate([_wrap_angles(P[..., :3]), P[..., 3:]], axis=-1)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Euler angles (yaw-z, pitch-y, roll-x, radians) and translation (mm)."""
@@ -213,7 +218,7 @@ class Projection:
 
     def feature(self) -> Array:
         """Flattened normalized coordinates, point-major (u1, v1, u2, ...)."""
-        return self.normalized.ravel(order="F")
+        return _point_major(self.normalized)
 
 
 def _require_positive_depth(depth: Array, context: str = "") -> None:
@@ -253,11 +258,14 @@ def normalize_pixels(points2d, cam: CameraIntrinsics) -> Array:
     )
 
 
+def _point_major(uv: Array) -> Array:
+    """Coordinates (..., 2, n) as point-major features (u1, v1, u2, ...), (..., 2n)."""
+    return uv.swapaxes(-1, -2).reshape(*uv.shape[:-2], 2 * uv.shape[-1])
+
+
 def pixel_features(points2d, cam: CameraIntrinsics) -> Array:
-    """Features of pixels (..., 2, n): normalized, point-major (u1, v1, u2,
-    ...) as (..., 2n), as `Projection.feature` and the projection map give."""
-    nm = normalize_pixels(points2d, cam)
-    return nm.swapaxes(-1, -2).reshape(*nm.shape[:-2], 2 * nm.shape[-1])
+    """Normalized point-major features (..., 2n) of pixels (..., 2, n)."""
+    return _point_major(normalize_pixels(points2d, cam))
 
 
 def observe(
@@ -310,9 +318,7 @@ def grid_poses(offsets: Array, base_pose: Pose) -> Array:
     offsets = as_matrix(offsets, "pose offsets")
     if offsets.shape[1] != 6:
         raise DimensionMismatchError("pose offsets", expected=6, got=offsets.shape[1])
-    poses = base_pose.vector() + offsets
-    poses[:, :3] = _wrap_angles(poses[:, :3])
-    return poses
+    return _wrap_poses(base_pose.vector() + offsets)
 
 
 def train_pose_sdm(
@@ -470,19 +476,18 @@ def evaluate_test_poses(
     wall_ms = (time.perf_counter() - t0) * 1e3 / max(n, 1)
     if behind.size:
         _require_positive_depth(depth[n])
-    estimates = [Pose.from_vector(x) for x in final]
-    rot, trans = _pose_errors(np.array([e.vector() for e in estimates]).reshape(-1, 6), truths)
+    rot, trans = _pose_errors(_wrap_poses(final), truths)
     gn = [{}] * n
     if with_gauss_newton:
         runs = gauss_newton_rows(model.feature_map, targets, truths, max_iters=25)
-        gn_poses = np.array([Pose.from_vector(r.final).vector() for r in runs]).reshape(-1, 6)
+        gn_final = np.array([r.final for r in runs]).reshape(-1, 6)
         gn = [dict(gn_rot_err_deg=float(gr), gn_trans_err_mm=float(gt), gn_status=r.status,
                    gn_iterations=len(r.iterates) - 1)
-              for r, gr, gt in zip(runs, *_pose_errors(gn_poses, truths))]
+              for r, gr, gt in zip(runs, *_pose_errors(_wrap_poses(gn_final), truths))]
     return [
-        PoseEvalRecord(model=model.name, truth=truth, estimate=est, rot_err_deg=float(r),
-                       trans_err_mm=float(t), wall_ms=wall_ms, **g)
-        for truth, est, r, t, g in zip(test_poses, estimates, rot, trans, gn)
+        PoseEvalRecord(model=model.name, truth=truth, estimate=Pose.from_vector(x),
+                       rot_err_deg=float(r), trans_err_mm=float(t), wall_ms=wall_ms, **g)
+        for truth, x, r, t, g in zip(test_poses, final, rot, trans, gn)
     ]
 
 

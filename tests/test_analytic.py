@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from sdm.analytic import (
+    RESIDUAL_CAP,
     AnalyticFunction,
     build_training_set,
     check_registry_invariants,
     registry,
     run_comparison,
 )
-from sdm.baselines import RunStatus
-from sdm.core import Mode
+from sdm.baselines import RunStatus, newton_minimize
+from sdm.core import Mode, NlsProblem, apply_sequence
 
 
 class TestRegistry:
@@ -68,6 +69,17 @@ class TestBuildTrainingSet:
             assert math.erf(x) == pytest.approx(y, abs=1e-11)
 
 
+def padded_errors(iterates, x_star, length):
+    """Normalized |x_k - x*| / |x*| of one run, its last value repeated out to
+    `length`, capped at RESIDUAL_CAP (a value that is not finite too)."""
+    errs = [abs(float(x[0]) - x_star) / abs(x_star) for x in iterates]
+    while len(errs) < length:
+        errs.append(errs[-1])
+    errs = np.array(errs[:length])
+    errs[~np.isfinite(errs)] = RESIDUAL_CAP
+    return np.minimum(errs, RESIDUAL_CAP)
+
+
 @pytest.fixture(scope="module")
 def results():
     return {name: run_comparison(fn) for name, fn in registry().items()}
@@ -107,3 +119,23 @@ class TestRunComparison:
         rows = results["cube"].rows()
         assert len(rows) == 2 * 11
         assert rows[0][0] == "sdm" and rows[11][0] == "newton"
+
+    @pytest.mark.parametrize("name, newton_ended_early", [
+        ("linear", True), ("cube", True), ("exp", False), ("erf", True)])
+    def test_means_equal_the_per_target_reference(self, results, name, newton_ended_early):
+        """Each mean, bit for bit, from one-target runs padded one by one.
+        Newton converges early on linear and erf and stalls at cube's saddle
+        at once; on exp it walks away for every stage and is called diverged."""
+        fn, res = registry()[name], results[name]
+        smap, stages = fn.smooth_map(), len(res.sequence)
+        sdm, newton, lengths = [], [], set()
+        for y in fn.test_targets():
+            x_star = fn.h_inverse(y)
+            traj = apply_sequence(res.sequence, [fn.x0], smap, [y])
+            run = newton_minimize(NlsProblem(smap, [y]), [fn.x0], max_iters=stages)
+            sdm.append(padded_errors(traj, x_star, stages + 1))
+            newton.append(padded_errors(run.iterates, x_star, stages + 1))
+            lengths.add(len(run.iterates))
+        assert (min(lengths) < stages + 1) is newton_ended_early
+        assert np.array_equal(res.sdm_mean, np.array(sdm).mean(axis=0))
+        assert np.array_equal(res.newton_mean, np.array(newton).mean(axis=0))

@@ -81,7 +81,7 @@ class TestNewton:
         r1 = newton_minimize(prob, [0.0], max_iters=10)
         r2 = newton_minimize(prob, [0.0], max_iters=10)
         assert all(np.array_equal(a, b) for a, b in zip(r1.iterates, r2.iterates))
-        assert r1.residuals == r2.residuals
+        assert np.array_equal(r1.residuals, r2.residuals)
 
 
 class TestGaussNewton:
@@ -185,7 +185,7 @@ class TestGaussNewtonRows:
                 want = gauss_newton_minimize(NlsProblem(smap, y), x0, max_iters)
                 assert run.status is want.status
                 assert np.array_equal(run.iterates, want.iterates)
-                assert run.residuals == want.residuals
+                assert np.array_equal(run.residuals, want.residuals)
                 seen.add(run.status)
         assert seen == set(RunStatus)
 
@@ -257,9 +257,10 @@ def reference_run(problem, x0, max_iters, newton):
 
 def assert_same_run(got, want):
     assert got.status is want.status
-    assert len(got.iterates) == len(want.iterates)
+    k, p = len(want.iterates), len(want.iterates[0])
+    assert got.iterates.shape == (k, p) and got.residuals.shape == (k,)
     assert all(np.array_equal(a, b) for a, b in zip(got.iterates, want.iterates))
-    assert got.residuals == want.residuals
+    assert np.array_equal(got.residuals, want.residuals)
 
 
 def fold_map():

@@ -276,6 +276,23 @@ class TestTrainApply:
         assert main(["train", "--problem", "analytic", "--output-dir", str(tmp_path)]) == 2
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv, path", [
+        (["verify", "--output-dir", "{f}/sub"], "{f}/sub/certificates.csv"),
+        (["analytic", "--function", "linear", "--output-dir", "{f}"], "{f}/analytic_linear.csv"),
+        (["online-demo", "--output-dir", "{f}"], "{f}/run.log"),
+        (["train", "--problem", "analytic", "--function", "exp", "--out", "{f}/m.sdm",
+          "--output-dir", "{d}"], "{f}/m.sdm"),
+    ], ids=["verify", "analytic", "online-demo", "train"])
+    def test_exit_2_naming_the_path(self, tmp_path, capsys, argv, path):
+        afile = tmp_path / "afile"  # a regular file where a directory is needed
+        afile.write_text("")
+        assert main([a.format(f=afile, d=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write ")
+        assert path.format(f=afile) in err
+
+
 class TestOutOfRangeSettings:
     @pytest.mark.parametrize(
         "argv",

@@ -178,6 +178,7 @@ class TestApplySequence:
             apply_sequence(seq, [starts[first]], smap, y=[0.0])
         with pytest.raises(DivergedError, match=rf"\(row {first}\)") as rows:
             apply_sequence(seq, np.array(starts)[:, None], smap, y=np.zeros((3, 1)))
+        assert rows.value.trajectory.shape == alone.value.trajectory.shape == (len(trajectory), 1)
         assert np.array_equal(rows.value.trajectory, alone.value.trajectory)
         assert np.array_equal(alone.value.trajectory, np.array(trajectory)[:, None])
         assert (rows.value.row, alone.value.row) == (first, None)

@@ -594,7 +594,7 @@ def test_gauss_newton_rows_equal_single_runs_on_the_projection_map():
         want = gauss_newton_minimize(NlsProblem(model.feature_map, y), truth.vector(), 25)
         assert run.status is want.status
         assert np.array_equal(run.iterates, want.iterates)
-        assert run.residuals == want.residuals
+        assert np.array_equal(run.residuals, want.residuals)
 
 
 class TestRowsEqualThePerPoseLoop:
