@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector
-from .errors import DimensionMismatchError
 
 RESIDUAL_TOL = 1e-12
 STEP_REL_TOL = 1e-10
@@ -172,11 +171,8 @@ def _runs(traj: Array, res: Array, length: Array, status: Array) -> list[Descent
 
 def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[DescentRun]:
     """`_descend` from the rows of X0 (N, p) against targets (N, m), validated."""
-    Y, X0 = as_matrix(targets, "targets"), as_matrix(X0, "x0")
-    for name, expected, got in (("targets", map.feature_dim, Y.shape[1]),
-                                ("x0", map.param_dim, X0.shape[1]), ("x0 rows", len(Y), len(X0))):
-        if got != expected:
-            raise DimensionMismatchError(name, expected=expected, got=got)
+    Y = as_matrix(targets, "targets", width=map.feature_dim)
+    X0 = as_matrix(X0, "x0", width=map.param_dim, rows=len(Y))
     return _descend(map, Y, X0, max_iters, newton=newton) if len(X0) else []
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -67,6 +68,15 @@ def _accessing(what: str, path, verb: str = "read"):
         yield
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot {verb} {what} {path}: {exc}") from exc
+
+
+def _check_output_dir(path: Path) -> None:
+    """Before any command runs, refuse an output directory that cannot be
+    created or written: its nearest existing ancestor must be a writable directory."""
+    there = next(p for p in (path, *path.parents) if p.exists())
+    if not (there.is_dir() and os.access(there, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write output directory {path}: {there} is not a writable "
+                          "directory")
 
 
 def _read_config_file(path) -> dict:
@@ -409,7 +419,7 @@ def cmd_apply(cfg) -> int:
         raise DivergedError(f"{cfg.inputs}:{lines[exc.row]}: {exc.args[0]}",
                             exc.trajectory) from None
     if cfg.problem == "pose":
-        out_rows = [(*e.euler, *e.translation) for e in map(pose.Pose.from_vector, final)]
+        out_rows = pose._wrap_poses(final)
         header = ("yaw", "pitch", "roll", "tx", "ty", "tz")
     else:
         out_rows = [(y, float(x)) for (y,), (x,) in zip(Y, final)]
@@ -511,6 +521,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = _resolve(args, table)
+        _check_output_dir(cfg.output_dir)
         code = handler(cfg)
         elapsed = time.perf_counter() - started
         # wall time goes to a sidecar log so the data files stay reproducible

@@ -40,15 +40,20 @@ def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
     return arr
 
 
-def as_matrix(values, name: str = "matrix", shape: tuple[int, int] | None = None) -> Array:
-    """Coerce to a finite, read-only, C-contiguous 2-D float64 array."""
+def as_matrix(values, name: str = "matrix", width: int | None = None,
+              rows: int | None = None) -> Array:
+    """Coerce to a finite, read-only, C-contiguous 2-D float64 array of
+    `rows` rows of `width` entries, where given. The one size rule for
+    row arguments: a wrong size raises DimensionMismatchError naming
+    `name`."""
     arr = np.array(values, dtype=float, copy=True, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    for axis, expected, got in ((name, width, arr.shape[1]), (f"{name} rows", rows, len(arr))):
+        if expected is not None and got != expected:
+            raise DimensionMismatchError(axis, expected=expected, got=got)
     arr.setflags(write=False)
     return arr
 
@@ -320,18 +325,16 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
     if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
         raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
                                      (map.param_dim, map.feature_dim))
-    X0 = as_matrix(x0, "x0") if np.ndim(x0) == 2 else as_vector(x0, "x0")
-    if X0.shape[-1] != seq.param_dim:
-        raise DimensionMismatchError("x0", expected=seq.param_dim, got=X0.shape[-1])
-    shape = (*X0.shape[:-1], seq.feature_dim)
+    p, m = seq.param_dim, seq.feature_dim
+    X0 = as_matrix(x0, "x0", width=p) if np.ndim(x0) == 2 else as_vector(x0, "x0", dim=p)
     if seq.mode is Mode.GENERALIZED:
         if y is not None:
             raise ValueError("generalized-mode sequences take no target")
-        Y = np.zeros(shape)
+        Y = np.zeros((*X0.shape[:-1], m))
     elif y is None:
         raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
     else:
-        Y = as_matrix(y, "y", shape) if len(shape) == 2 else as_vector(y, "y", dim=shape[0])
+        Y = as_matrix(y, "y", width=m, rows=len(X0)) if X0.ndim == 2 else as_vector(y, "y", dim=m)
     n = len(seq)
     traj = np.empty((n + 1, *X0.shape))
     traj[0] = X0

@@ -5,8 +5,9 @@ class SdmError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(SdmError):
-    """An input's length does not match the declared axis size."""
+class DimensionMismatchError(SdmError, ValueError):
+    """An input's length does not match the declared axis size. Also a
+    ValueError, so callers that catch ValueError keep working."""
 
     def __init__(self, axis: str, expected: int, got: int):
         self.axis = axis

@@ -171,7 +171,7 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     new_weights, downdates = [], []
     for k, (W, S) in enumerate(zip(state.weights, state.inv_cov)):
         phi = np.append(map.evaluate(x_opt - dx), 1.0)
-        Sphi = S @ phi
+        Sphi = np.vecdot(S, phi)  # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
         denom = lam / state.sample_weight + float(phi @ Sphi)
         if denom <= 0:
             raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")

@@ -29,7 +29,7 @@ from .core import (
     as_matrix,
     as_vector,
 )
-from .errors import DimensionMismatchError, InvalidProjectionError
+from .errors import InvalidProjectionError
 from .trainer import TrainerConfig, TrainingSet, grid_offsets, train
 
 
@@ -315,10 +315,7 @@ def pose_grid_spec(
 def grid_poses(offsets: Array, base_pose: Pose) -> Array:
     """The poses at `offsets` (see `pose_grid_spec`) from `base_pose` as
     an (N, 6) array of pose vectors, angles wrapped as in `Pose`."""
-    offsets = as_matrix(offsets, "pose offsets")
-    if offsets.shape[1] != 6:
-        raise DimensionMismatchError("pose offsets", expected=6, got=offsets.shape[1])
-    return _wrap_poses(base_pose.vector() + offsets)
+    return _wrap_poses(base_pose.vector() + as_matrix(offsets, "pose offsets", width=6))
 
 
 def train_pose_sdm(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import registry
-from .core import Array, DescentStep, SmoothMap, as_vector, matvec_rows
+from .core import Array, DescentStep, SmoothMap, as_matrix, as_vector, matvec_rows
 from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError
 
 # Total sample budget for multi-dimensional lattices; beyond the largest
@@ -190,9 +190,7 @@ def monotone_operator_check(s: AnchoredSample, gain) -> bool:
     Checks <x - x*, R h(x) - R h(x*)> > 0 at every grid sample; ties
     within STRICT_TOL count as violations.
     """
-    gain = np.asarray(gain, dtype=float)
-    if gain.shape != (s.nbhd.dim, s.values.shape[1]):
-        raise ValueError(f"gain must be {(s.nbhd.dim, s.values.shape[1])}, got {gain.shape}")
+    gain = as_matrix(gain, "gain", width=s.values.shape[1], rows=s.nbhd.dim)
     inner = np.einsum("ij,ij->i", s.points - s.nbhd.anchor, (s.values - s.anchor_value) @ gain.T)
     return bool(np.all(inner > STRICT_TOL))
 

@@ -30,12 +30,7 @@ from .core import (
     partition_coords,
     region_index,
 )
-from .errors import (
-    DimensionMismatchError,
-    PartitionError,
-    RankDeficiencyError,
-    TrainingDivergedError,
-)
+from .errors import PartitionError, RankDeficiencyError, TrainingDivergedError
 
 
 def _grid_axis(lo: float, hi: float, step: float) -> Array:
@@ -62,13 +57,6 @@ def grid_offsets(lo, hi, step) -> Array:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
 
 
-def _rows(values, name: str, dim: int) -> Array:
-    arr = as_matrix(values, name)
-    if arr.shape[1] != dim:
-        raise DimensionMismatchError(name, expected=dim, got=arr.shape[1])
-    return arr
-
-
 @dataclass(frozen=True)
 class TrainingSet:
     """One map and N aligned samples, one per row of each array: the
@@ -84,11 +72,10 @@ class TrainingSet:
         object.__setattr__(self, "mode", Mode(self.mode))
         if len(self.optima) == 0:
             raise ValueError("training set must be nonempty")
-        optima = _rows(self.optima, "optima", self.map.param_dim)
-        targets = _rows(self.targets, "targets", self.map.feature_dim)
-        starts = _rows(self.starts, "initial states", self.map.param_dim)
-        if not len(optima) == len(targets) == len(starts):
-            raise ValueError("optima, targets and initial states must be aligned")
+        p, m = self.map.param_dim, self.map.feature_dim
+        optima = as_matrix(self.optima, "optima", width=p)
+        targets = as_matrix(self.targets, "targets", width=m, rows=len(optima))
+        starts = as_matrix(self.starts, "initial states", width=p, rows=len(optima))
         if self.mode is Mode.REVERSED and not (starts == starts[0]).all():
             raise ValueError("reversed mode requires one shared initial state")
         object.__setattr__(self, "optima", optima)
@@ -113,7 +100,7 @@ class TrainingSet:
         if target is None:
             target = map.evaluate(x_opt)
         target = as_vector(target, "target", dim=map.feature_dim)
-        starts = _rows(initial_states, "initial states", map.param_dim)
+        starts = as_matrix(initial_states, "initial states", width=map.param_dim)
         n = len(starts)
         return cls(Mode.TEMPLATE, map, np.tile(x_opt, (n, 1)), np.tile(target, (n, 1)), starts)
 
@@ -121,7 +108,7 @@ class TrainingSet:
     def reversed_targets(cls, map: SmoothMap, x0, optima, targets=None) -> "TrainingSet":
         """One shared start, many optima; targets default to map(x_opt)."""
         x0 = as_vector(x0, "x0", dim=map.param_dim)
-        optima = _rows(optima, "optima", map.param_dim)
+        optima = as_matrix(optima, "optima", width=map.param_dim)
         if targets is None:
             targets = map.evaluate(optima)
         return cls(Mode.REVERSED, map, optima, targets, np.tile(x0, (len(optima), 1)))

@@ -8,10 +8,15 @@ from sdm.core import (
     Mode,
     SmoothMap,
     apply_sequence,
+    as_matrix,
     as_vector,
     region_index,
 )
-from sdm.errors import DimensionMismatchError, DivergedError, PartitionError
+from sdm.baselines import gauss_newton_rows, newton_rows
+from sdm.errors import DimensionMismatchError, DivergedError, PartitionError, SdmError
+from sdm.pose import DEFAULT_BASE_POSE, grid_poses
+from sdm.theory import Neighborhood, anchored_sample, monotone_operator_check
+from sdm.trainer import TrainingSet
 
 
 def linear_map(A):
@@ -76,6 +81,8 @@ class TestDmUpdate:
             apply_sequence(seq, [1.0, 2.0], smap, y=[0.0, 0.0])
         with pytest.raises(DimensionMismatchError, match="y"):
             apply_sequence(seq, [1.0], smap, y=[0.0])
+        with pytest.raises(DimensionMismatchError, match="y"):  # rows, as for one point
+            apply_sequence(seq, [[1.0], [2.0]], smap, y=[[0.0], [0.0]])
         for wrong in (SmoothMap(1, 1, lambda x: x), SmoothMap(2, 2, lambda x: x)):
             with pytest.raises(DimensionMismatchError, match="map"):
                 apply_sequence(seq, [1.0], wrong, y=[0.0, 0.0])
@@ -271,6 +278,51 @@ class TestSmoothMap:
         smap = SmoothMap(1, 2, lambda x: np.array([x[0]]))
         with pytest.raises(DimensionMismatchError):
             smap.evaluate([1.0])
+
+
+def _size_cases():
+    """(call, argument name) pairs: each call hands one row argument of the
+    wrong width or row count to an entry point, on a map with p=2, m=3."""
+    smap = linear_map(np.ones((3, 2)))
+    seq = one_step(DescentStep.from_gain(np.zeros((2, 3))))
+    sample = anchored_sample(smap, Neighborhood(np.zeros(2), 1.0, 5))
+    x, y = np.zeros((4, 2)), np.zeros((4, 3))
+    return {
+        "as_matrix-width": (lambda: as_matrix(y, "arg", width=2), "arg"),
+        "as_matrix-rows": (lambda: as_matrix(y, "arg", rows=3), "arg rows"),
+        "apply_sequence-x0": (lambda: apply_sequence(seq, y, smap, y), "x0"),
+        "apply_sequence-y": (lambda: apply_sequence(seq, x, smap, x), "y"),
+        "apply_sequence-y-rows": (lambda: apply_sequence(seq, x, smap, y[:3]), "y rows"),
+        "TrainingSet-optima": (lambda: TrainingSet(Mode.TEMPLATE, smap, y, y, x), "optima"),
+        "TrainingSet-targets": (lambda: TrainingSet(Mode.TEMPLATE, smap, x, x, x), "targets"),
+        "TrainingSet-targets-rows":
+            (lambda: TrainingSet(Mode.TEMPLATE, smap, x, y[:3], x), "targets rows"),
+        "TrainingSet-starts": (lambda: TrainingSet(Mode.TEMPLATE, smap, x, y, y), "initial states"),
+        "TrainingSet-starts-rows":
+            (lambda: TrainingSet(Mode.TEMPLATE, smap, x, y, x[:3]), "initial states rows"),
+        "template-starts": (lambda: TrainingSet.template(smap, x[0], y), "initial states"),
+        "reversed-optima": (lambda: TrainingSet.reversed_targets(smap, x[0], y), "optima"),
+        "gauss_newton_rows-targets": (lambda: gauss_newton_rows(smap, x, x), "targets"),
+        "gauss_newton_rows-x0": (lambda: gauss_newton_rows(smap, y, y), "x0"),
+        "gauss_newton_rows-x0-rows": (lambda: gauss_newton_rows(smap, y, x[:3]), "x0 rows"),
+        "newton_rows-targets": (lambda: newton_rows(smap, x, x), "targets"),
+        "newton_rows-x0": (lambda: newton_rows(smap, y, y), "x0"),
+        "newton_rows-x0-rows": (lambda: newton_rows(smap, y, x[:3]), "x0 rows"),
+        "grid_poses-offsets": (lambda: grid_poses(y, DEFAULT_BASE_POSE), "pose offsets"),
+        "monotone_operator_check-gain":
+            (lambda: monotone_operator_check(sample, np.eye(2)), "gain"),
+        "monotone_operator_check-gain-rows":
+            (lambda: monotone_operator_check(sample, np.eye(3)), "gain rows"),
+    }
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("case", list(_size_cases()))
+    def test_wrong_size_is_a_dimension_mismatch_naming_the_argument(self, case):
+        call, name = _size_cases()[case]
+        with pytest.raises(DimensionMismatchError, match=f"^{name} dimension mismatch") as info:
+            call()
+        assert isinstance(info.value, SdmError) and isinstance(info.value, ValueError)
 
 
 class TestTypes:

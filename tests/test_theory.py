@@ -111,6 +111,10 @@ class TestMonotoneOperator:
         smap = scalar_map(lambda t: t**3)
         assert not monotone_operator_check(sample(smap, 1.0, 0.5), np.array([[-1.0]]))
 
+    def test_non_finite_gain_is_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            monotone_operator_check(sample(scalar_map(lambda t: t), 0.0, 1.0), [[np.nan]])
+
     def test_spd_linear_with_eigenvalue_oracle(self):
         rng = np.random.default_rng(7)
         B = rng.normal(size=(2, 2))
