@@ -316,10 +316,13 @@ def _size_cases():
     }
 
 
+SIZE_CASES = _size_cases()
+
+
 class TestSizeRule:
-    @pytest.mark.parametrize("case", list(_size_cases()))
+    @pytest.mark.parametrize("case", SIZE_CASES)
     def test_wrong_size_is_a_dimension_mismatch_naming_the_argument(self, case):
-        call, name = _size_cases()[case]
+        call, name = SIZE_CASES[case]
         with pytest.raises(DimensionMismatchError, match=f"^{name} dimension mismatch") as info:
             call()
         assert isinstance(info.value, SdmError) and isinstance(info.value, ValueError)
