@@ -56,11 +56,6 @@ def _newton_systems(R: Array, J: Array, D2: Array) -> tuple[Array, Array]:
     return 2.0 * (Jt @ J + np.einsum("ni,nijk->njk", R, D2)), 2.0 * (Jt @ R[..., None])[..., 0]
 
 
-def nls_hessian(problem: NlsProblem, x: Array) -> Array:
-    h, J, D2 = problem.map.derivatives(np.asarray(x, dtype=float)[None], 2)
-    return _newton_systems(h - problem.target, J, D2)[0][0]
-
-
 def _norms(V: Array) -> Array:
     """Norm of every row of V from one dot product, as ``np.linalg.norm``."""
     return np.sqrt(np.vecdot(V, V))

@@ -17,12 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector
-from .errors import (
-    DimensionMismatchError,
-    NumericalBreakdownError,
-    PartitionError,
-    RankDeficiencyError,
-)
+from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError
 
 
 _BLOCK = 1 << 15  # entries of S per downdate block: 256 KiB, which stays in cache
@@ -38,10 +33,11 @@ class OnlineState:
 
     `forgetting` in (0, 1] is the exponential discount (1.0 keeps all
     history); `sample_weight`, finite and > 0, scales each new sample.
-    Single writer. An ingest swaps new weight arrays in with one
-    assignment, so readers of `weights`, `steps` and `to_sequence()`
-    never see a half-applied update, and downdates the `inv_cov` arrays
-    in place, so they must be exactly symmetric and share no memory.
+    Every entry of `weights` and `inv_cov` is finite. Single writer. An
+    ingest swaps new weight arrays in with one assignment, so readers of
+    `weights`, `steps` and `to_sequence()` never see a half-applied
+    update, and downdates the `inv_cov` arrays in place, so they must be
+    exactly symmetric and share no memory.
     """
 
     weights: list[Array]
@@ -64,6 +60,10 @@ class OnlineState:
                 raise DimensionMismatchError(f"weights[{k}]", (self.param_dim, maug), W.shape)
             if S.shape != (maug, maug):
                 raise DimensionMismatchError(f"inv_cov[{k}]", (maug, maug), S.shape)
+            for name, a in ((f"weights[{k}]", W), (f"inv_cov[{k}]", S)):
+                # min and max propagate NaN and scan in place: no temporary of S's size
+                if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                    raise ValueError(f"{name} contains non-finite entries")
             if not np.array_equal(S, S.T):
                 raise ValueError(f"inv_cov[{k}] is not exactly symmetric")
         if any(np.may_share_memory(a, b) for a, b in combinations(self.inv_cov, 2)):
@@ -88,60 +88,28 @@ class OnlineState:
 
 def init_online(
     seq: DescentSequence,
-    training_features=None,
-    ridge: float = 0.0,
+    ridge: float,
     forgetting: float = 1.0,
     sample_weight: float = 1.0,
 ) -> OnlineState:
     """Build an OnlineState from a trained sequence.
 
-    `training_features` is one matrix per stage, rows of raw features
-    (n, m) which get a constant-1 column appended, or already-augmented
-    rows (n, m+1) used as given. The inverse information matrix is
-    inv(F^T F + ridge I). Without feature matrices a ridge > 0 is
-    required and the state starts at (1/ridge) I. The state keeps one
-    step per stage, so a region-partitioned sequence raises
-    PartitionError.
+    Every stage's inverse information matrix starts at (1/ridge) I, so
+    `ridge` must be > 0. The state keeps one step per stage, so a
+    region-partitioned sequence raises PartitionError.
     """
-    if not ridge >= 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not ridge > 0:
+        raise ValueError(f"ridge must be > 0, got {ridge}")
     if seq.partition:
         raise PartitionError(
             f"online refresh keeps one step per stage; this sequence is partitioned "
             f"into {seq.n_regions} regions"
         )
-    m = seq.feature_dim
-    maug = m + 1
-    if training_features is None:
-        if ridge <= 0:
-            raise RankDeficiencyError(
-                "initializing without training features requires ridge > 0"
-            )
-        inv_cov = [np.eye(maug) / ridge for _ in seq.steps]
-    else:
-        if len(training_features) != len(seq.steps):
-            raise ValueError("need one feature matrix per stage")
-        inv_cov = []
-        for F in training_features:
-            F = np.asarray(F, dtype=float)
-            if F.ndim != 2 or F.shape[1] not in (m, maug):
-                raise DimensionMismatchError("features", expected=m, got=F.shape[-1])
-            if F.shape[1] == m:
-                F = np.hstack([F, np.ones((F.shape[0], 1))])
-            gram = F.T @ F + ridge * np.eye(maug)
-            try:
-                S = np.linalg.inv(gram)
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficiencyError(
-                    "feature information matrix is singular; pass ridge > 0"
-                ) from exc
-            inv_cov.append((S + S.T) / 2.0)
-    weights = [_weights_from_step(s) for s in seq.steps]
     return OnlineState(
-        weights=weights,
-        inv_cov=inv_cov,
+        weights=[_weights_from_step(s) for s in seq.steps],
+        inv_cov=[np.eye(seq.feature_dim + 1) / ridge for _ in seq.steps],
         param_dim=seq.param_dim,
-        feature_dim=m,
+        feature_dim=seq.feature_dim,
         forgetting=forgetting,
         sample_weight=sample_weight,
     )

@@ -122,9 +122,6 @@ class Pose:
         pose._store(v[:3], v[3:])
         return pose
 
-    def rotation(self) -> Array:
-        return euler_to_rotation(self.euler)
-
 
 # Pose-vector coordinates of the three Euler angles; the pose cascade's
 # partition coordinates (8 regions).

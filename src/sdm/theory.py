@@ -216,14 +216,12 @@ def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
     return bound, fro < bound
 
 
-def contraction_certify(s: AnchoredSample, step: DescentStep, y=None) -> ContractionCertificate:
-    """Apply one update at every grid sample and record the worst ratio.
-
-    `y` must equal the map value at the anchor; it defaults to exactly
-    that. An invalid certificate (factor >= 1) is a normal return.
+def contraction_certify(s: AnchoredSample, step: DescentStep) -> ContractionCertificate:
+    """Apply one update, toward the map value at the anchor, at every grid
+    sample and record the worst ratio. An invalid certificate (factor >= 1)
+    is a normal return.
     """
-    y = s.anchor_value if y is None else as_vector(y, "y", dim=s.values.shape[1])
-    nxt = step.advance(s.points, y - s.values)
+    nxt = step.advance(s.points, s.anchor_value - s.values)
     ratios = _row_norms(s.nbhd.anchor - nxt) / s.dist
     return ContractionCertificate(
         contraction_factor=float(np.max(ratios)),

@@ -113,12 +113,6 @@ class TrainingSet:
             targets = map.evaluate(optima)
         return cls(Mode.REVERSED, map, optima, targets, np.tile(x0, (len(optima), 1)))
 
-    @classmethod
-    def generalized(cls, map: SmoothMap, optima, targets, initial_states) -> "TrainingSet":
-        """Per-sample data; targets stay in the set but never enter the
-        regression (the learned bias absorbs them)."""
-        return cls(Mode.GENERALIZED, map, optima, targets, initial_states)
-
 
 @dataclass(frozen=True)
 class TrainerConfig:

@@ -120,8 +120,8 @@ class TestTrain:
         template = train(TrainingSet.template(smap, x_star, starts),
                          TrainerConfig(stages=2, ridge=0.0))
         shared = TrainingSet.template(smap, x_star, starts)
-        generalized = train(TrainingSet.generalized(smap, shared.optima, shared.targets, starts),
-                            TrainerConfig(stages=2, ridge=0.0))
+        gset = TrainingSet(Mode.GENERALIZED, smap, shared.optima, shared.targets, starts)
+        generalized = train(gset, TrainerConfig(stages=2, ridge=0.0))
         gstep = generalized.steps[0]
         assert gstep.bias == pytest.approx(gstep.gain @ y, rel=1e-8, abs=1e-10)
         for _ in range(5):
@@ -296,7 +296,7 @@ class TestArrayTrainMatchesLoopReference:
         return {
             "template": (TrainingSet.template(smap, x_star, starts), (), 2),
             "reversed": (reversed_set, (), 4),
-            "generalized": (TrainingSet.generalized(smap, optima, noisy, starts), (), 2),
+            "generalized": (TrainingSet(Mode.GENERALIZED, smap, optima, noisy, starts), (), 2),
             "partitioned": (reversed_set, (0, 2), 4),
         }
 
