@@ -47,6 +47,24 @@ class TestInitOnline:
         with pytest.raises(ValueError, match="ridge must be > 0"):
             init_online(empty_sequence(2, 3), ridge=ridge)
 
+    def test_every_stage_starts_from_its_step_and_inverse_ridge_identity(self):
+        rng = np.random.default_rng(5)
+        p, m = 2, 3
+        steps = tuple(DescentStep(gain=rng.normal(size=(p, m)), bias=rng.normal(size=p))
+                      for _ in range(3))
+        seq = DescentSequence(steps=steps, param_dim=p, feature_dim=m, mode=Mode.GENERALIZED)
+        state = init_online(seq, ridge=0.25)
+        for k, step in enumerate(steps):
+            assert np.array_equal(state.inv_cov[k], 4.0 * np.eye(m + 1))
+            assert np.array_equal(state.weights[k], np.hstack([-step.gain, step.bias[:, None]]))
+            assert np.array_equal(state.steps[k].gain, step.gain)
+            assert np.array_equal(state.steps[k].bias, step.bias)
+
+    def test_forgetting_outside_unit_interval_refused(self):
+        for lam in (0.0, 1.5):
+            with pytest.raises(ValueError, match="forgetting factor must lie in"):
+                init_online(empty_sequence(2, 3), ridge=1.0, forgetting=lam)
+
 
 class TestRlsIngest:
     def test_sherman_morrison_identity(self):
