@@ -49,13 +49,6 @@ class DescentRun:
         return self.iterates[-1]
 
 
-def _newton_systems(R: Array, J: Array, D2: Array) -> tuple[Array, Array]:
-    """Hessians ``2 (J^T J + sum_i r_i d2h_i)`` and gradients ``2 J^T r`` of ||h - y||^2
-    per row, from R = h - y (N, m), J (N, m, p) and d2h (N, m, p, p)."""
-    Jt = J.transpose(0, 2, 1)
-    return 2.0 * (Jt @ J + np.einsum("ni,nijk->njk", R, D2)), 2.0 * (Jt @ R[..., None])[..., 0]
-
-
 def _norms(V: Array) -> Array:
     """Norm of every row of V from one dot product, as ``np.linalg.norm``."""
     return np.sqrt(np.vecdot(V, V))
@@ -77,10 +70,11 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
              newton: bool) -> list[DescentRun]:
     """Newton (`newton`) or Gauss-Newton from every row of X0 (N, p), row i
     against the target Y[i] (N, m). Each iterate makes one kernel call on
-    the rows still going, for the value and Jacobian (Gauss-Newton) or the
-    value (Newton); Newton makes one more, for the value and both
-    derivatives, on the rows that step. A single row goes through the
-    map's one-point path, which gives it the same bits sooner.
+    the rows still going, for the value, the Jacobian and, for Newton, the
+    second derivatives; both methods build ``J^T J`` and ``J^T r`` from it,
+    and Newton adds the curvature ``sum_i r_i d2h_i`` and the factor 2 of
+    ||h - y||^2. A single row goes through the map's one-point path, which
+    gives it the same bits sooner.
 
     Each round tests the live rows in this order: the residual diverged
     (non-finite or above DIVERGENCE_THRESHOLD), it converged, the system
@@ -95,13 +89,13 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     traj, res = np.empty((max_iters + 1, *X0.shape)), np.empty((max_iters + 1, n))
     length, status = np.zeros(n, dtype=np.intp), np.empty(n, dtype=object)
 
-    def kernel(X, order):
-        x = X[0] if len(X) == 1 else X
-        out = map.derivatives(x, order) if order else (map.evaluate(x),)
-        return [v[None] for v in out] if len(X) == 1 else out
+    order = 2 if newton else 1
 
     def observe(live, X, Y, k):
-        H, *D = kernel(X, 0 if newton else 1)
+        if len(X) == 1:
+            H, *D = (v[None] for v in map.derivatives(X[0], order))
+        else:
+            H, *D = map.derivatives(X, order)
         R = H - Y
         rn = _norms(R)
         rows = slice(None) if len(live) == n else live
@@ -115,11 +109,10 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         failed = tests[0][0]
         for mask, _ in tests[1:]:
             failed = failed | mask
-        ended = failed.nonzero()[0]
-        if not ended.size:
+        if not failed.any():
             return (live, *arrays)
-        for j in ended.tolist():  # each row ends once
-            status[live[j]] = next(s for mask, s in tests if mask[j])
+        for mask, s in reversed(tests):  # the first test a row fails is written last
+            status[live[mask]] = s
         return tuple(a[~failed] for a in (live, *arrays))
 
     live, X = np.arange(n), X0
@@ -132,11 +125,10 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
                                   (rn <= RESIDUAL_TOL, RunStatus.CONVERGED)], live, X, Y, R, *D)
         if not live.size:
             break
+        Jt = D[0].transpose(0, 2, 1)
+        A, G = Jt @ D[0], (Jt @ R[..., None])[..., 0]
         if newton:
-            A, G = _newton_systems(R, *kernel(X, 2)[1:])
-        else:
-            Jt = D[0].transpose(0, 2, 1)
-            A, G = Jt @ D[0], (Jt @ R[..., None])[..., 0]
+            A, G = 2.0 * (A + np.einsum("ni,nijk->njk", R, D[1])), 2.0 * G
         S, singular = _solve(A, G)
         saddle = [(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)] if newton else []
         finite = np.logical_and.reduce(np.isfinite(S), axis=1)
@@ -172,8 +164,9 @@ def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[Des
 
 
 def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
-    """Full Newton iteration ``x - H^{-1} grad`` as a one-row call: one
-    evaluation per iterate, derivatives only where it steps. An exactly
+    """Full Newton iteration ``x - H^{-1} grad`` as a one-row call, with one
+    evaluation of value, Jacobian and second derivatives
+    (`SmoothMap.derivatives`) per iterate. An exactly
     singular system yields status `singular_hessian` (`saddle_stall` when
     the gradient also vanishes), never an exception."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)

@@ -96,8 +96,10 @@ class SmoothMap:
     h, of shape (m,) or (N, m). A map of `order` k >= 1 also gives its
     derivatives: ``kernel(X, d)`` for 1 <= d <= k is the tuple h, J
     (..., m, p) and, for d = 2, the component second derivatives
-    (..., m, p, p). Derivatives the map does not declare come from
-    central differences on rows (see `derivatives`).
+    (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
+    the bits of ``kernel(X)``: the solvers take h from their derivative
+    call. Derivatives the map does not declare come from central
+    differences on rows (see `derivatives`).
     """
 
     param_dim: int

@@ -95,11 +95,12 @@ def init_online(
     """Build an OnlineState from a trained sequence.
 
     Every stage's inverse information matrix starts at (1/ridge) I, so
-    `ridge` must be > 0. The state keeps one step per stage, so a
+    `ridge` must be > 0 and finite, with a finite 1/ridge (a subnormal
+    ridge has none). The state keeps one step per stage, so a
     region-partitioned sequence raises PartitionError.
     """
-    if not ridge > 0:
-        raise ValueError(f"ridge must be > 0, got {ridge}")
+    if not (ridge > 0 and 0 < 1.0 / float(ridge) < np.inf):
+        raise ValueError(f"ridge must be > 0 and finite with a finite 1/ridge, got {ridge}")
     if seq.partition:
         raise PartitionError(
             f"online refresh keeps one step per stage; this sequence is partitioned "

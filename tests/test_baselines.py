@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from sdm.analytic import registry, scalar_map
 from sdm.baselines import (
@@ -144,13 +146,12 @@ class TestOneEvaluationPerIterate:
         # per iterate, the value and one call for central differences on all shifted points
         assert calls == {"evaluate": 2 * len(run.iterates)}
 
-    def test_newton_value_per_iterate_derivatives_per_step(self):
+    def test_newton_calls_the_order_two_kernel_once_per_iterate(self):
         calls = Counter()
         smap = cube_1d(calls)
         run = newton_minimize(NlsProblem(smap, [1.0]), [1.3], max_iters=30)
         assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
-        n = len(run.iterates)
-        assert calls == {"fn": n, "hess": n - 1}
+        assert calls == {"hess": len(run.iterates)}
 
     def test_rows_call_the_fused_hook_once_per_iterate_for_all_rows(self):
         calls = Counter()
@@ -312,11 +313,47 @@ class TestScalarReference:
         # the first row converges in a few steps, the second takes many more
         runs = newton_rows(smap, [[1.0], [1.0]], [[1.001], [4.0]], max_iters=40)
         assert all(r.status is RunStatus.CONVERGED for r in runs)
-        short, long = (len(r.iterates) - 1 for r in runs)
-        assert 0 < short < long
-        assert calls["hess"] == short + long
-        stepped_from = {float(x[0]) for r in runs for x in r.iterates[:-1]}
-        assert set(points) == stepped_from
+        short, long = (len(r.iterates) for r in runs)
+        assert 1 < short < long
+        assert calls == {"hess": short + long}
+        # one call at every iterate of every run, and none once a run has ended
+        assert sorted(points) == sorted(float(x[0]) for r in runs for x in r.iterates)
+
+
+def linear_map_with_zero_curvature(A, b):
+    """h(x) = A x + b of order 2, row by row in plain products, declaring
+    second derivatives that are all zero."""
+    m, p = A.shape
+
+    def kernel(X, order=0):
+        rows = X.shape[:-1]
+        out = ((X[..., None, :] * A).sum(-1) + b, np.broadcast_to(A, (*rows, m, p)),
+               np.zeros((*rows, m, p, p)))
+        return out[:order + 1] if order else out[0]
+
+    return SmoothMap(p, m, kernel, order=2)
+
+
+class TestNewtonOnALinearMap:
+    """With zero curvature, Newton solves ``2 J^T J s = 2 J^T r``: scaling by
+    two is exact, so its runs are Gauss-Newton's, bit for bit."""
+
+    @seed(2014)
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 4), extra=st.integers(0, 3), n=st.integers(1, 5),
+           max_iters=st.integers(0, 6), scale=st.integers(-3, 3),
+           draw=st.integers(0, 2**32 - 1))
+    def test_newton_rows_equal_gauss_newton_rows(self, p, extra, n, max_iters, scale, draw):
+        rng = np.random.default_rng(draw)
+        A = rng.normal(size=(p + extra, p)) * 10.0 ** scale
+        assume(np.linalg.matrix_rank(A) == p)
+        smap = linear_map_with_zero_curvature(A, rng.normal(size=p + extra))
+        targets, X0 = rng.normal(size=(n, p + extra)), rng.normal(size=(n, p)) * 10.0
+        for newton, gauss in zip(newton_rows(smap, targets, X0, max_iters),
+                                 gauss_newton_rows(smap, targets, X0, max_iters)):
+            assert newton.status is gauss.status
+            assert np.array_equal(newton.iterates, gauss.iterates)
+            assert np.array_equal(newton.residuals, gauss.residuals)
 
 
 class TestRowArguments:

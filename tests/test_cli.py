@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdm import model_io, theory
+from sdm import cli, model_io, theory
 from sdm.cli import COMMANDS, REQUIRED, main
 from sdm.analytic import registry
 from sdm.core import DescentSequence, DescentStep, Mode
@@ -106,6 +106,13 @@ class TestOnlineDemoCommand:
 
     def test_forgetting_out_of_range_is_config_error(self, tmp_path):
         assert main(["online-demo", "--forgetting", "1.5", "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_deviation_that_is_not_finite_fails(self, tmp_path, monkeypatch, capsys, bad):
+        devs = iter([1e-9, bad, 1e-9])
+        monkeypatch.setattr(cli, "_online_case", lambda *args, **kwargs: next(devs))
+        assert main(["online-demo", "--output-dir", str(tmp_path)]) == 1
+        assert f"max deviation {bad:.3e}" in capsys.readouterr().out
 
 
 class TestPoseCommand:
@@ -318,6 +325,7 @@ class TestOutOfRangeSettings:
             ["online-demo", "--ridge", "-1"],
             ["online-demo", "--ridge", "0"],
             ["online-demo", "--ridge", "nan"],
+            ["online-demo", "--ridge", "inf"],
         ],
     )
     def test_exit_2_with_a_configuration_error(self, argv, tmp_path, capsys):
@@ -536,13 +544,14 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("command,name,setting", RULED, ids=ids(RULED))
     @settings(max_examples=15, deadline=None)
-    @given(data=st.data(), as_flag=st.booleans(), nan=st.booleans())
+    @given(data=st.data(), as_flag=st.booleans(),
+           special=st.sampled_from([None, math.nan, math.inf]))
     def test_out_of_range_value_exits_2_and_writes_nothing(
-        self, command, name, setting, data, as_flag, nan
+        self, command, name, setting, data, as_flag, special
     ):
         ints, floats = RULE_BREAKERS[setting.rule]
-        if setting.type is float and nan:
-            value = math.nan
+        if setting.type is float and special is not None:
+            value = special
         else:
             value = data.draw(ints if setting.type is int else floats)
         flag = name.replace("_", "-")

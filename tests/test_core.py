@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sdm
+from sdm.analytic import registry
 from sdm.core import (
     DescentSequence,
     DescentStep,
@@ -14,8 +15,13 @@ from sdm.core import (
 )
 from sdm.baselines import gauss_newton_rows, newton_rows
 from sdm.errors import DimensionMismatchError, DivergedError, PartitionError, SdmError
-from sdm.pose import DEFAULT_BASE_POSE, grid_poses
-from sdm.theory import Neighborhood, anchored_sample, monotone_operator_check
+from sdm.pose import DEFAULT_BASE_POSE, builtin_models, grid_poses
+from sdm.theory import (
+    Neighborhood,
+    anchored_sample,
+    monotone_operator_check,
+    random_operator_suite,
+)
 from sdm.trainer import TrainingSet
 
 
@@ -278,6 +284,36 @@ class TestSmoothMap:
         smap = SmoothMap(1, 2, lambda x: np.array([x[0]]))
         with pytest.raises(DimensionMismatchError):
             smap.evaluate([1.0])
+
+
+def _kernel_contract_cases():
+    """(map, rows) for every map the package builds: the pose projections,
+    the analytic scalar maps and the random operator suite."""
+    rng = np.random.default_rng(11)
+    spread = np.array([0.3, 0.3, 0.3, 50.0, 50.0, 50.0])
+    poses = DEFAULT_BASE_POSE.vector() + rng.normal(size=(300, 6)) * spread
+    cases = {f"pose-{name}": (model.feature_map, poses)
+             for name, model in builtin_models().items()}
+    cases |= {f"analytic-{name}": (fn.smooth_map(), fn.x0 + rng.uniform(-1.0, 1.0, (50, 1)))
+              for name, fn in registry().items()}
+    cases |= {name: (sample.map, sample.points[:100]) for name, sample, _ in random_operator_suite()}
+    return cases
+
+
+KERNEL_CONTRACT_CASES = _kernel_contract_cases()
+
+
+class TestKernelContract:
+    """The solvers take h from their derivative call, so at a point and at
+    rows, the value of ``derivatives(X, d)`` has the bits of ``evaluate(X)``."""
+
+    @pytest.mark.parametrize("case", KERNEL_CONTRACT_CASES)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_derivative_value_has_the_bits_of_evaluate(self, case, d):
+        smap, rows = KERNEL_CONTRACT_CASES[case]
+        for X in (rows[0], rows):
+            value, want = smap.derivatives(X, d)[0], smap.evaluate(X)
+            assert value.shape == want.shape and value.tobytes() == want.tobytes()
 
 
 def _size_cases():

@@ -42,9 +42,10 @@ class TestInitOnline:
             init_online(seq, ridge=1.0)
         assert isinstance(err.value, SdmError)
 
-    @pytest.mark.parametrize("ridge", [float("nan"), -1.0])
-    def test_nan_or_negative_ridge_refused(self, ridge):
-        with pytest.raises(ValueError, match="ridge must be > 0"):
+    # inf would start S at 0, which never learns; 1/1e-320 overflows
+    @pytest.mark.parametrize("ridge", [float("nan"), -1.0, float("inf"), 1e-320])
+    def test_ridge_without_a_finite_positive_inverse_refused_by_name(self, ridge):
+        with pytest.raises(ValueError, match=f"^ridge must be > 0 .*, got {ridge}$"):
             init_online(empty_sequence(2, 3), ridge=ridge)
 
     def test_every_stage_starts_from_its_step_and_inverse_ridge_identity(self):
