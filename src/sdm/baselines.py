@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector
+from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector, every
 
 RESIDUAL_TOL = 1e-12
 STEP_REL_TOL = 1e-10
@@ -54,16 +54,17 @@ def _norms(V: Array) -> Array:
     return np.sqrt(np.vecdot(V, V))
 
 
-def _solve(A: Array, B: Array) -> tuple[Array, Array]:
-    """Solutions of ``A[i] s = B[i]`` for every row i, and the mask of
-    rows whose system is singular (their solution is NaN)."""
-    try:
-        return np.linalg.solve(A, B[..., None])[..., 0], np.zeros(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(B.shape, np.nan), np.ones(1, dtype=bool)
-        S, singular = zip(*(_solve(A[i:i + 1], B[i:i + 1]) for i in range(len(A))))
-        return np.concatenate(S), np.concatenate(singular)
+def _solve_rows(A: Array, B: Array) -> tuple[Array, Array]:
+    """Solutions of ``A[i] s = B[i]``, one row at a time, where the batched
+    solve met a singular system; and the mask of rows whose system is
+    singular (their solution is NaN)."""
+    S, singular = np.full(B.shape, np.nan), np.zeros(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            S[i] = np.linalg.solve(A[i:i + 1], B[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return S, singular
 
 
 def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
@@ -73,8 +74,10 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     the rows still going, for the value, the Jacobian and, for Newton, the
     second derivatives; both methods build ``J^T J`` and ``J^T r`` from it,
     and Newton adds the curvature ``sum_i r_i d2h_i`` and the factor 2 of
-    ||h - y||^2. A single row goes through the map's one-point path, which
-    gives it the same bits sooner.
+    ||h - y||^2. An iterate no row can step from (every row met the
+    step-size test on the way there, or it is iterate `max_iters`) is
+    evaluated for its value alone. A single row goes through the map's
+    one-point path, which gives it the same bits sooner.
 
     Each round tests the live rows in this order: the residual diverged
     (non-finite or above DIVERGENCE_THRESHOLD), it converged, the system
@@ -82,78 +85,94 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     the step is not finite, the step stalls. Only rows that pass the two
     residual tests get a step; the others move, and have converged when
     the move is below STEP_REL_TOL relative. A row leaves when it ends.
+    A round in which every row passes costs one combined test; the
+    ordered tests run only when some row ends.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     n = len(X0)
     traj, res = np.empty((max_iters + 1, *X0.shape)), np.empty((max_iters + 1, n))
-    length, status = np.zeros(n, dtype=np.intp), np.empty(n, dtype=object)
+    # per row, its number of iterates and its status, as a run through every round has them
+    length, status = [max_iters + 1] * n, [RunStatus.MAX_ITERS] * n
+    top = 2 if newton else 1
 
-    order = 2 if newton else 1
-
-    def observe(live, X, Y, k):
+    def observe(live, X, Y, k, order):
+        """Residuals at the rows X of `live` against Y, their norms, recorded as
+        iterate k, and the derivatives up to `order`."""
         if len(X) == 1:
-            H, *D = (v[None] for v in map.derivatives(X[0], order))
+            H, *D = ([v[None] for v in map.derivatives(X[0], order)] if order
+                     else [map.evaluate(X[0])[None]])
         else:
-            H, *D = map.derivatives(X, order)
+            H, *D = map.derivatives(X, order) if order else [map.evaluate(X)]
         R = H - Y
         rn = _norms(R)
         rows = slice(None) if len(live) == n else live
-        traj[k, rows], res[k, rows], length[rows] = X, rn, k + 1
+        traj[k, rows], res[k, rows] = X, rn
         return R, rn, D
 
-    def stop(tests, live, *arrays):
+    def stop(k, tests, live, *arrays):
         """End the rows of `live` failing one of `tests`, (mask, status) pairs
-        in test order, with the status of the first test they fail; returns
-        `live` and `arrays` at the rows that go on."""
-        failed = tests[0][0]
-        for mask, _ in tests[1:]:
-            failed = failed | mask
-        if not failed.any():
+        in test order, at iterate k - 1 with the status of the first test
+        they fail; returns `live` and `arrays` at the rows that go on."""
+        failed = np.logical_or.reduce([mask for mask, _ in tests])
+        ended = live[failed].tolist()
+        if not ended:
             return (live, *arrays)
+        for i in ended:
+            length[i] = k
         for mask, s in reversed(tests):  # the first test a row fails is written last
-            status[live[mask]] = s
+            for i in live[mask].tolist():
+                status[i] = s
         return tuple(a[~failed] for a in (live, *arrays))
 
     live, X = np.arange(n), X0
-    R, rn, D = observe(live, X, Y, 0)
+    R, rn, D = observe(live, X, Y, 0, top if max_iters else 0)
     moved = np.zeros(n, dtype=bool)  # the last move met the step-size test
     for k in range(1, max_iters + 1):
-        # NaN compares false: a residual that is not finite has diverged
-        live, X, Y, R, *D = stop([(moved, RunStatus.CONVERGED),
-                                  (~(rn <= DIVERGENCE_THRESHOLD), RunStatus.DIVERGED),
-                                  (rn <= RESIDUAL_TOL, RunStatus.CONVERGED)], live, X, Y, R, *D)
-        if not live.size:
-            break
+        # NaN compares false: a residual that is not finite fails both bounds
+        if not every((rn > RESIDUAL_TOL) & (rn <= DIVERGENCE_THRESHOLD) & ~moved):
+            live, X, Y, R, *D = stop(k, [(moved, RunStatus.CONVERGED),
+                                         (~(rn <= DIVERGENCE_THRESHOLD), RunStatus.DIVERGED),
+                                         (rn <= RESIDUAL_TOL, RunStatus.CONVERGED)],
+                                     live, X, Y, R, *D)
+            if not live.size:
+                break
         Jt = D[0].transpose(0, 2, 1)
         A, G = Jt @ D[0], (Jt @ R[..., None])[..., 0]
         if newton:
             A, G = 2.0 * (A + np.einsum("ni,nijk->njk", R, D[1])), 2.0 * G
-        S, singular = _solve(A, G)
-        saddle = [(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)] if newton else []
-        finite = np.logical_and.reduce(np.isfinite(S), axis=1)
-        live, X_prev, S, Y = stop([*saddle, (singular, RunStatus.SINGULAR_HESSIAN),
-                                   (~finite, RunStatus.DIVERGED),
-                                   (_norms(S) < STALL_STEP_TOL, RunStatus.SADDLE_STALL)],
-                                  live, X, S, Y)
-        if not live.size:
-            break
-        X = X_prev - S
-        R, rn, D = observe(live, X, Y, k)
+        try:
+            S, singular = np.linalg.solve(A, G[..., None])[..., 0], None
+        except np.linalg.LinAlgError:
+            S, singular = _solve_rows(A, G)
+        sn = _norms(S)
+        # a finite step whose norm overflows fails this test and passes the ordered ones
+        if singular is not None or not every((sn >= STALL_STEP_TOL) & (sn < np.inf)):
+            singular = np.zeros(len(S), dtype=bool) if singular is None else singular
+            saddle = [(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)] if newton else []
+            finite = np.logical_and.reduce(np.isfinite(S), axis=1)
+            live, X, S, Y = stop(k, [*saddle, (singular, RunStatus.SINGULAR_HESSIAN),
+                                     (~finite, RunStatus.DIVERGED),
+                                     (sn < STALL_STEP_TOL, RunStatus.SADDLE_STALL)],
+                                 live, X, S, Y)
+            if not live.size:
+                break
+        X_prev, X = X, X - S
         moved = _norms(X - X_prev) <= STEP_REL_TOL * np.maximum(1.0, _norms(X))
+        if every(moved):  # every row converges here, with the value its last iterate needs
+            observe(live, X, Y, k, 0)
+            for i in live.tolist():
+                length[i], status[i] = k + 1, RunStatus.CONVERGED
+            break
+        R, rn, D = observe(live, X, Y, k, 0 if k == max_iters else top)
     else:
-        live, = stop([(moved, RunStatus.CONVERGED)], live)
+        live, = stop(max_iters + 1, [(moved, RunStatus.CONVERGED)], live)
         # out of iterations while moving away from the data is a divergence,
         # even with a bounded residual (a parameter escaping on a saturating map)
-        away = res[-1, live] > np.maximum(res[0, live], RESIDUAL_TOL)
-        status[live[away]], status[live[~away]] = RunStatus.DIVERGED, RunStatus.MAX_ITERS
-    return _runs(traj, res, length, status)
-
-
-def _runs(traj: Array, res: Array, length: Array, status: Array) -> list[DescentRun]:
-    """One DescentRun per row of `_descend`'s (iterate, row) arrays."""
+        for i in live[res[-1, live] > np.maximum(res[0, live], RESIDUAL_TOL)].tolist():
+            status[i] = RunStatus.DIVERGED
     return [DescentRun(iterates=traj[:k, i], residuals=res[:k, i], status=s)
-            for i, (k, s) in enumerate(zip(length.tolist(), status))]
+            for i, (k, s) in enumerate(zip(length, status))]
 
 
 def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[DescentRun]:
@@ -166,9 +185,10 @@ def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[Des
 def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     """Full Newton iteration ``x - H^{-1} grad`` as a one-row call, with one
     evaluation of value, Jacobian and second derivatives
-    (`SmoothMap.derivatives`) per iterate. An exactly
-    singular system yields status `singular_hessian` (`saddle_stall` when
-    the gradient also vanishes), never an exception."""
+    (`SmoothMap.derivatives`) per iterate, and of the value alone at a
+    last iterate reached on the step-size test or at `max_iters`. An
+    exactly singular system yields status `singular_hessian`
+    (`saddle_stall` when the gradient also vanishes), never an exception."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
     return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=True)[0]
 
@@ -182,7 +202,8 @@ def newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[Descen
 def gauss_newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     """Gauss-Newton iteration ``x + (J^T J)^{-1} J^T (y - h)`` as a one-row
     call, with one evaluation of value and Jacobian
-    (`SmoothMap.derivatives`) per iterate."""
+    (`SmoothMap.derivatives`) per iterate, and of the value alone at a last
+    iterate reached on the step-size test or at `max_iters`."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
     return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=False)[0]
 
@@ -191,8 +212,8 @@ def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[
     """`gauss_newton_minimize` of N problems at once: problem i has the
     target row i of an (N, m) array and starts at row i of X0 (N, p).
 
-    Each round evaluates value and Jacobian once, on the rows of every
-    run still going. The runs are those of N single calls, bit for bit,
+    Each round evaluates value and Jacobian once (the value alone where no
+    row can step on), on the rows of every run still going. The runs are those of N single calls, bit for bit,
     when the map's kernel gives each row the bits of a one-point call,
     as the package's kernels do.
     """

@@ -100,6 +100,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 # range rules by the text that error messages show; NaN and the infinities pass none of them
 _RULES = {
     "> 0": lambda v: 0 < v < np.inf,
+    # a subnormal value is > 0, but its reciprocal overflows to inf
+    "> 0 with a finite reciprocal": lambda v: 0 < v < np.inf and 1.0 / v < np.inf,
     ">= 0": lambda v: 0 <= v < np.inf,
     ">= 3": lambda v: 3 <= v < np.inf,
     "in (0, 1]": lambda v: 0 < v <= 1,
@@ -476,7 +478,8 @@ COMMANDS = {
     "online-demo": (cmd_online_demo, "recursive vs batch least-squares equivalence", {
         **_SHARED,
         "forgetting": Setting(1.0, float, "in (0, 1]", "exponential discount"),
-        "ridge": Setting(1e-3, float, "> 0", "initial ridge of the recursive state"),
+        "ridge": Setting(1e-3, float, "> 0 with a finite reciprocal",
+                         "initial ridge of the recursive state, which starts at (1/ridge) I"),
     }),
     "train": (cmd_train, "train a model and save it", {
         **_SHARED,

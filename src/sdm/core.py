@@ -27,12 +27,18 @@ Array = np.ndarray
 JACOBIAN_FD_STEP = 1e-6
 
 
+def every(mask: Array) -> bool:
+    """``mask.all()`` in one C call: `ndarray.all` goes through a Python
+    wrapper that costs more than the test on the few entries of a point."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
     """Coerce to a finite, read-only 1-D float64 array."""
     arr = np.array(values, dtype=float, copy=True).reshape(-1)
     if arr.size < 1:
         raise ValueError(f"{name} must have length >= 1")
-    if not np.isfinite(arr).all():
+    if not every(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(name, expected=dim, got=arr.size)
@@ -118,10 +124,10 @@ class SmoothMap:
             raise DimensionMismatchError("param", expected=self.param_dim, got=X.shape)
         return X
 
-    def _checked(self, value, X: Array, d: int) -> Array:
-        """A kernel output for X: the value (d = 0) or its d-th derivative."""
+    @staticmethod
+    def _checked(value, shape: tuple) -> Array:
+        """A kernel output of the declared `shape`."""
         value = np.asarray(value, dtype=float)
-        shape = (*X.shape[:-1], self.feature_dim) + (self.param_dim,) * d
         if value.shape != shape:
             raise DimensionMismatchError("feature", expected=shape, got=value.shape)
         return value
@@ -130,7 +136,7 @@ class SmoothMap:
         """The map at one point x (p,), shape (m,), or at every row of an
         (N, p) array, shape (N, m)."""
         X = self._points(X)
-        return self._checked(self.kernel(X), X, 0)
+        return self._checked(self.kernel(X), (*X.shape[:-1], self.feature_dim))
 
     def derivatives(self, X, order: int = 1) -> tuple[Array, ...]:
         """h, J and, for `order` 2, the second derivatives at one point or at
@@ -139,7 +145,11 @@ class SmoothMap:
         for second derivatives)."""
         X = self._points(X)
         if order <= self.order:
-            return tuple([self._checked(v, X, d) for d, v in enumerate(self.kernel(X, order))])
+            out, shape = [], (*X.shape[:-1], self.feature_dim)
+            for value in self.kernel(X, order):  # h, then each derivative one axis of p longer
+                out.append(self._checked(value, shape))
+                shape += (self.param_dim,)
+            return tuple(out)
         if order == 1:
             return self.evaluate(X), self.fd_jacobian(X)
         D = central_differences(self.jacobian, X)
@@ -216,6 +226,7 @@ def region_index(x, partition: tuple[int, ...], center):
     if np.ndim(x) == 2:
         above = np.asarray(x)[:, list(partition)] > center
         return above.astype(np.intp) @ (1 << np.arange(len(partition), dtype=np.intp))
+    x, center = np.asarray(x).tolist(), np.asarray(center).tolist()  # compared as Python floats
     return sum(1 << j for j, (c, v) in enumerate(zip(partition, center)) if x[c] > v)
 
 
@@ -284,10 +295,13 @@ class DescentSequence:
 def advance_regions(steps, X: Array, Phi: Array, regions) -> Array:
     """Advance the point X (p,), or each row i of X (N, p), with its
     residual Phi by the step of its region, ``steps[regions]`` or
-    ``steps[regions[i]]`` (see `region_index`). One stable sort groups
-    the rows by region, and only the regions that hold rows are visited."""
+    ``steps[regions[i]]`` (see `region_index`). One step advances all
+    rows at once; else one stable sort groups the rows by region, and only
+    the regions that hold rows are visited."""
     if X.ndim == 1:
         return steps[regions].advance(X, Phi)
+    if len(steps) == 1:
+        return steps[0].advance(X, Phi)
     order = np.argsort(regions, kind="stable")
     ends = np.cumsum(np.bincount(regions, minlength=len(steps)))
     X, Phi, out = X[order], Phi[order], np.empty_like(X)
@@ -337,23 +351,22 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
         raise ValueError(f"{seq.mode.value}-mode sequences require a target y")
     else:
         Y = as_matrix(y, "y", width=m, rows=len(X0)) if X0.ndim == 2 else as_vector(y, "y", dim=m)
-    n = len(seq)
+    n, r = len(seq), seq.n_regions
     traj = np.empty((n + 1, *X0.shape))
     traj[0] = X0
     broke = None  # per row, the stage at which its evaluation broke down, or n
     for k in range(n):
         X = traj[k]
         Phi = Y - map.evaluate(X)
-        if not np.isfinite(Phi).all():
+        if not every(np.isfinite(Phi)):
             bad = ~np.isfinite(Phi).all(axis=-1)
             broke = np.full(bad.shape, n) if broke is None else broke
             broke[bad & (broke > k)] = k
             if (broke < n).all():
                 break
             Phi[bad] = 0.0  # what such a row does next is never reported
-        regions = region_index(X, seq.partition, seq.center)
-        traj[k + 1] = advance_regions(seq.steps[k * seq.n_regions:(k + 1) * seq.n_regions],
-                                      X, Phi, regions)
+        regions = region_index(X, seq.partition, seq.center) if r > 1 else 0
+        traj[k + 1] = advance_regions(seq.steps[k * r:(k + 1) * r], X, Phi, regions)
     if broke is not None:
         i = np.flatnonzero(broke.reshape(-1) < n)[0]
         raise DivergedError("map produced a non-finite value mid-trajectory",

@@ -136,7 +136,8 @@ def _camera_columns(P, with_derivatives: bool = False) -> Array:
     or 7 matrices as (column, row, k), (4, 3, k) for one pose (6,) and
     (4, 3, k, N) for rows (N, 6), each entry the same product of sines and
     cosines for a single pose (Python floats) and for rows (arrays)."""
-    trig = np.sin(P[..., :3].T), np.cos(P[..., :3].T), P[..., 3:].T
+    e = P[..., :3].T
+    trig = np.sin(e), np.cos(e), P[..., 3:].T
     (sa, sb, sc), (ca, cb, cc), t = [v.tolist() for v in trig] if P.ndim == 1 else trig
     # the columns of R = Rz(yaw) @ Ry(pitch) @ Rx(roll)
     x = [ca * cb, sa * cb, -sb]
@@ -178,15 +179,17 @@ def _projection(P, H: Array, with_jacobian: bool = False):
     batch, n = P.shape[:-1], len(H)
     # D[j, i, k] is row i of camera matrix k applied to point j (then poses)
     D = (H @ _camera_columns(P, with_jacobian).reshape(4, -1)).reshape(n, 3, -1, *batch)
-    z = np.where(D[:, 2, 0] > 0, D[:, 2, 0], np.nan)  # behind the camera: NaN
+    depth = D[:, 2, 0]
+    z = np.where(depth > 0, depth, np.nan)  # behind the camera: NaN
     uv = D[:, :2, 0] / z[:, None]
-    # poses first, C-contiguous: the bits of batched products downstream follow the layout
-    h = np.ascontiguousarray(uv.transpose(*range(2, uv.ndim), 0, 1)).reshape(*batch, 2 * n)
+    # poses first, C-contiguous: the bits of batched products downstream follow the
+    # layout (a pose's (n, 2) and (n, 2, 6) arrays already are)
+    h = (uv if not batch else np.ascontiguousarray(uv.transpose(2, 0, 1))).reshape(*batch, 2 * n)
     if not with_jacobian:
         return h
     # d(x/z) = (dx - u dz) / z, and likewise for y, for all six coordinates
     J = (D[:, :2, 1:] - uv[:, :, None] * D[:, 2:, 1:]) / z[:, None, None]
-    J = np.ascontiguousarray(J.transpose(*range(3, J.ndim), 0, 1, 2))
+    J = J if not batch else np.ascontiguousarray(J.transpose(3, 0, 1, 2))
     return h, J.reshape(*batch, 2 * n, 6)
 
 

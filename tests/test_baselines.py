@@ -130,35 +130,48 @@ def cubic_map(calls=None, fused=False):
 
 
 class TestOneEvaluationPerIterate:
+    """One kernel call per iterate: of full order where a row may step from
+    it, of the value alone where none can (every row met the step-size
+    test, or the iterate is the last one allowed)."""
+
     def test_gauss_newton_calls_the_fused_hook_once_per_iterate(self):
         calls = Counter()
         smap = cubic_map(calls, fused=True)
         run = gauss_newton_minimize(NlsProblem(smap, smap.evaluate([1.0, 2.0])), [1.3, 1.6])
         calls["evaluate"] -= 1  # the target
         assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
-        assert +calls == {"fused": len(run.iterates)}
+        # the run ends on the step-size test: its last iterate is evaluated for the value
+        assert calls == {"fused": len(run.iterates) - 1, "evaluate": 1}
 
     def test_without_the_hook_one_evaluate_and_one_jacobian_per_iterate(self):
         calls = Counter()
         smap = cubic_map(calls)
         run = gauss_newton_minimize(NlsProblem(smap, smap.evaluate([1.0, 2.0])), [1.3, 1.6])
         calls["evaluate"] -= 1
-        # per iterate, the value and one call for central differences on all shifted points
-        assert calls == {"evaluate": 2 * len(run.iterates)}
+        # per stepping iterate, the value and one call for central differences on
+        # all shifted points; the last iterate, the value alone
+        assert calls == {"evaluate": 2 * (len(run.iterates) - 1) + 1}
 
-    def test_newton_calls_the_order_two_kernel_once_per_iterate(self):
+    @pytest.mark.parametrize("max_iters", [30, 3])
+    def test_newton_calls_the_order_two_kernel_once_per_iterate(self, max_iters):
         calls = Counter()
         smap = cube_1d(calls)
-        run = newton_minimize(NlsProblem(smap, [1.0]), [1.3], max_iters=30)
-        assert run.status is RunStatus.CONVERGED and len(run.iterates) > 3
-        assert calls == {"hess": len(run.iterates)}
+        run = newton_minimize(NlsProblem(smap, [1.0]), [1.3], max_iters=max_iters)
+        assert len(run.iterates) > 3
+        if max_iters == 3:  # out of iterations: the last iterate gets its value alone
+            assert run.status is RunStatus.MAX_ITERS
+            assert calls == {"hess": len(run.iterates) - 1, "fn": 1}
+        else:  # ends on the residual test, which needs the last iterate's value only
+            assert run.status is RunStatus.CONVERGED and run.residuals[-1] <= RESIDUAL_TOL
+            assert calls == {"hess": len(run.iterates)}
 
     def test_rows_call_the_fused_hook_once_per_iterate_for_all_rows(self):
         calls = Counter()
         smap = cubic_map(calls, fused=True)
         X0 = np.array([[1.3, 1.6], [0.9, 2.2], [1.0, 2.0]])
         runs = gauss_newton_rows(smap, np.tile([9.0, 6.0, 2.0], (3, 1)), X0)
-        assert calls == {"fused": max(len(r.iterates) for r in runs)}
+        # the rows still going at the last iterate all met the step-size test there
+        assert calls == {"fused": max(len(r.iterates) for r in runs) - 1, "evaluate": 1}
 
 
 class TestGaussNewtonRows:
@@ -203,6 +216,15 @@ def cube_1d(calls=None, points=None):
         return out[:order + 1] if order else out[0]
 
     return SmoothMap(1, 1, kernel, order=2)
+
+
+def logged(smap, log):
+    """`smap` with every kernel call recorded in `log` as (order, shape of X)."""
+    def kernel(X, order=0):
+        log.append((order, X.shape))
+        return smap.kernel(X, order)
+
+    return SmoothMap(smap.param_dim, smap.feature_dim, kernel, order=smap.order)
 
 
 def reference_run(problem, x0, max_iters, newton):
@@ -307,17 +329,71 @@ class TestScalarReference:
                 seen[want.status] += 1
         assert set(seen) == set(RunStatus)
 
-    def test_no_hessian_at_a_row_that_has_ended(self):
+    @pytest.mark.parametrize("max_iters, long_status", [(40, RunStatus.CONVERGED),
+                                                        (6, RunStatus.MAX_ITERS)])
+    def test_no_hessian_at_a_row_that_has_ended(self, max_iters, long_status):
         calls, points = Counter(), []
         smap = cube_1d(calls, points)
         # the first row converges in a few steps, the second takes many more
-        runs = newton_rows(smap, [[1.0], [1.0]], [[1.001], [4.0]], max_iters=40)
-        assert all(r.status is RunStatus.CONVERGED for r in runs)
+        runs = newton_rows(smap, [[1.0], [1.0]], [[1.001], [4.0]], max_iters=max_iters)
+        assert [r.status for r in runs] == [RunStatus.CONVERGED, long_status]
         short, long = (len(r.iterates) for r in runs)
         assert 1 < short < long
-        assert calls == {"hess": short + long}
-        # one call at every iterate of every run, and none once a run has ended
-        assert sorted(points) == sorted(float(x[0]) for r in runs for x in r.iterates)
+        # out of iterations, the second run's last iterate gets its value alone
+        last = int(long_status is RunStatus.MAX_ITERS)
+        assert calls == {"hess": short + long - last, **({"fn": 1} if last else {})}
+        # one call at every iterate a run can step from, none once a run has ended
+        stepped = [*runs[0].iterates, *runs[1].iterates[:long - last]]
+        assert sorted(points) == sorted(float(x[0]) for x in stepped)
+
+    def test_a_step_onto_the_last_iterate_takes_its_value_alone(self):
+        # on x^3 = 8 from 3 both methods step in every round, so the last
+        # iterate is reached by a step at max_iters and evaluated at order 0
+        for newton, top in ((False, "jac"), (True, "hess")):
+            calls = Counter()
+            problem = NlsProblem(cube_1d(calls), [8.0])
+            single = newton_minimize if newton else gauss_newton_minimize
+            run = single(problem, [3.0], max_iters=3)
+            assert run.status is RunStatus.MAX_ITERS and len(run.iterates) == 4
+            assert calls == {top: 3, "fn": 1}
+            assert_same_run(run, reference_run(problem, [3.0], 3, newton))
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    def test_a_round_where_one_row_has_moved_stays_at_full_order(self, newton):
+        log = []
+        smap = logged(cube_1d(), log)
+        # the first row's first step meets the step-size test; the second row,
+        # far from its solution, steps on from the same round
+        targets, starts = np.array([[1.0], [8.0]]), np.array([[1.0 + 1e-11], [3.0]])
+        runs = (newton_rows if newton else gauss_newton_rows)(smap, targets, starts, 30)
+        first, second = runs
+        assert first.status is RunStatus.CONVERGED and len(first.iterates) == 2
+        assert first.residuals[0] > RESIDUAL_TOL  # it stepped
+        assert abs(first.iterates[1, 0] - first.iterates[0, 0]) <= STEP_REL_TOL
+        assert len(second.iterates) > 3
+        top = 2 if newton else 1
+        # iterates 0 and 1 of both rows, each in one call of full order
+        assert log[:2] == [(top, (2, 1)), (top, (2, 1))]
+        assert all(shape == (1,) for _, shape in log[2:])
+        for run, y, x0 in zip(runs, targets, starts):
+            assert_same_run(run, reference_run(NlsProblem(smap, y), x0, 30, newton))
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    def test_no_or_one_iteration(self, newton, max_iters):
+        single, rows = ((newton_minimize, newton_rows) if newton
+                        else (gauss_newton_minimize, gauss_newton_rows))
+        for smap, targets, starts, _ in STATUS_CASES:
+            log = []
+            got = rows(logged(smap, log), np.array(targets), np.array(starts), max_iters)
+            # one call per iterate, and the iterate max_iters, where rows reach it,
+            # for its value alone
+            assert len(log) == max(len(r.iterates) for r in got) <= max_iters + 1
+            assert (log[-1][0] == 0) == any(len(r.iterates) > max_iters for r in got)
+            for run, y, x0 in zip(got, targets, starts):
+                want = reference_run(NlsProblem(smap, y), x0, max_iters, newton)
+                assert_same_run(run, want)
+                assert_same_run(single(NlsProblem(smap, y), x0, max_iters), want)
 
 
 def linear_map_with_zero_curvature(A, b):

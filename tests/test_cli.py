@@ -326,6 +326,7 @@ class TestOutOfRangeSettings:
             ["online-demo", "--ridge", "0"],
             ["online-demo", "--ridge", "nan"],
             ["online-demo", "--ridge", "inf"],
+            ["online-demo", "--ridge", "1e-320"],
         ],
     )
     def test_exit_2_with_a_configuration_error(self, argv, tmp_path, capsys):
@@ -490,6 +491,9 @@ class TestApplyInputs:
 # Values that break each rule, as (int, float) strategies; NaN breaks every rule.
 RULE_BREAKERS = {
     "> 0": (st.integers(max_value=0), st.floats(max_value=0.0)),
+    # 1 / 5e-309 overflows, as does the reciprocal of every subnormal
+    "> 0 with a finite reciprocal": (st.integers(max_value=0),
+                                     st.floats(max_value=0.0) | st.floats(5e-324, 5e-309)),
     ">= 0": (st.integers(max_value=-1), st.floats(max_value=-1e-300)),
     ">= 3": (st.integers(max_value=2), st.floats(max_value=2.9)),
     "in (0, 1]": (st.integers(max_value=0) | st.integers(min_value=2),
