@@ -100,10 +100,9 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         """Residuals at the rows X of `live` against Y, their norms, recorded as
         iterate k, and the derivatives up to `order`."""
         if len(X) == 1:
-            H, *D = ([v[None] for v in map.derivatives(X[0], order)] if order
-                     else [map.evaluate(X[0])[None]])
+            H, *D = [v[None] for v in map.derivatives(X[0], order)]
         else:
-            H, *D = map.derivatives(X, order) if order else [map.evaluate(X)]
+            H, *D = map.derivatives(X, order)
         R = H - Y
         rn = _norms(R)
         rows = slice(None) if len(live) == n else live

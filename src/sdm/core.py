@@ -140,9 +140,11 @@ class SmoothMap:
 
     def derivatives(self, X, order: int = 1) -> tuple[Array, ...]:
         """h, J and, for `order` 2, the second derivatives at one point or at
-        every row of an (N, p) array. Beyond the map's own `order`, the top
-        one is central differences of the one below, on rows (symmetrized
-        for second derivatives)."""
+        every row of an (N, p) array; for `order` 0, h alone. Beyond the
+        map's own `order`, the top one is central differences of the one
+        below, on rows (symmetrized for second derivatives)."""
+        if not order:
+            return (self.evaluate(X),)
         X = self._points(X)
         if order <= self.order:
             out, shape = [], (*X.shape[:-1], self.feature_dim)

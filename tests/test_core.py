@@ -308,12 +308,13 @@ class TestKernelContract:
     rows, the value of ``derivatives(X, d)`` has the bits of ``evaluate(X)``."""
 
     @pytest.mark.parametrize("case", KERNEL_CONTRACT_CASES)
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [0, 1, 2])
     def test_derivative_value_has_the_bits_of_evaluate(self, case, d):
         smap, rows = KERNEL_CONTRACT_CASES[case]
         for X in (rows[0], rows):
-            value, want = smap.derivatives(X, d)[0], smap.evaluate(X)
-            assert value.shape == want.shape and value.tobytes() == want.tobytes()
+            out, want = smap.derivatives(X, d), smap.evaluate(X)
+            assert len(out) == d + 1
+            assert out[0].shape == want.shape and out[0].tobytes() == want.tobytes()
 
 
 def _size_cases():
