@@ -158,9 +158,12 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
                 break
         X_prev, X = X, X - S
         moved = _norms(X - X_prev) <= STEP_REL_TOL * np.maximum(1.0, _norms(X))
-        # no row steps from an iterate that every row reached by a move below
-        # the step-size test, nor from the last one
-        R, rn, D = observe(live, X, Y, k, 0 if k == max_iters or every(moved) else top)
+        if every(moved):  # every row converges here, with the value its last iterate needs
+            observe(live, X, Y, k, 0)
+            for i in live.tolist():
+                length[i], status[i] = k + 1, RunStatus.CONVERGED
+            break
+        R, rn, D = observe(live, X, Y, k, 0 if k == max_iters else top)
     else:
         live, = stop(max_iters + 1, [(moved, RunStatus.CONVERGED)], live)
         # out of iterations while moving away from the data is a divergence,
