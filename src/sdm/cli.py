@@ -2,11 +2,13 @@
 
 Subcommands drive the analytic-function comparison, the synthetic pose
 experiment, the contraction-certificate suite, the online/batch
-equivalence demo, and model train/apply round-trips. All randomness
-flows from a single --seed through named streams, and every output CSV
-is byte-identical across reruns with the same configuration; wall-clock
-numbers go to sidecar files only. Each setting is declared once, in
-`COMMANDS`.
+equivalence demo, and model train/apply round-trips. The experiments
+live in their modules (`analytic.run_comparison`, `pose.run_protocol`,
+`theory.certificate_suite`); a handler calls one, prints and writes its
+results, and picks the exit code. All randomness flows from a single
+--seed through named streams, and every output CSV is byte-identical
+across reruns with the same configuration; wall-clock numbers go to
+sidecar files only. Each setting is declared once, in `COMMANDS`.
 
 Exit codes: 0 success, 1 a checked property failed, 2 bad configuration.
 """
@@ -29,16 +31,7 @@ from .core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence,
 from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError
 from .online import init_online, rls_ingest
 from .seeds import stream
-from .theory import (
-    Neighborhood,
-    anchored_sample,
-    contraction_certify,
-    frobenius_dm_bound,
-    generic_dm_1d,
-    lipschitz_anchored,
-    monotone_1d_registry,
-    random_operator_suite,
-)
+from .theory import certificate_suite
 from .trainer import TrainerConfig, train
 
 
@@ -191,41 +184,11 @@ def cmd_analytic(cfg) -> int:
     return 0
 
 
-def _train_pose(cfg, model_name: str, stages: int, noise_variance: float):
-    """Train one built-in object's cascade; returns (object model, sequence)."""
-    model = _pick(pose.builtin_models(), model_name, "model")
-    seq = pose.train_pose_sdm(
-        model,
-        pose.DEFAULT_CAMERA,
-        pose.pose_grid_spec(rot_step_deg=cfg.train_rot_step,
-                            trans_step_mm=cfg.train_trans_step),
-        noise_variance=noise_variance,
-        config=TrainerConfig(stages=stages, ridge=cfg.ridge),
-        rng=stream(cfg.seed, f"pose-train-noise-{model_name}"),
-    )
-    return model, seq
-
-
-def run_pose_experiment(cfg, model_name: str):
-    """Train, evaluate, and summarize one object; returns (records, seq)."""
-    model, seq = _train_pose(cfg, model_name, cfg.stages, cfg.noise if cfg.train_noise else 0.0)
-    base = pose.DEFAULT_BASE_POSE
-    test_grid = pose.pose_grid_spec(rot_step_deg=cfg.test_rot_step, trans_step_mm=cfg.test_trans_step)
-    test_poses = pose.grid_poses(test_grid, base)
-    test_poses = pose.subsample_poses(
-        test_poses, cfg.subsample, stream(cfg.seed, f"pose-subsample-{model_name}")
-    )
-    records = pose.evaluate_test_poses(
-        seq,
-        model,
-        pose.DEFAULT_CAMERA,
-        test_poses,
-        base_pose=base,
-        noise_variance=cfg.noise if cfg.test_noise else 0.0,
-        rng=stream(cfg.seed, f"pose-test-noise-{model_name}"),
-        with_gauss_newton=cfg.gauss_newton,
-    )
-    return records, seq
+def _pose_training(cfg, stages: int, noise_variance: float) -> dict:
+    """The `pose.train_protocol` settings of a `pose` or `train` command."""
+    return dict(config=TrainerConfig(stages=stages, ridge=cfg.ridge),
+                noise_variance=noise_variance, rot_step_deg=cfg.train_rot_step,
+                trans_step_mm=cfg.train_trans_step)
 
 
 def _pose_rows(records):
@@ -255,7 +218,13 @@ def cmd_pose(cfg) -> int:
     names = ["cube", "body", "face"] if cfg.model == "all" else [cfg.model]
     print(f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}")
     for name in names:
-        records, seq = run_pose_experiment(cfg, name)
+        _, records = pose.run_protocol(
+            _pick(pose.builtin_models(), name, "model"), cfg.seed,
+            test_noise_variance=cfg.noise if cfg.test_noise else 0.0,
+            test_rot_step_deg=cfg.test_rot_step, test_trans_step_mm=cfg.test_trans_step,
+            subsample=cfg.subsample, with_gauss_newton=cfg.gauss_newton,
+            **_pose_training(cfg, cfg.stages, cfg.noise if cfg.train_noise else 0.0),
+        )
         write_csv(cfg.output_dir / f"pose_results_{name}.csv", _POSE_HEADER, _pose_rows(records))
         # timings are wall-clock and deliberately kept out of the results file
         write_csv(
@@ -281,42 +250,21 @@ def cmd_pose(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    all_valid = True
-    rows = []
+    try:
+        suite = certificate_suite(cfg.seed, cfg.grid, radius=cfg.radius, epsilon=cfg.epsilon)
+    except (DegenerateNeighborhoodError, ValueError) as exc:  # a refused radius or epsilon
+        raise ConfigError(str(exc)) from exc
+    rows = [(row.name, row.bound, row.gain, row.certificate.contraction_factor,
+             row.certificate.samples_checked, row.certificate.valid) for row in suite]
     print(f"{'map':12s} {'K':>10s} {'gain':>10s} {'factor':>10s}  valid")
-    for name, smap, nbhd in monotone_1d_registry(grid_per_dim=cfg.grid):
-        try:
-            if cfg.radius is not None:
-                nbhd = Neighborhood(nbhd.anchor, cfg.radius, cfg.grid)
-            sample = anchored_sample(smap, nbhd)
-        except DegenerateNeighborhoodError as exc:
-            raise ConfigError(str(exc)) from exc
-        K = lipschitz_anchored(sample)
-        if cfg.epsilon is not None and not cfg.epsilon < 2.0 / K:
-            raise ConfigError(
-                f"epsilon must be below 2/K = {2.0 / K:.6g} for map {name}, got {cfg.epsilon}"
-            )
-        r = generic_dm_1d(sample, epsilon=cfg.epsilon)
-        cert = contraction_certify(sample, DescentStep.from_gain([[r]]))
-        all_valid &= cert.valid
-        rows.append((name, K, r, cert.contraction_factor, cert.samples_checked, cert.valid))
-        print(f"{name:12s} {K:10.5f} {r:10.5f} {cert.contraction_factor:10.6f}  {cert.valid}")
-    for name, sample, gain in random_operator_suite(seed=cfg.seed):
-        bound, ok = frobenius_dm_bound(sample, gain)
-        cert = contraction_certify(sample, DescentStep.from_gain(gain))
-        if ok:
-            all_valid &= cert.valid
-        fro = float(np.linalg.norm(gain, ord="fro"))
-        rows.append((name, bound, fro, cert.contraction_factor, cert.samples_checked, cert.valid))
-        print(
-            f"{name:12s} {bound:10.5f} {fro:10.5f} {cert.contraction_factor:10.6f}  {cert.valid}"
-        )
+    for name, bound, gain, factor, _, valid in rows:
+        print(f"{name:12s} {bound:10.5f} {gain:10.5f} {factor:10.6f}  {valid}")
     write_csv(
         cfg.output_dir / "certificates.csv",
         ("map", "bound_or_K", "gain_norm", "contraction_factor", "samples", "valid"),
         rows,
     )
-    return 0 if all_valid else 1
+    return 0 if all(row.certificate.valid for row in suite if row.counts) else 1
 
 
 def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
@@ -361,7 +309,8 @@ def cmd_train(cfg) -> int:
     # by default, as many stages as the `pose` or `analytic` command trains
     stages = COMMANDS[cfg.problem][2]["stages"].default if cfg.stages is None else cfg.stages
     if cfg.problem == "pose":
-        _, seq = _train_pose(cfg, cfg.model, stages, cfg.noise)
+        seq = pose.train_protocol(_pick(pose.builtin_models(), cfg.model, "model"), cfg.seed,
+                                  **_pose_training(cfg, stages, cfg.noise))
     else:
         fn = _pick(analytic.registry(), cfg.function, "function")
         seq = train(analytic.build_training_set(fn),
@@ -373,10 +322,10 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _read_inputs(path, width: int | None = None) -> tuple[list[np.ndarray], list[int]]:
-    """Data rows after the header as finite floats: `width` values each, or the
-    first cell only if `width` is None. Blank rows and '#' rows are skipped.
-    Returns the rows and the line number of each."""
+def _read_inputs(path, width: int) -> tuple[list[np.ndarray], list[int]]:
+    """Data rows after the header as finite floats, `width` values each.
+    Blank rows and '#' rows are skipped. Returns the rows and the line
+    number of each."""
     with _accessing("inputs file", path), open(path, newline="") as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
@@ -384,10 +333,10 @@ def _read_inputs(path, width: int | None = None) -> tuple[list[np.ndarray], list
         raise ConfigError(f"inputs file {path} has no header row")
     values = []
     for lineno, row in rows[1:]:
-        if width is not None and len(row) != width:
+        if len(row) != width:
             raise ConfigError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
         try:
-            values.append(np.array([float(v) for v in (row if width else row[:1])]))
+            values.append(np.array([float(v) for v in row]))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: expected numbers, got {row}") from None
         if not np.isfinite(values[-1]).all():
@@ -408,12 +357,11 @@ def cmd_apply(cfg) -> int:
         raise ConfigError(f"model file maps {seq.param_dim} parameters to {seq.feature_dim} "
                           f"features, {smap.name} maps {smap.param_dim} to {smap.feature_dim}")
     # all input rows in one cascade run, each from the problem's start point
+    rows, lines = _read_inputs(cfg.inputs, seq.feature_dim)
     if cfg.problem == "pose":
-        rows, lines = _read_inputs(cfg.inputs, seq.feature_dim)
         px = np.array(rows).reshape(-1, model.n_points, 2).swapaxes(1, 2)  # (u, v) per point
         Y, x0 = pose.pixel_features(px, pose.DEFAULT_CAMERA), pose.DEFAULT_BASE_POSE.vector()
     else:
-        rows, lines = _read_inputs(cfg.inputs)
         Y, x0 = np.array(rows).reshape(-1, 1), [fn.x0]
     try:
         final = apply_sequence(seq, np.tile(x0, (len(Y), 1)), smap, Y)[-1]

@@ -7,15 +7,12 @@ v1. A region-partitioned sequence is written as format v2: after the
 header come the number k of partition coordinates (uint32), the k
 coordinates (uint32), the k-entry partition center (float64), and then
 2**k (gain, bias) pairs per stage, stage-major as in
-`DescentSequence.steps`. An online-state file reuses the v1 layout and
-appends the forgetting factor, the sample weight, and one inverse
-information matrix per stage. Round-trips are exact.
+`DescentSequence.steps`. Round-trips are exact.
 
 Loading checks the header's sizes against the bytes that follow before
 reading any array, and refuses a file with bytes left over, zero stages
-or dimensions, a non-finite number, a nonzero bias outside generalized
-mode, or (online states) a state that breaks a rule of `OnlineState`;
-every malformed file raises ModelFormatError.
+or dimensions, a non-finite number, or a nonzero bias outside
+generalized mode; every malformed file raises ModelFormatError.
 """
 from __future__ import annotations
 
@@ -26,21 +23,13 @@ import numpy as np
 
 from .core import DescentSequence, DescentStep, Mode
 from .errors import ModelFormatError, PartitionError
-from .online import OnlineState, _weights_from_step
 
 SEQ_MAGIC = b"SDMQ"
-ONLINE_MAGIC = b"SDMO"
 FORMAT_VERSION = 1
 PARTITIONED_FORMAT_VERSION = 2
 
 _MODE_CODES = {Mode.TEMPLATE: 0, Mode.REVERSED: 1, Mode.GENERALIZED: 2}
 _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
-
-
-def _pack_header(
-    magic: bytes, mode: Mode, p: int, m: int, stages: int, version: int = FORMAT_VERSION
-) -> bytes:
-    return magic + struct.pack("<HBIII", version, _MODE_CODES[mode], p, m, stages)
 
 
 class _Reader:
@@ -75,39 +64,18 @@ class _Reader:
         return arr
 
 
-def _read_header(reader: _Reader, magic: bytes, versions=(FORMAT_VERSION,)):
-    if reader.take(4) != magic:
-        raise ModelFormatError("bad magic; not a model file of this kind")
-    version, mode_code, p, m, stages = reader.unpack("<HBIII")
-    if version not in versions:
-        raise ModelFormatError(f"unsupported format version {version}")
-    if mode_code not in _CODE_MODES:
-        raise ModelFormatError(f"unknown mode code {mode_code}")
-    if min(p, m, stages) < 1:
-        raise ModelFormatError(f"header needs p, m and stages >= 1, got {p}, {m}, {stages}")
-    return version, _CODE_MODES[mode_code], p, m, stages
-
-
-def _steps_bytes(steps) -> list[bytes]:
-    """Each step's gain (row-major) and then its bias, step by step."""
-    return [np.ascontiguousarray(a, dtype="<f8").tobytes()
-            for step in steps for a in (step.gain, step.bias)]
-
-
-def _read_steps(reader: _Reader, n: int, p: int, m: int) -> list[DescentStep]:
-    return [DescentStep(gain=reader.array((p, m), "gain"), bias=reader.array((p,), "bias"))
-            for _ in range(n)]
-
-
 def sequence_bytes(seq: DescentSequence) -> bytes:
     k = len(seq.partition)
     version = PARTITIONED_FORMAT_VERSION if k else FORMAT_VERSION
-    parts = [_pack_header(SEQ_MAGIC, seq.mode, seq.param_dim, seq.feature_dim, len(seq),
-                          version)]
+    parts = [SEQ_MAGIC + struct.pack("<HBIII", version, _MODE_CODES[seq.mode], seq.param_dim,
+                                     seq.feature_dim, len(seq))]
     if k:
         parts.append(struct.pack(f"<I{k}I", k, *seq.partition))
         parts.append(np.ascontiguousarray(seq.center, dtype="<f8").tobytes())
-    return b"".join(parts + _steps_bytes(seq.steps))
+    # each step's gain (row-major) and then its bias, step by step
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes()
+              for step in seq.steps for a in (step.gain, step.bias)]
+    return b"".join(parts)
 
 
 def save_sequence(seq: DescentSequence, path) -> None:
@@ -117,9 +85,16 @@ def save_sequence(seq: DescentSequence, path) -> None:
 
 def sequence_from_bytes(data: bytes) -> DescentSequence:
     reader = _Reader(data)
-    version, mode, p, m, stages = _read_header(
-        reader, SEQ_MAGIC, versions=(FORMAT_VERSION, PARTITIONED_FORMAT_VERSION)
-    )
+    if reader.take(4) != SEQ_MAGIC:
+        raise ModelFormatError("bad magic; not a model file of this kind")
+    version, mode_code, p, m, stages = reader.unpack("<HBIII")
+    if version not in (FORMAT_VERSION, PARTITIONED_FORMAT_VERSION):
+        raise ModelFormatError(f"unsupported format version {version}")
+    mode = _CODE_MODES.get(mode_code)
+    if mode is None:
+        raise ModelFormatError(f"unknown mode code {mode_code}")
+    if min(p, m, stages) < 1:
+        raise ModelFormatError(f"header needs p, m and stages >= 1, got {p}, {m}, {stages}")
     partition, center = (), None
     if version == PARTITIONED_FORMAT_VERSION:
         (k,) = reader.unpack("<I")
@@ -129,9 +104,10 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
         center = reader.array((k,), "partition center")
     n_steps = stages << len(partition)
     reader.expect(n_steps * (p * m + p))
-    steps = _read_steps(reader, n_steps, p, m)
+    steps = tuple(DescentStep(gain=reader.array((p, m), "gain"), bias=reader.array((p,), "bias"))
+                  for _ in range(n_steps))
     try:
-        return DescentSequence(steps=tuple(steps), param_dim=p, feature_dim=m, mode=mode,
+        return DescentSequence(steps=steps, param_dim=p, feature_dim=m, mode=mode,
                                partition=partition, center=center)
     except PartitionError as exc:
         raise ModelFormatError(f"malformed partition: {exc}") from exc
@@ -142,37 +118,3 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
 def load_sequence(path) -> DescentSequence:
     with open(path, "rb") as f:
         return sequence_from_bytes(f.read())
-
-
-def save_online_state(state: OnlineState, path) -> None:
-    parts = [
-        _pack_header(
-            ONLINE_MAGIC, Mode.GENERALIZED, state.param_dim, state.feature_dim,
-            state.n_stages,
-        ),
-        struct.pack("<dd", state.forgetting, state.sample_weight),
-        *_steps_bytes(state.steps),
-        *[np.ascontiguousarray(S, dtype="<f8").tobytes() for S in state.inv_cov],
-    ]
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
-
-
-def load_online_state(path) -> OnlineState:
-    with open(path, "rb") as f:
-        return online_state_from_bytes(f.read())
-
-
-def online_state_from_bytes(data: bytes) -> OnlineState:
-    reader = _Reader(data)
-    _, _, p, m, stages = _read_header(reader, ONLINE_MAGIC)
-    forgetting, sample_weight = reader.unpack("<dd")
-    reader.expect(stages * (p * m + p + (m + 1) ** 2))
-    weights = [_weights_from_step(step) for step in _read_steps(reader, stages, p, m)]
-    inv_cov = [reader.array((m + 1, m + 1), "inverse information matrix")
-               for _ in range(stages)]
-    try:
-        return OnlineState(weights=weights, inv_cov=inv_cov, param_dim=p, feature_dim=m,
-                           forgetting=forgetting, sample_weight=sample_weight)
-    except ValueError as exc:  # forgetting, sample weight or symmetry out of rule
-        raise ModelFormatError(str(exc)) from exc

@@ -32,12 +32,11 @@ class OnlineState:
     """Mutable per-stage weights and inverse information matrices.
 
     `forgetting` in (0, 1] is the exponential discount (1.0 keeps all
-    history); `sample_weight`, finite and > 0, scales each new sample.
-    Every entry of `weights` and `inv_cov` is finite. Single writer. An
-    ingest swaps new weight arrays in with one assignment, so readers of
-    `weights`, `steps` and `to_sequence()` never see a half-applied
-    update, and downdates the `inv_cov` arrays in place, so they must be
-    exactly symmetric and share no memory.
+    history). Every entry of `weights` and `inv_cov` is finite. Single
+    writer. An ingest swaps new weight arrays in with one assignment, so
+    readers of `weights`, `steps` and `to_sequence()` never see a
+    half-applied update, and downdates the `inv_cov` arrays in place, so
+    they must be exactly symmetric and share no memory.
     """
 
     weights: list[Array]
@@ -45,13 +44,10 @@ class OnlineState:
     param_dim: int
     feature_dim: int
     forgetting: float = 1.0
-    sample_weight: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.forgetting <= 1):
             raise ValueError(f"forgetting factor must lie in (0, 1], got {self.forgetting}")
-        if not 0 < self.sample_weight < np.inf:
-            raise ValueError(f"sample weight must be finite and > 0, got {self.sample_weight}")
         if len(self.weights) != len(self.inv_cov) or not self.weights:
             raise ValueError("weights and inv_cov must be aligned and nonempty")
         maug = self.feature_dim + 1
@@ -86,12 +82,7 @@ class OnlineState:
         )
 
 
-def init_online(
-    seq: DescentSequence,
-    ridge: float,
-    forgetting: float = 1.0,
-    sample_weight: float = 1.0,
-) -> OnlineState:
+def init_online(seq: DescentSequence, ridge: float, forgetting: float = 1.0) -> OnlineState:
     """Build an OnlineState from a trained sequence.
 
     Every stage's inverse information matrix starts at (1/ridge) I, so
@@ -112,7 +103,6 @@ def init_online(
         param_dim=seq.param_dim,
         feature_dim=seq.feature_dim,
         forgetting=forgetting,
-        sample_weight=sample_weight,
     )
 
 
@@ -122,8 +112,8 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     Stage k takes phi = [h(x_opt - dx_k); 1] at the current iterate and
     one product ``S @ phi`` with its inverse information matrix S. Its
     weights move by the prediction error times the gain ``S phi / denom``,
-    ``denom = forgetting / sample_weight + phi' S phi``, and the next
-    stage's residual dx uses them. All stages' weights are computed
+    ``denom = forgetting + phi' S phi``, and the next stage's residual dx
+    uses them. All stages' weights are computed
     before anything is written, so NumericalBreakdownError (denom <= 0)
     or a failing map leaves `state` as it was. Then every S is downdated
     in place to ``(S - S phi phi' S / denom) / forgetting`` and the new
@@ -141,7 +131,7 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     for k, (W, S) in enumerate(zip(state.weights, state.inv_cov)):
         phi = np.append(map.evaluate(x_opt - dx), 1.0)
         Sphi = np.vecdot(S, phi)  # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
-        denom = lam / state.sample_weight + float(phi @ Sphi)
+        denom = lam + float(phi @ Sphi)
         if denom <= 0:
             raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")
         W_new = W + np.outer(dx - W @ phi, Sphi / denom)

@@ -8,7 +8,9 @@ noise is added. Training samples a grid of pose offsets around a base
 pose; estimation always starts from that same base pose. The cascade
 is partitioned on the three Euler angles: at every stage it applies one
 of eight steps, chosen by the signs of the current estimate's angles
-relative to the base pose.
+relative to the base pose. `run_protocol` is the pose experiment:
+training on a grid, then estimating a noisy, seeded subset of a test
+grid.
 """
 from __future__ import annotations
 
@@ -496,3 +498,54 @@ def subsample_poses(poses: Array, count: int, rng: np.random.Generator) -> list[
     else:
         keep = sorted(rng.choice(len(poses), size=count, replace=False))
     return [Pose.from_vector(poses[i]) for i in keep]
+
+
+def train_protocol(
+    model: ObjectModel,
+    seed: int,
+    config: TrainerConfig = TrainerConfig(),
+    noise_variance: float = 4.0,
+    rot_step_deg: float = 10.0,
+    trans_step_mm: float = 200.0,
+) -> DescentSequence:
+    """The pose experiment's training: `train_pose_sdm` on the
+    `pose_grid_spec` grid of the given steps around the default base pose,
+    seen by the default camera with noise from the stream
+    ``pose-train-noise-<model name>`` of `seed`. The defaults are the
+    acceptance protocol's."""
+    # imported here, not with the module: seeds loads hashlib, which
+    # costs start-up time that no other use of pose needs
+    from .seeds import stream
+
+    grid = pose_grid_spec(rot_step_deg=rot_step_deg, trans_step_mm=trans_step_mm)
+    return train_pose_sdm(model, DEFAULT_CAMERA, grid, noise_variance=noise_variance,
+                          config=config, rng=stream(seed, f"pose-train-noise-{model.name}"))
+
+
+def run_protocol(
+    model: ObjectModel,
+    seed: int,
+    test_noise_variance: float = 4.0,
+    test_rot_step_deg: float = 7.0,
+    test_trans_step_mm: float = 170.0,
+    subsample: int = 2000,
+    with_gauss_newton: bool = True,
+    **training,
+) -> tuple[DescentSequence, list[PoseEvalRecord]]:
+    """The pose experiment: `train_protocol(model, seed, **training)`, then
+    `evaluate_test_poses` on `subsample` poses (see `subsample_poses`,
+    stream ``pose-subsample-<model name>``) of the test grid around the
+    default base pose, with noise from the stream
+    ``pose-test-noise-<model name>``. The defaults are the acceptance
+    protocol's. Returns the trained sequence and the records."""
+    from .seeds import stream  # as in train_protocol
+
+    seq = train_protocol(model, seed, **training)
+    test_grid = pose_grid_spec(rot_step_deg=test_rot_step_deg, trans_step_mm=test_trans_step_mm)
+    test_poses = subsample_poses(grid_poses(test_grid, DEFAULT_BASE_POSE), subsample,
+                                 stream(seed, f"pose-subsample-{model.name}"))
+    records = evaluate_test_poses(seq, model, DEFAULT_CAMERA, test_poses,
+                                  noise_variance=test_noise_variance,
+                                  rng=stream(seed, f"pose-test-noise-{model.name}"),
+                                  with_gauss_newton=with_gauss_newton)
+    return seq, records

@@ -5,7 +5,8 @@ a proof. `anchored_sample` samples a neighborhood once and evaluates
 the map there once; every check then reads that sample: the anchored
 Lipschitz constant, strict local monotonicity, the 1-D gain
 ``sign(h') * (2/K - eps)``, the Frobenius-norm sufficient bound, and
-the sample-by-sample contraction certificate.
+the sample-by-sample contraction certificate. `certificate_suite` is
+the one experiment built from them, which `sdm-bench verify` runs.
 """
 from __future__ import annotations
 
@@ -272,3 +273,49 @@ def random_operator_suite(seed: int = 0, count: int = 10):
         gain = gain0 * (0.9 * bound / np.linalg.norm(gain0, ord="fro"))
         suite.append((m.name, sample, gain))
     return suite
+
+
+@dataclass(frozen=True)
+class SuiteRow:
+    """One map of `certificate_suite`. `bound` is K for a 1-D map and the
+    Frobenius bound for a random operator; `gain` is the 1-D gain or the
+    operator gain's Frobenius norm. `counts` says whether `certificate`
+    counts toward the suite's verdict: a random operator's does only when
+    its gain lies under its bound."""
+
+    name: str
+    bound: float
+    gain: float
+    certificate: ContractionCertificate
+    counts: bool
+
+
+def certificate_suite(seed: int, grid_per_dim: int, radius: float | None = None,
+                      epsilon: float | None = None) -> list[SuiteRow]:
+    """Certify every map of `monotone_1d_registry` under its `generic_dm_1d`
+    gain, then every map of `random_operator_suite(seed)` under its gain.
+
+    `radius` replaces the registry's neighborhood radii and `epsilon` the
+    1-D gains' default margin. Maps are taken in order, and the first one
+    that refuses them raises before any later map is sampled:
+    DegenerateNeighborhoodError for a radius, ValueError for an epsilon at
+    or above the map's 2/K.
+    """
+    rows = []
+    for name, smap, nbhd in monotone_1d_registry(grid_per_dim):
+        if radius is not None:
+            nbhd = Neighborhood(nbhd.anchor, radius, grid_per_dim)
+        sample = anchored_sample(smap, nbhd)
+        K = lipschitz_anchored(sample)
+        if epsilon is not None and not epsilon < 2.0 / K:
+            raise ValueError(
+                f"epsilon must be below 2/K = {2.0 / K:.6g} for map {name}, got {epsilon}"
+            )
+        r = generic_dm_1d(sample, epsilon=epsilon)
+        rows.append(SuiteRow(name, K, r, contraction_certify(sample, DescentStep.from_gain([[r]])),
+                             True))
+    for name, sample, gain in random_operator_suite(seed=seed):
+        bound, ok = frobenius_dm_bound(sample, gain)
+        rows.append(SuiteRow(name, bound, float(np.linalg.norm(gain, ord="fro")),
+                             contraction_certify(sample, DescentStep.from_gain(gain)), ok))
+    return rows

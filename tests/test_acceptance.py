@@ -17,12 +17,11 @@ from sdm.online import init_online, rls_ingest
 from sdm.seeds import stream
 from sdm.theory import (
     anchored_sample,
+    certificate_suite,
     contraction_certify,
-    frobenius_dm_bound,
     lipschitz_anchored,
     monotone_1d_registry,
     monotone_anchored_1d,
-    random_operator_suite,
 )
 from sdm.trainer import TrainerConfig, TrainingSet, solve_stage, train
 from sdm import pose
@@ -85,22 +84,9 @@ def pose_protocol():
     """Criterion 5 protocol: cube, full training grid, 4 stages, 2000 noisy
     test poses, Gauss-Newton initialized at the truth as the reference."""
     t0 = time.perf_counter()
-    cube = pose.builtin_models()["cube"]
-    cam = pose.DEFAULT_CAMERA
-    base = pose.DEFAULT_BASE_POSE
-    seq = pose.train_pose_sdm(
-        cube, cam, pose.pose_grid_spec(), base_pose=base, noise_variance=4.0,
-        config=TrainerConfig(stages=4),
-        rng=stream(SEED, "pose-train-noise-cube"),
-    )
-    test_poses = pose.grid_poses(pose.pose_grid_spec(30.0, 7.0, 400.0, 170.0), base)
-    subset = pose.subsample_poses(test_poses, 2000, stream(SEED, "pose-subsample-cube"))
-    records = pose.evaluate_test_poses(
-        seq, cube, cam, subset, base_pose=base, noise_variance=4.0,
-        rng=stream(SEED, "pose-test-noise-cube"), with_gauss_newton=True,
-    )
+    seq, records = pose.run_protocol(pose.builtin_models()["cube"], SEED)
     return dict(seq=seq, records=records, elapsed=time.perf_counter() - t0,
-                n_train=len(pose.grid_poses(pose.pose_grid_spec(), base)))
+                n_train=len(pose.grid_poses(pose.pose_grid_spec(), pose.DEFAULT_BASE_POSE)))
 
 
 # ---------------------------------------------------------------- criteria
@@ -129,14 +115,13 @@ def test_criterion_1_theorem1_certificates():
 
 
 def test_criterion_2_theorem2_certificates():
-    ok = True
+    rows = [row for row in certificate_suite(SEED, 1001) if row.name.startswith("random-")]
+    ok = len(rows) == 10
     worst = 0.0
-    for name, sample, gain in random_operator_suite(seed=SEED, count=10):
-        bound, satisfied = frobenius_dm_bound(sample, gain)
-        cert = contraction_certify(sample, DescentStep.from_gain(gain))
-        if satisfied:
-            ok &= cert.valid
-            worst = max(worst, cert.contraction_factor)
+    for row in rows:
+        if row.counts:
+            ok &= row.certificate.contraction_factor < 1.0
+            worst = max(worst, row.certificate.contraction_factor)
     assert report(2, "theorem-2 certificates", ok, f"(10 maps; worst factor {worst:.4f})")
 
 

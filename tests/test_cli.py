@@ -64,15 +64,20 @@ class TestVerifyCommand:
         assert main(["verify", "--output-dir", str(tmp_path)]) == 0
         assert "True" in capsys.readouterr().out
 
-    def test_oversized_epsilon_is_config_error(self, tmp_path):
+    def test_oversized_epsilon_is_config_error(self, tmp_path, capsys):
         assert main(["verify", "--epsilon", "100", "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before anything is printed
+        assert "configuration error: epsilon must be below 2/K = 1 for map linear" in err
 
     def test_zero_radius_is_config_error(self, tmp_path):
         assert main(["verify", "--radius", "0", "--output-dir", str(tmp_path)]) == 2
 
     def test_radius_past_exp_overflow_is_config_error(self, tmp_path, capsys):
         assert main(["verify", "--radius", "1000", "--output-dir", str(tmp_path)]) == 2
-        assert "configuration error: map 'exp' is not finite" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before anything is printed
+        assert "configuration error: map 'exp' is not finite" in err
         assert not (tmp_path / "certificates.csv").exists()
 
     @pytest.mark.parametrize("radius, culprit", [("1e52", "exp"), ("1e155", "cube")])
@@ -220,6 +225,17 @@ class TestTrainApply:
                             translation=[float(v) for v in row[3:]])
         rot_err, trans_err = pose_mod.pose_error(est, truth)
         assert rot_err < 0.5 and trans_err < 10.0
+
+    def test_pose_model_file_is_the_protocol_training(self, tmp_path):
+        from sdm import pose as pose_mod
+
+        model_file = tmp_path / "body.sdm"
+        assert main(["train", "--problem", "pose", "--model", "body", "--seed", "7",
+                     "--train-rot-step", "15", "--train-trans-step", "400",
+                     "--out", str(model_file), "--output-dir", str(tmp_path)]) == 0
+        seq = pose_mod.train_protocol(pose_mod.builtin_models()["body"], 7,
+                                      rot_step_deg=15.0, trans_step_mm=400.0)
+        assert model_file.read_bytes() == model_io.sequence_bytes(seq)
 
     @pytest.mark.parametrize("problem", ["analytic", "pose"])
     def test_rows_equal_one_row_runs(self, tmp_path, problem):
@@ -450,13 +466,19 @@ class TestApplyInputs:
             f"configuration error: inputs file {inputs} has no header row"
         )
 
-    @pytest.mark.parametrize("width", [15, 17])
-    def test_pose_row_of_the_wrong_width_names_the_line(self, files, capsys, width):
-        inputs = files / "obs.csv"
-        inputs.write_text(",".join(["c"] * 16) + "\n" + ",".join(["100.0"] * width) + "\n")
-        assert self.apply(files, "pose", files / "cube.sdm", inputs) == 2
+    @pytest.mark.parametrize("problem, model_file, header, row", [
+        ("pose", "cube.sdm", ["c"] * 16, ["100.0"] * 15),
+        ("pose", "cube.sdm", ["c"] * 16, ["100.0"] * 17),
+        ("analytic", "analytic.sdm", ["target"], ["1.0", "7.0"]),  # no cell is dropped
+    ], ids=["pose-15", "pose-17", "analytic-2"])
+    def test_row_of_the_wrong_width_names_the_line(self, files, capsys, problem, model_file,
+                                                   header, row):
+        inputs = files / "inputs.csv"
+        inputs.write_text(",".join(header) + "\n" + ",".join(row) + "\n2.0\n")
+        assert self.apply(files, problem, files / model_file, inputs) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {inputs}:2: expected 16 values, got {width}")
+        assert err.startswith(f"configuration error: {inputs}:2: expected {len(header)} values, "
+                              f"got {len(row)}")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("problem, model_file, width", [("analytic", "analytic.sdm", 1),

@@ -1,6 +1,4 @@
 import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +7,7 @@ from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence
 from sdm.errors import ModelFormatError
-from sdm.model_io import (
-    load_online_state,
-    load_sequence,
-    online_state_from_bytes,
-    save_online_state,
-    save_sequence,
-    sequence_bytes,
-    sequence_from_bytes,
-)
-from sdm.online import OnlineState, init_online, rls_ingest
+from sdm.model_io import load_sequence, save_sequence, sequence_bytes, sequence_from_bytes
 
 
 def random_steps(rng, p, m, count, mode):
@@ -187,74 +176,9 @@ class TestPartitionedFormat:
             sequence_from_bytes(data[:25])
 
 
-class TestOnlineFormat:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        rng = np.random.default_rng(4)
-        p, m = 2, 4
-        A = rng.normal(size=(m, p))
-        smap = SmoothMap(p, m, lambda x: A @ x)
-        zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
-        seq = DescentSequence(steps=(zero, zero), param_dim=p, feature_dim=m,
-                              mode=Mode.GENERALIZED)
-        state = init_online(seq, ridge=1e-2, forgetting=0.95, sample_weight=2.0)
-        for _ in range(12):
-            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
-
-        path = tmp_path / "state.sdm"
-        save_online_state(state, path)
-        loaded = load_online_state(path)
-        assert loaded.forgetting == state.forgetting
-        assert loaded.sample_weight == state.sample_weight
-        assert loaded.n_stages == state.n_stages
-        for a, b in zip(loaded.weights, state.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.inv_cov, state.inv_cov):
-            assert np.array_equal(a, b)
-
-    def test_asymmetric_inverse_information_matrix_rejected(self, tmp_path):
-        rng = np.random.default_rng(6)
-        p, m, stages = 2, 3, 2
-        A = rng.normal(size=(m, p))
-        smap = SmoothMap(p, m, lambda x: A @ x)
-        zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
-        seq = DescentSequence(steps=(zero,) * stages, param_dim=p, feature_dim=m,
-                              mode=Mode.GENERALIZED)
-        state = init_online(seq, ridge=1e-2)
-        for _ in range(5):
-            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
-        path = tmp_path / "state.sdm"
-        save_online_state(state, path)
-        data = bytearray(path.read_bytes())
-        online_state_from_bytes(bytes(data))  # saved states are exactly symmetric
-        # entry (0, 1) of stage 0's inverse information matrix, one ulp off
-        at = len(data) - stages * (m + 1) ** 2 * 8 + 8
-        (value,) = struct.unpack_from("<d", data, at)
-        struct.pack_into("<d", data, at, np.nextafter(value, np.inf))
-        with pytest.raises(ModelFormatError, match="not exactly symmetric"):
-            online_state_from_bytes(bytes(data))
-
-    def test_sequence_reader_rejects_online_files(self, tmp_path):
-        rng = np.random.default_rng(5)
-        p, m = 2, 3
-        zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
-        seq = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m,
-                              mode=Mode.GENERALIZED)
-        state = init_online(seq, ridge=1.0)
-        path = tmp_path / "state.sdm"
-        save_online_state(state, path)
-        with pytest.raises(ModelFormatError):
-            load_sequence(path)
-
-
 def v1_bytes(p, m, stages, arrays, magic=b"SDMQ", mode=1):
     head = magic + struct.pack("<HBIII", 1, mode, p, m, stages)
     return head + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
-
-
-def online_bytes(p, m, stages, forgetting=1.0, weight=1.0, fill=0.0):
-    floats = stages * (p * m + p + (m + 1) ** 2)
-    return (b"SDMO" + struct.pack("<HBIII", 1, 2, p, m, stages)
-            + struct.pack("<dd", forgetting, weight) + struct.pack(f"<{floats}d", *[fill] * floats))
 
 
 class TestMalformedFiles:
@@ -285,42 +209,13 @@ class TestMalformedFiles:
         with pytest.raises(ModelFormatError, match=match):
             sequence_from_bytes(data)
 
-    @pytest.mark.parametrize(
-        "data, match",
-        [
-            (online_bytes(2, 3, 0), "stages"),
-            (online_bytes(0, 3, 1), "p, m"),
-            (online_bytes(2, 3, 1, fill=np.nan), "non-finite gain"),
-            (online_bytes(2, 3, 1, forgetting=0.0), "forgetting"),
-            (online_bytes(2, 3, 1, weight=np.inf), "sample weight"),
-            (online_bytes(2, 3, 1) + b"\0" * 8, "trailing"),
-            (online_bytes(2, 3, 1)[:-8], "truncated"),
-        ],
-        ids=["zero-stages", "zero-p", "nan-gain", "zero-forgetting", "inf-weight",
-             "trailing-float", "truncated"],
-    )
-    def test_online_loader_raises_model_format_error(self, data, match):
-        with pytest.raises(ModelFormatError, match=match):
-            online_state_from_bytes(data)
-
-    def test_non_finite_inverse_information_matrix_rejected(self):
-        data = bytearray(online_bytes(1, 1, 1))
-        data[-8:] = struct.pack("<d", np.nan)
-        with pytest.raises(ModelFormatError, match="non-finite inverse information"):
-            online_state_from_bytes(bytes(data))
-
-    def test_valid_online_bytes_load(self):
-        state = online_state_from_bytes(online_bytes(2, 3, 2, forgetting=0.5, weight=2.0))
-        assert (state.n_stages, state.forgetting, state.sample_weight) == (2, 0.5, 2.0)
-
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([b"", b"SDMQ", b"SDMO"]), st.binary(max_size=160))
     def test_arbitrary_bytes_raise_only_model_format_error(self, magic, tail):
-        for load in (sequence_from_bytes, online_state_from_bytes):
-            try:
-                load(magic + tail)
-            except ModelFormatError:
-                pass
+        try:
+            sequence_from_bytes(magic + tail)
+        except ModelFormatError:
+            pass
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -360,27 +255,3 @@ class TestRoundTripProperties:
         assert loaded.center.tobytes() == seq.center.tobytes()
         for a, b in zip(loaded.steps, seq.steps):
             assert a.gain.tobytes() == b.gain.tobytes() and a.bias.tobytes() == b.bias.tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
-           st.floats(1e-3, 1.0), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
-    def test_online_state_files_round_trip_byte_exactly(self, p, m, stages, forgetting,
-                                                        weight, seed):
-        rng = np.random.default_rng(seed)
-
-        def symmetric():
-            B = rng.normal(size=(m + 1, m + 1))
-            return B + B.T
-
-        state = OnlineState(weights=[rng.normal(size=(p, m + 1)) for _ in range(stages)],
-                            inv_cov=[symmetric() for _ in range(stages)], param_dim=p,
-                            feature_dim=m, forgetting=forgetting, sample_weight=weight)
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp, "a.sdmo"), Path(tmp, "b.sdmo")
-            save_online_state(state, first)
-            loaded = load_online_state(first)
-            save_online_state(loaded, second)
-            assert first.read_bytes() == second.read_bytes()
-        assert (loaded.forgetting, loaded.sample_weight) == (forgetting, weight)
-        for got, want in zip(loaded.weights + loaded.inv_cov, state.weights + state.inv_cov):
-            assert got.tobytes() == want.tobytes()
