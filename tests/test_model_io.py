@@ -209,6 +209,12 @@ class TestMalformedFiles:
         with pytest.raises(ModelFormatError, match=match):
             sequence_from_bytes(data)
 
+    def test_online_state_header_is_not_a_model_file(self):
+        # the magic and header of the online-state files that earlier versions wrote
+        data = b"SDMO" + struct.pack("<HBIII", 1, 2, 2, 3, 1) + struct.pack("<dd", 1.0, 1.0)
+        with pytest.raises(ModelFormatError, match="bad magic"):
+            sequence_from_bytes(data + bytes(8 * 64))
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([b"", b"SDMQ", b"SDMO"]), st.binary(max_size=160))
     def test_arbitrary_bytes_raise_only_model_format_error(self, magic, tail):

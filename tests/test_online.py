@@ -191,6 +191,34 @@ class TestRlsIngest:
             assert state.weights[k] == pytest.approx(W[k], rel=1e-12, abs=1e-12)
             assert state.inv_cov[k] == pytest.approx(S[k], rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_forgetting_matches_two_product_recursion(self, lam):
+        rng = np.random.default_rng(10)
+        # m == p, so the features excite every direction and forgetting does
+        # not blow up the inverse information matrix
+        p, m, stages = 3, 3, 3
+        A = rng.normal(size=(m, p))
+        smap = linear_map(A)
+        state = init_online(empty_sequence(p, m, stages=stages), ridge=0.1, forgetting=lam)
+        W = [v.copy() for v in state.weights]
+        S = [v.copy() for v in state.inv_cov]
+        for _ in range(200):
+            x0 = rng.normal(size=p)
+            x_opt = rng.normal(size=p)
+            # reference: downdate, symmetrize, then the gain from a second product
+            dx = x_opt - x0
+            for k in range(stages):
+                phi = np.append(A @ (x_opt - dx), 1.0)
+                Sphi = S[k] @ phi
+                S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam + phi @ Sphi)) / lam
+                S[k] = (S[k] + S[k].T) / 2
+                W[k] = W[k] + np.outer(dx - W[k] @ phi, phi @ S[k])
+                dx = dx - W[k] @ phi
+            rls_ingest(state, x_opt, x0, smap)
+        for k in range(stages):
+            for got, want in ((state.weights[k], W[k]), (state.inv_cov[k], S[k])):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("bad_stage", [1, 2])
     def test_breakdown_leaves_every_stage_untouched(self, bad_stage):
         rng = np.random.default_rng(11)
@@ -252,6 +280,13 @@ class TestStateValidation:
                 weights=[np.zeros((1, 2))], inv_cov=[np.eye(2)], param_dim=1,
                 feature_dim=1, forgetting=1.5,
             )
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, np.nan])
+    def test_forgetting_at_or_below_zero_or_nan_is_refused(self, lam):
+        match = f"forgetting factor must lie in \\(0, 1\\], got {lam}"
+        with pytest.raises(ValueError, match=match):
+            OnlineState(weights=[np.zeros((1, 2))], inv_cov=[np.eye(2)], param_dim=1,
+                        feature_dim=1, forgetting=lam)
 
     def test_inv_cov_must_be_exactly_symmetric(self):
         S = np.eye(3)

@@ -11,6 +11,7 @@ from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionE
 from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
 from sdm.core import (DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, apply_sequence,
                       region_index)
+from sdm.model_io import sequence_bytes
 from sdm.online import init_online, rls_ingest
 from sdm.pose import (
     DEFAULT_BASE_POSE,
@@ -659,3 +660,54 @@ class TestRowsEqualThePerPoseLoop:
         else:
             assert got.value.indices == want.indices
             assert str(got.value) == str(want)
+
+
+def same_records(got, want):
+    """Every field of two record lists but the timing."""
+    return len(got) == len(want) and all(
+        np.array_equal(a.truth.vector(), b.truth.vector())
+        and np.array_equal(a.estimate.vector(), b.estimate.vector())
+        and (a.model, a.rot_err_deg, a.trans_err_mm, a.gn_rot_err_deg, a.gn_trans_err_mm,
+             a.gn_status, a.gn_iterations)
+        == (b.model, b.rot_err_deg, b.trans_err_mm, b.gn_rot_err_deg, b.gn_trans_err_mm,
+            b.gn_status, b.gn_iterations)
+        for a, b in zip(got, want))
+
+
+class TestProtocol:
+    # the training grid of the pose command's coarse runs
+    COARSE = dict(rot_step_deg=15.0, trans_step_mm=400.0)
+
+    @pytest.mark.parametrize("name", ["cube", "body", "face"])
+    def test_run_protocol_is_the_written_out_protocol(self, seed42_objects, name):
+        seq, _, records, _ = seed42_objects[name]
+        got_seq, got = pose_module.run_protocol(builtin_models()[name], 42, subsample=300)
+        assert sequence_bytes(got_seq) == sequence_bytes(seq)
+        assert same_records(got, records)
+
+    def test_the_model_name_picks_the_noise_stream(self):
+        cube = builtin_models()["cube"]
+        seq = pose_module.train_protocol(cube, 7, **self.COARSE)
+        want = train_pose_sdm(cube, DEFAULT_CAMERA, pose_grid_spec(**self.COARSE),
+                              noise_variance=4.0, rng=stream(7, "pose-train-noise-cube"))
+        assert sequence_bytes(seq) == sequence_bytes(want)
+        renamed = ObjectModel(points=cube.points, name="other")
+        assert (sequence_bytes(pose_module.train_protocol(renamed, 7, **self.COARSE))
+                != sequence_bytes(seq))
+
+    def test_run_protocol_passes_its_training_settings_to_train_protocol(self):
+        body = builtin_models()["body"]
+        training = dict(config=TrainerConfig(stages=2), noise_variance=1.0, **self.COARSE)
+        seq, _ = pose_module.run_protocol(body, 7, subsample=5, with_gauss_newton=False,
+                                          **training)
+        assert len(seq) == 2
+        assert sequence_bytes(seq) == sequence_bytes(pose_module.train_protocol(body, 7,
+                                                                                **training))
+
+    def test_run_protocol_without_gauss_newton_records_only_the_cascade(self):
+        face = builtin_models()["face"]
+        _, records = pose_module.run_protocol(face, 7, subsample=25, with_gauss_newton=False,
+                                              **self.COARSE)
+        assert len(records) == 25
+        assert all(r.model == "face" and r.gn_status is None and r.gn_iterations is None
+                   and r.gn_rot_err_deg is None and r.gn_trans_err_mm is None for r in records)

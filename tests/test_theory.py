@@ -11,6 +11,7 @@ from sdm.theory import (
     LATTICE_CAP,
     Neighborhood,
     anchored_sample,
+    certificate_suite,
     contraction_certify,
     frobenius_dm_bound,
     generic_dm_1d,
@@ -306,3 +307,67 @@ class TestBlockedSampler:
         region = Neighborhood(np.array(anchor), radius, grid)
         assert np.array_equal(neighborhood_points(region, seed=seed),
                               one_draw_at_a_time(region, seed))
+
+
+class TestCertificateSuite:
+    # a coarse lattice keeps each suite to a fraction of a second
+    GRID = 101
+
+    def test_rows_are_the_registry_maps_then_the_random_operators(self):
+        names = [row.name for row in certificate_suite(7, self.GRID)]
+        assert names == ([name for name, _, _ in monotone_1d_registry(self.GRID)]
+                         + [name for name, _, _ in random_operator_suite(seed=7)])
+
+    def test_one_d_rows_certify_the_generic_gain(self):
+        rows = certificate_suite(7, self.GRID)
+        for (name, smap, nbhd), row in zip(monotone_1d_registry(self.GRID), rows):
+            region = anchored_sample(smap, nbhd)
+            r = generic_dm_1d(region)
+            cert = contraction_certify(region, DescentStep.from_gain([[r]]))
+            assert (row.bound, row.gain, row.counts) == (lipschitz_anchored(region), r, True)
+            assert row.certificate == cert, name
+
+    def test_random_rows_carry_their_frobenius_bound_and_count_only_under_it(self):
+        rows = certificate_suite(7, self.GRID)[-10:]
+        for (name, region, gain), row in zip(random_operator_suite(seed=7), rows):
+            bound, ok = frobenius_dm_bound(region, gain)
+            cert = contraction_certify(region, DescentStep.from_gain(gain))
+            assert (row.name, row.bound, row.counts) == (name, bound, ok)
+            assert row.gain == float(np.linalg.norm(gain, ord="fro"))
+            assert row.certificate == cert, name
+
+    def test_only_the_random_rows_follow_the_seed(self):
+        first, again, other = (certificate_suite(seed, self.GRID) for seed in (7, 7, 8))
+        n_1d = len(monotone_1d_registry(self.GRID))
+        assert first == again
+        assert first[:n_1d] == other[:n_1d]
+        assert all(a.bound != b.bound for a, b in zip(first[n_1d:], other[n_1d:]))
+
+    def test_radius_replaces_every_registry_radius(self):
+        rows = certificate_suite(7, self.GRID, radius=0.5)
+        for (name, smap, nbhd), row in zip(monotone_1d_registry(self.GRID), rows):
+            region = anchored_sample(smap, Neighborhood(nbhd.anchor, 0.5, self.GRID))
+            assert row.bound == lipschitz_anchored(region), name
+            assert row.gain == generic_dm_1d(region), name
+
+    def test_epsilon_replaces_the_default_margin(self):
+        rows = certificate_suite(7, self.GRID, epsilon=0.1)
+        for (name, smap, nbhd), row in zip(monotone_1d_registry(self.GRID), rows):
+            assert row.gain == generic_dm_1d(anchored_sample(smap, nbhd), epsilon=0.1), name
+        assert rows[0].gain == pytest.approx(2.0 / rows[0].bound - 0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("radius, match", [
+        (0.0, "radius must be finite and positive"),
+        (1000.0, "map 'exp' is not finite"),  # exp overflows first; linear and cube are finite
+    ])
+    def test_refused_radius_raises_degenerate_neighborhood(self, radius, match):
+        with pytest.raises(DegenerateNeighborhoodError, match=match):
+            certificate_suite(7, self.GRID, radius=radius)
+
+    # 2/K is 1 for linear and 2/4.75 for cube, so 0.5 passes linear and stops at cube
+    @pytest.mark.parametrize("epsilon, culprit", [(1.0, "linear"), (0.5, "cube")])
+    def test_epsilon_at_or_above_two_over_k_names_the_first_map_that_refuses(self, epsilon,
+                                                                            culprit):
+        with pytest.raises(ValueError, match=f"epsilon must be below 2/K = .* for map {culprit}, "
+                                             f"got {epsilon}$"):
+            certificate_suite(7, self.GRID, epsilon=epsilon)
