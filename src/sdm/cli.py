@@ -216,10 +216,12 @@ _POSE_HEADER = (
 
 def cmd_pose(cfg) -> int:
     names = ["cube", "body", "face"] if cfg.model == "all" else [cfg.model]
+    table = pose.builtin_models()
+    models = [_pick(table, name, "model") for name in names]  # refused before anything is printed
     print(f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}")
-    for name in names:
+    for name, model in zip(names, models):
         _, records = pose.run_protocol(
-            _pick(pose.builtin_models(), name, "model"), cfg.seed,
+            model, cfg.seed,
             test_noise_variance=cfg.noise if cfg.test_noise else 0.0,
             test_rot_step_deg=cfg.test_rot_step, test_trans_step_mm=cfg.test_trans_step,
             subsample=cfg.subsample, with_gauss_newton=cfg.gauss_newton,

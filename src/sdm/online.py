@@ -6,12 +6,18 @@ the regression coefficients of the parameter residual on phi. Publicly
 the stages are DescentStep objects (``gain = -W[:, :m]``,
 ``bias = W[:, m]``) of a generalized-mode sequence, so that
 ``x + W @ phi`` is the package's one update ``step.advance(x, -h)``.
-An ingest makes one product ``S @ phi`` and one in-place rank-one
-downdate of S per stage: O(m^2) time, no matrix inverted or copied.
+
+Each S is held as ``scale * S_base - P' P``: the rows of P are the
+rank-one downdates made since S_base was last written, the compact
+low-rank form of limited-memory quasi-Newton methods. An ingest reads
+S_base once, for ``S @ phi``, and appends one row of P per stage; it
+writes no (m+1)^2 entries. Once `_FOLD` rows are pending, every S_base
+absorbs them in one row-blocked pass, and reading `inv_cov` folds
+whatever is pending first. An ingest costs O(m^2) time per stage and
+allocates no matrix of S's size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -20,14 +26,17 @@ from .core import Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vecto
 from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError
 
 
-_BLOCK = 1 << 15  # entries of S per downdate block: 256 KiB, which stays in cache
+_BLOCK = 1 << 15  # entries of S per fold block: 256 KiB, which stays in cache
+# pending downdate rows per stage before S_base absorbs them: a fold costs
+# the same per row for any count, so this only trades P's memory against
+# how often an ingest pays for one
+_FOLD = 32
 
 
 def _weights_from_step(step: DescentStep) -> Array:
     return np.hstack([-step.gain, step.bias[:, None]])
 
 
-@dataclass
 class OnlineState:
     """Mutable per-stage weights and inverse information matrices.
 
@@ -35,25 +44,26 @@ class OnlineState:
     history). Every entry of `weights` and `inv_cov` is finite. Single
     writer. An ingest swaps new weight arrays in with one assignment, so
     readers of `weights`, `steps` and `to_sequence()` never see a
-    half-applied update, and downdates the `inv_cov` arrays in place, so
-    they must be exactly symmetric and share no memory.
+    half-applied update.
+
+    Stage k's inverse information matrix is ``scale * inv_cov[k] -
+    P_k' P_k`` with the pending downdate rows P_k (see the module
+    docstring); every stage holds the same number of rows and shares
+    `scale`. Reading `inv_cov` folds the pending rows into the given
+    arrays in place and returns them, so they must be exactly symmetric
+    and share no memory.
     """
 
-    weights: list[Array]
-    inv_cov: list[Array]
-    param_dim: int
-    feature_dim: int
-    forgetting: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.forgetting <= 1):
-            raise ValueError(f"forgetting factor must lie in (0, 1], got {self.forgetting}")
-        if len(self.weights) != len(self.inv_cov) or not self.weights:
+    def __init__(self, weights: list[Array], inv_cov: list[Array], param_dim: int,
+                 feature_dim: int, forgetting: float = 1.0):
+        if not (0 < forgetting <= 1):
+            raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
+        if len(weights) != len(inv_cov) or not weights:
             raise ValueError("weights and inv_cov must be aligned and nonempty")
-        maug = self.feature_dim + 1
-        for k, (W, S) in enumerate(zip(self.weights, self.inv_cov)):
-            if W.shape != (self.param_dim, maug):
-                raise DimensionMismatchError(f"weights[{k}]", (self.param_dim, maug), W.shape)
+        maug = feature_dim + 1
+        for k, (W, S) in enumerate(zip(weights, inv_cov)):
+            if W.shape != (param_dim, maug):
+                raise DimensionMismatchError(f"weights[{k}]", (param_dim, maug), W.shape)
             if S.shape != (maug, maug):
                 raise DimensionMismatchError(f"inv_cov[{k}]", (maug, maug), S.shape)
             for name, a in ((f"weights[{k}]", W), (f"inv_cov[{k}]", S)):
@@ -62,8 +72,21 @@ class OnlineState:
                     raise ValueError(f"{name} contains non-finite entries")
             if not np.array_equal(S, S.T):
                 raise ValueError(f"inv_cov[{k}] is not exactly symmetric")
-        if any(np.may_share_memory(a, b) for a, b in combinations(self.inv_cov, 2)):
-            raise ValueError("inv_cov arrays are downdated in place and must not share memory")
+        if any(np.may_share_memory(a, b) for a, b in combinations(inv_cov, 2)):
+            raise ValueError("inv_cov arrays are folded in place and must not share memory")
+        self.weights = weights
+        self.param_dim = param_dim
+        self.feature_dim = feature_dim
+        self.forgetting = forgetting
+        self._base = list(inv_cov)
+        self._scale = 1.0
+        self._pending = np.empty((len(inv_cov), _FOLD, maug))
+        self._count = 0
+
+    @property
+    def inv_cov(self) -> list[Array]:
+        self._fold()
+        return list(self._base)
 
     @property
     def n_stages(self) -> int:
@@ -80,6 +103,33 @@ class OnlineState:
             feature_dim=self.feature_dim,
             mode=Mode.GENERALIZED,
         )
+
+    def _fold(self) -> None:
+        """S_base <- scale * S_base - P' P for every stage; P empties.
+
+        Row blocks go through one buffer, each from its diagonal on, and
+        the part below the diagonal is copied from the part above. The
+        products run in numpy's own loops, not a (threaded) BLAS, so the
+        bits do not depend on the threading, and as the sum for entry
+        (i, j) of a diagonal block takes the same products in the same
+        order as the one for (j, i), S_base stays exactly symmetric.
+        """
+        c = self._count
+        if not c:
+            return
+        n = self.feature_dim + 1
+        rows = max(1, _BLOCK // n)
+        buf = np.empty(min(rows, n) * n)
+        for S, P in zip(self._base, self._pending[:, :c]):
+            for i in range(0, n, rows):
+                block = S[i : i + rows, i:]
+                term = buf[: block.size].reshape(block.shape)
+                np.einsum("ki,kj->ij", P[:, i : i + rows], P[:, i:], out=term)
+                if self._scale != 1.0:
+                    block *= self._scale
+                block -= term
+                S[i + rows :, i : i + rows] = block[:, rows:].T
+        self._scale, self._count = 1.0, 0
 
 
 def init_online(seq: DescentSequence, ridge: float, forgetting: float = 1.0) -> OnlineState:
@@ -110,46 +160,46 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     """Fold one labeled sample (optimum, start) into every stage.
 
     Stage k takes phi = [h(x_opt - dx_k); 1] at the current iterate and
-    one product ``S @ phi`` with its inverse information matrix S. Its
+    one product ``S @ phi`` with its inverse information matrix S, read
+    from the pending form as ``scale * S_base @ phi - P' (P phi)``. Its
     weights move by the prediction error times the gain ``S phi / denom``,
     ``denom = forgetting + phi' S phi``, and the next stage's residual dx
-    uses them. All stages' weights are computed
-    before anything is written, so NumericalBreakdownError (denom <= 0)
-    or a failing map leaves `state` as it was. Then every S is downdated
-    in place to ``(S - S phi phi' S / denom) / forgetting`` and the new
-    weight arrays replace the old ones in `state.weights`. Returns `state`.
+    uses them. All stages' weights are computed before anything is
+    written, so NumericalBreakdownError (denom <= 0) or a failing map
+    leaves `state` as it was. Then S becomes ``(S - g g') / forgetting``
+    with ``g = S phi / sqrt(denom)``: the pending rows and `scale` take
+    the 1 / forgetting, g / sqrt(forgetting) is appended as a row, a full
+    P is folded, and the new weight arrays replace the old ones in
+    `state.weights`. Returns `state`.
     """
     if map.param_dim != state.param_dim or map.feature_dim != state.feature_dim:
         raise DimensionMismatchError("map", (state.param_dim, state.feature_dim),
                                      (map.param_dim, map.feature_dim))
     x_opt = as_vector(x_opt, "x_opt", dim=state.param_dim)
     x0 = as_vector(x0, "x0", dim=state.param_dim)
-    lam = state.forgetting
+    lam, scale, c = state.forgetting, state._scale, state._count
+    pending = state._pending[:, :c]
 
     dx = x_opt - x0
     new_weights, downdates = [], []
-    for k, (W, S) in enumerate(zip(state.weights, state.inv_cov)):
+    for k, (W, S, P) in enumerate(zip(state.weights, state._base, pending)):
         phi = np.append(map.evaluate(x_opt - dx), 1.0)
-        Sphi = np.vecdot(S, phi)  # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
+        # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
+        Sphi = scale * np.vecdot(S, phi) - np.einsum("k,ki->i", np.vecdot(P, phi), P)
         denom = lam + float(phi @ Sphi)
         if denom <= 0:
             raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")
         W_new = W + np.outer(dx - W @ phi, Sphi / denom)
         new_weights.append(W_new)
-        downdates.append(Sphi / np.sqrt(denom))
+        downdates.append(Sphi / np.sqrt(denom * lam))
         dx = dx - W_new @ phi
 
-    # S <- (S - g g') / forgetting by row blocks through one buffer; as
-    # g_i * g_j == g_j * g_i in floating point, S stays exactly symmetric.
-    n = state.feature_dim + 1
-    rows = max(1, _BLOCK // n)
-    buf = np.empty((min(rows, n), n))
-    for S, g in zip(state.inv_cov, downdates):
-        for i in range(0, n, rows):
-            block, term = S[i : i + rows], buf[: min(rows, n - i)]
-            np.multiply(g[i : i + rows, None], g, out=term)
-            block -= term
-            if lam != 1.0:
-                block /= lam
+    if lam != 1.0:
+        pending /= np.sqrt(lam)
+        state._scale = scale / lam
+    state._pending[:, c] = downdates
+    state._count = c + 1
+    if state._count == _FOLD:
+        state._fold()
     state.weights[:] = new_weights
     return state

@@ -141,6 +141,13 @@ class TestPoseCommand:
     def test_unknown_model_is_config_error(self, tmp_path):
         assert main(["pose", "--model", "pyramid", "--output-dir", str(tmp_path)]) == 2
 
+    def test_unknown_model_is_refused_before_anything_is_printed(self, tmp_path, capsys):
+        assert main(["pose", "--model", "nope", "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error: unknown model 'nope'" in err
+        assert not any(tmp_path.iterdir())
+
     @staticmethod
     def _mean_errors(path):
         with open(path) as f:

@@ -1,4 +1,6 @@
+import copy
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
 from sdm.errors import NumericalBreakdownError, PartitionError, SdmError
-from sdm.online import OnlineState, init_online, rls_ingest
+from sdm.online import _FOLD, OnlineState, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
 
@@ -238,6 +240,123 @@ class TestRlsIngest:
         for k in range(3):
             assert np.array_equal(state.weights[k], weights_before[k])
             assert np.array_equal(state.inv_cov[k], inv_cov_before[k])
+
+    @staticmethod
+    def _two_product_reference(state, A, samples, lam):
+        """Weights and S of the eager recursion: downdate, symmetrize, then
+        the gain from a second product."""
+        W = [v.copy() for v in state.weights]
+        S = [v.copy() for v in state.inv_cov]
+        for x0, x_opt in samples:
+            dx = x_opt - x0
+            for k in range(len(W)):
+                phi = np.append(A @ (x_opt - dx), 1.0)
+                Sphi = S[k] @ phi
+                S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam + phi @ Sphi)) / lam
+                S[k] = (S[k] + S[k].T) / 2
+                W[k] = W[k] + np.outer(dx - W[k] @ phi, phi @ S[k])
+                dx = dx - W[k] @ phi
+        return W, S
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_pending_rows_across_folds_match_two_product_recursion(self, lam):
+        rng = np.random.default_rng(12)
+        p, m, stages = 3, 3, 3
+        A = rng.normal(size=(m, p))
+        smap = linear_map(A)
+        state = init_online(empty_sequence(p, m, stages=stages), ridge=0.1, forgetting=lam)
+        samples = [(rng.normal(size=p), rng.normal(size=p)) for _ in range(3 * _FOLD + 5)]
+        W, S = self._two_product_reference(state, A, samples, lam)
+        for x0, x_opt in samples:
+            rls_ingest(state, x_opt, x0, smap)  # S is not read in between
+        assert state._count == 5  # three folds made, five rows pending
+        for k in range(stages):
+            for got, want in ((state.weights[k], W[k]), (state.inv_cov[k], S[k])):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_fold_over_several_row_blocks_keeps_S_exactly_symmetric(self, lam):
+        rng = np.random.default_rng(13)
+        p, m = 3, 200  # 201 rows of S span two fold blocks
+        smap = linear_map(rng.normal(size=(m, p)))
+        state = init_online(empty_sequence(p, m, stages=2), ridge=1.0, forgetting=lam)
+        for _ in range(_FOLD + 3):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        for S in state.inv_cov:
+            assert np.array_equal(S, S.T)
+
+    def test_reading_inv_cov_folds_into_the_given_arrays(self):
+        rng = np.random.default_rng(14)
+        p, m = 2, 3
+        smap = linear_map(rng.normal(size=(m, p)))
+        given = [np.eye(m + 1), 2.0 * np.eye(m + 1)]
+        state = OnlineState(weights=[np.zeros((p, m + 1))] * 2, inv_cov=given, param_dim=p,
+                            feature_dim=m, forgetting=0.9)
+        for _ in range(3):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        assert np.array_equal(given[0], np.eye(m + 1))  # the downdates are pending
+        read = state.inv_cov
+        assert all(a is b for a, b in zip(read, given))
+        assert state._count == 0 and state._scale == 1.0
+        assert not np.array_equal(given[0], np.eye(m + 1))
+
+    @pytest.mark.parametrize("cause", ["breakdown", "map"])
+    @pytest.mark.parametrize("bad_stage", [1, 2])
+    def test_failed_ingest_with_pending_rows_leaves_state_as_a_clone(self, bad_stage, cause):
+        rng = np.random.default_rng(15)
+        p, m = 2, 3
+        A = 0.1 * rng.normal(size=(m, p))
+        calls, fail_at = [0], [None]
+
+        def kernel(X):
+            calls[0] += 1
+            if calls[0] == fail_at[0]:
+                raise FloatingPointError("map failed")
+            return X @ A.T
+
+        smap = SmoothMap(p, m, kernel, name="failing")
+        inv_cov = [np.eye(m + 1) for _ in range(3)]
+        if cause == "breakdown":
+            # denom = 0.9 + 2 - |h|^2 near the start: small features pass, large ones break down
+            inv_cov[bad_stage] = np.diag([-1.0] * m + [2.0])
+        state = OnlineState(weights=[np.zeros((p, m + 1)) for _ in range(3)], inv_cov=inv_cov,
+                            param_dim=p, feature_dim=m, forgetting=0.9)
+        for _ in range(5):
+            x0 = 0.1 * rng.normal(size=p)
+            rls_ingest(state, x0 + 0.01 * rng.normal(size=p), x0, smap)
+        assert state._count == 5
+        clone = copy.deepcopy(state)
+        x0 = np.full(p, 100.0)
+        if cause == "breakdown":
+            with pytest.raises(NumericalBreakdownError, match=f"stage {bad_stage}"):
+                rls_ingest(state, x0, x0, smap)
+        else:
+            fail_at[0] = calls[0] + bad_stage + 1
+            with pytest.raises(FloatingPointError, match="map failed"):
+                rls_ingest(state, x0, x0, smap)
+        assert state._count == clone._count and state._scale == clone._scale
+        assert np.array_equal(state._pending, clone._pending)
+        for k in range(3):
+            assert np.array_equal(state.weights[k], clone.weights[k])
+            assert np.array_equal(state.inv_cov[k], clone.inv_cov[k])
+
+    def test_ingests_through_a_fold_allocate_less_than_one_S(self):
+        rng = np.random.default_rng(16)
+        p, m = 2, 800
+        smap = linear_map(rng.normal(size=(m, p)) / m)
+        state = init_online(empty_sequence(p, m, stages=4), ridge=1.0)
+        rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)  # warm-up
+        samples = [(rng.normal(size=p), rng.normal(size=p)) for _ in range(_FOLD + 2)]
+        tracemalloc.start()
+        try:
+            for x0, x_opt in samples:
+                rls_ingest(state, x_opt, x0, smap)
+            state.inv_cov
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state._count == 0  # the run made a fold and the read made another
+        assert peak < (m + 1) ** 2 * 8
 
     def test_steps_expose_subtractive_convention(self):
         rng = np.random.default_rng(7)
