@@ -51,7 +51,8 @@ class OnlineState:
     docstring); every stage holds the same number of rows and shares
     `scale`. Reading `inv_cov` folds the pending rows into the given
     arrays in place and returns them, so they must be exactly symmetric
-    and share no memory.
+    and share no memory, and the read is a write: it belongs to the
+    single writer.
     """
 
     def __init__(self, weights: list[Array], inv_cov: list[Array], param_dim: int,
@@ -125,8 +126,7 @@ class OnlineState:
                 block = S[i : i + rows, i:]
                 term = buf[: block.size].reshape(block.shape)
                 np.einsum("ki,kj->ij", P[:, i : i + rows], P[:, i:], out=term)
-                if self._scale != 1.0:
-                    block *= self._scale
+                block *= self._scale
                 block -= term
                 S[i + rows :, i : i + rows] = block[:, rows:].T
         self._scale, self._count = 1.0, 0

@@ -29,6 +29,24 @@ def augmented(feats):
     return np.hstack([feats, np.ones((feats.shape[0], 1))])
 
 
+def two_product_recursion(state, A, samples, lam):
+    """Weights and S after the (x0, x_opt) samples by the reference recursion
+    over a linear map A: downdate, symmetrize, then the gain from a second
+    product. `state` gives the starting point and is not changed."""
+    W = [v.copy() for v in state.weights]
+    S = [v.copy() for v in state.inv_cov]
+    for x0, x_opt in samples:
+        dx = x_opt - x0
+        for k in range(len(W)):
+            phi = np.append(A @ (x_opt - dx), 1.0)
+            Sphi = S[k] @ phi
+            S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam + phi @ Sphi)) / lam
+            S[k] = (S[k] + S[k].T) / 2
+            W[k] = W[k] + np.outer(dx - W[k] @ phi, phi @ S[k])
+            dx = dx - W[k] @ phi
+    return W, S
+
+
 class TestInitOnline:
     def test_fallback_requires_ridge(self):
         with pytest.raises(ValueError, match="ridge must be > 0"):
@@ -202,20 +220,9 @@ class TestRlsIngest:
         A = rng.normal(size=(m, p))
         smap = linear_map(A)
         state = init_online(empty_sequence(p, m, stages=stages), ridge=0.1, forgetting=lam)
-        W = [v.copy() for v in state.weights]
-        S = [v.copy() for v in state.inv_cov]
-        for _ in range(200):
-            x0 = rng.normal(size=p)
-            x_opt = rng.normal(size=p)
-            # reference: downdate, symmetrize, then the gain from a second product
-            dx = x_opt - x0
-            for k in range(stages):
-                phi = np.append(A @ (x_opt - dx), 1.0)
-                Sphi = S[k] @ phi
-                S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam + phi @ Sphi)) / lam
-                S[k] = (S[k] + S[k].T) / 2
-                W[k] = W[k] + np.outer(dx - W[k] @ phi, phi @ S[k])
-                dx = dx - W[k] @ phi
+        samples = [(rng.normal(size=p), rng.normal(size=p)) for _ in range(200)]
+        W, S = two_product_recursion(state, A, samples, lam)
+        for x0, x_opt in samples:
             rls_ingest(state, x_opt, x0, smap)
         for k in range(stages):
             for got, want in ((state.weights[k], W[k]), (state.inv_cov[k], S[k])):
@@ -241,23 +248,6 @@ class TestRlsIngest:
             assert np.array_equal(state.weights[k], weights_before[k])
             assert np.array_equal(state.inv_cov[k], inv_cov_before[k])
 
-    @staticmethod
-    def _two_product_reference(state, A, samples, lam):
-        """Weights and S of the eager recursion: downdate, symmetrize, then
-        the gain from a second product."""
-        W = [v.copy() for v in state.weights]
-        S = [v.copy() for v in state.inv_cov]
-        for x0, x_opt in samples:
-            dx = x_opt - x0
-            for k in range(len(W)):
-                phi = np.append(A @ (x_opt - dx), 1.0)
-                Sphi = S[k] @ phi
-                S[k] = (S[k] - np.outer(Sphi, Sphi) / (lam + phi @ Sphi)) / lam
-                S[k] = (S[k] + S[k].T) / 2
-                W[k] = W[k] + np.outer(dx - W[k] @ phi, phi @ S[k])
-                dx = dx - W[k] @ phi
-        return W, S
-
     @pytest.mark.parametrize("lam", [1.0, 0.9])
     def test_pending_rows_across_folds_match_two_product_recursion(self, lam):
         rng = np.random.default_rng(12)
@@ -266,7 +256,7 @@ class TestRlsIngest:
         smap = linear_map(A)
         state = init_online(empty_sequence(p, m, stages=stages), ridge=0.1, forgetting=lam)
         samples = [(rng.normal(size=p), rng.normal(size=p)) for _ in range(3 * _FOLD + 5)]
-        W, S = self._two_product_reference(state, A, samples, lam)
+        W, S = two_product_recursion(state, A, samples, lam)
         for x0, x_opt in samples:
             rls_ingest(state, x_opt, x0, smap)  # S is not read in between
         assert state._count == 5  # three folds made, five rows pending
