@@ -7,14 +7,19 @@ the stages are DescentStep objects (``gain = -W[:, :m]``,
 ``bias = W[:, m]``) of a generalized-mode sequence, so that
 ``x + W @ phi`` is the package's one update ``step.advance(x, -h)``.
 
-Each S is held as ``scale * S_base - P' P``: the rows of P are the
-rank-one downdates made since S_base was last written, the compact
-low-rank form of limited-memory quasi-Newton methods. An ingest reads
-S_base once, for ``S @ phi``, and appends one row of P per stage; it
-writes no (m+1)^2 entries. Once `_FOLD` rows are pending, every S_base
-absorbs them in one row-blocked pass, and reading `inv_cov` folds
-whatever is pending first. An ingest costs O(m^2) time per stage and
-allocates no matrix of S's size.
+Each S is held as ``scale * (S_base - Q' Q)``: the rows of Q are the
+rank-one downdates made since S_base was last written, each divided by
+the square root of the scale it was made at (the compact low-rank form
+of limited-memory quasi-Newton methods). An ingest reads S_base once,
+for ``S @ phi``, and appends one row of Q per stage; it writes no
+(m+1)^2 entries. A stage folds, ``S_base <- scale * (S_base - Q' Q)`` in
+one row-blocked pass, when its scale passes `_MAX_SCALE` (under
+forgetting < 1 the difference of a stale S_base and Q'Q loses about
+log10(scale) digits), and otherwise the stage holding the most rows
+folds once it holds `_FOLD`, so that the stages take turns and one
+ingest pays for at most one stage's pass at forgetting 1. Reading
+`inv_cov` folds every stage first. An ingest costs O(m^2) time per
+stage and allocates no matrix of S's size.
 """
 from __future__ import annotations
 
@@ -27,10 +32,13 @@ from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionEr
 
 
 _BLOCK = 1 << 15  # entries of S per fold block: 256 KiB, which stays in cache
-# pending downdate rows per stage before S_base absorbs them: a fold costs
-# the same per row for any count, so this only trades P's memory against
-# how often an ingest pays for one
+# pending downdate rows a stage collects before its S_base absorbs them: a
+# fold costs the same per row for any count, so this only trades Q's memory
+# against how often an ingest pays for one
 _FOLD = 32
+# largest scale a stage carries into an ingest (see the module docstring);
+# forgetting 1 never raises it, and 0.99 reaches it only after 69 ingests
+_MAX_SCALE = 2.0
 
 
 def _weights_from_step(step: DescentStep) -> Array:
@@ -46,13 +54,12 @@ class OnlineState:
     readers of `weights`, `steps` and `to_sequence()` never see a
     half-applied update.
 
-    Stage k's inverse information matrix is ``scale * inv_cov[k] -
-    P_k' P_k`` with the pending downdate rows P_k (see the module
-    docstring); every stage holds the same number of rows and shares
-    `scale`. Reading `inv_cov` folds the pending rows into the given
-    arrays in place and returns them, so they must be exactly symmetric
-    and share no memory, and the read is a write: it belongs to the
-    single writer.
+    Stage k's inverse information matrix is ``scale_k * (inv_cov[k] -
+    Q_k' Q_k)`` with its own pending downdate rows Q_k and scale (see
+    the module docstring). Reading `inv_cov` folds the pending rows into
+    the given arrays in place and returns them, so they must be exactly
+    symmetric and share no memory, and the read is a write: it belongs
+    to the single writer.
     """
 
     def __init__(self, weights: list[Array], inv_cov: list[Array], param_dim: int,
@@ -80,13 +87,15 @@ class OnlineState:
         self.feature_dim = feature_dim
         self.forgetting = forgetting
         self._base = list(inv_cov)
-        self._scale = 1.0
-        self._pending = np.empty((len(inv_cov), _FOLD, maug))
-        self._count = 0
+        self._scale = [1.0] * len(inv_cov)
+        self._count = [0] * len(inv_cov)
+        # one fold per ingest keeps a full stage waiting at most n_stages - 1 ingests
+        self._pending = np.empty((len(inv_cov), _FOLD + len(inv_cov) - 1, maug))
 
     @property
     def inv_cov(self) -> list[Array]:
-        self._fold()
+        for k in range(self.n_stages):
+            self._fold(k)
         return list(self._base)
 
     @property
@@ -105,8 +114,8 @@ class OnlineState:
             mode=Mode.GENERALIZED,
         )
 
-    def _fold(self) -> None:
-        """S_base <- scale * S_base - P' P for every stage; P empties.
+    def _fold(self, k: int) -> None:
+        """S_base <- scale * (S_base - Q' Q) for stage k; Q empties.
 
         Row blocks go through one buffer, each from its diagonal on, and
         the part below the diagonal is copied from the part above. The
@@ -115,21 +124,21 @@ class OnlineState:
         (i, j) of a diagonal block takes the same products in the same
         order as the one for (j, i), S_base stays exactly symmetric.
         """
-        c = self._count
+        c = self._count[k]
         if not c:
             return
+        S, Q, scale = self._base[k], self._pending[k, :c], self._scale[k]
         n = self.feature_dim + 1
         rows = max(1, _BLOCK // n)
         buf = np.empty(min(rows, n) * n)
-        for S, P in zip(self._base, self._pending[:, :c]):
-            for i in range(0, n, rows):
-                block = S[i : i + rows, i:]
-                term = buf[: block.size].reshape(block.shape)
-                np.einsum("ki,kj->ij", P[:, i : i + rows], P[:, i:], out=term)
-                block *= self._scale
-                block -= term
-                S[i + rows :, i : i + rows] = block[:, rows:].T
-        self._scale, self._count = 1.0, 0
+        for i in range(0, n, rows):
+            block = S[i : i + rows, i:]
+            term = buf[: block.size].reshape(block.shape)
+            np.einsum("ki,kj->ij", Q[:, i : i + rows], Q[:, i:], out=term)
+            block -= term
+            block *= scale
+            S[i + rows :, i : i + rows] = block[:, rows:].T
+        self._scale[k], self._count[k] = 1.0, 0
 
 
 def init_online(seq: DescentSequence, ridge: float, forgetting: float = 1.0) -> OnlineState:
@@ -161,45 +170,47 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
 
     Stage k takes phi = [h(x_opt - dx_k); 1] at the current iterate and
     one product ``S @ phi`` with its inverse information matrix S, read
-    from the pending form as ``scale * S_base @ phi - P' (P phi)``. Its
+    from the pending form as ``scale * (S_base @ phi - Q' (Q phi))``. Its
     weights move by the prediction error times the gain ``S phi / denom``,
     ``denom = forgetting + phi' S phi``, and the next stage's residual dx
     uses them. All stages' weights are computed before anything is
     written, so NumericalBreakdownError (denom <= 0) or a failing map
     leaves `state` as it was. Then S becomes ``(S - g g') / forgetting``
-    with ``g = S phi / sqrt(denom)``: the pending rows and `scale` take
-    the 1 / forgetting, g / sqrt(forgetting) is appended as a row, a full
-    P is folded, and the new weight arrays replace the old ones in
-    `state.weights`. Returns `state`.
+    with ``g = S phi / sqrt(denom)``: ``g / sqrt(scale)`` is appended to
+    Q, scale is divided by the forgetting factor, the stages the module
+    docstring names fold, and the new weight arrays replace the old ones
+    in `state.weights`. Returns `state`.
     """
     if map.param_dim != state.param_dim or map.feature_dim != state.feature_dim:
         raise DimensionMismatchError("map", (state.param_dim, state.feature_dim),
                                      (map.param_dim, map.feature_dim))
     x_opt = as_vector(x_opt, "x_opt", dim=state.param_dim)
     x0 = as_vector(x0, "x0", dim=state.param_dim)
-    lam, scale, c = state.forgetting, state._scale, state._count
-    pending = state._pending[:, :c]
+    lam, count = state.forgetting, state._count
 
     dx = x_opt - x0
     new_weights, downdates = [], []
-    for k, (W, S, P) in enumerate(zip(state.weights, state._base, pending)):
+    for k, (W, S, scale) in enumerate(zip(state.weights, state._base, state._scale)):
+        Q = state._pending[k, : count[k]]
         phi = np.append(map.evaluate(x_opt - dx), 1.0)
         # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
-        Sphi = scale * np.vecdot(S, phi) - np.einsum("k,ki->i", np.vecdot(P, phi), P)
+        Sphi = scale * (np.vecdot(S, phi) - np.einsum("k,ki->i", np.vecdot(Q, phi), Q))
         denom = lam + float(phi @ Sphi)
         if denom <= 0:
             raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")
         W_new = W + np.outer(dx - W @ phi, Sphi / denom)
         new_weights.append(W_new)
-        downdates.append(Sphi / np.sqrt(denom * lam))
+        downdates.append(Sphi / np.sqrt(denom * scale))
         dx = dx - W_new @ phi
 
-    if lam != 1.0:
-        pending /= np.sqrt(lam)
-        state._scale = scale / lam
-    state._pending[:, c] = downdates
-    state._count = c + 1
-    if state._count == _FOLD:
-        state._fold()
+    for k, q in enumerate(downdates):
+        state._pending[k, count[k]] = q
+        count[k] += 1
+        state._scale[k] /= lam
+        if state._scale[k] > _MAX_SCALE:
+            state._fold(k)
+    fullest = max(range(state.n_stages), key=count.__getitem__)
+    if count[fullest] >= _FOLD:
+        state._fold(fullest)
     state.weights[:] = new_weights
     return state

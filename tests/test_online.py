@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
 from sdm.errors import NumericalBreakdownError, PartitionError, SdmError
-from sdm.online import _FOLD, OnlineState, init_online, rls_ingest
+from sdm.online import _FOLD, _MAX_SCALE, OnlineState, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
 
@@ -211,7 +211,7 @@ class TestRlsIngest:
             assert state.weights[k] == pytest.approx(W[k], rel=1e-12, abs=1e-12)
             assert state.inv_cov[k] == pytest.approx(S[k], rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    @pytest.mark.parametrize("lam", [1.0, 0.9, 0.5, 0.3])
     def test_forgetting_matches_two_product_recursion(self, lam):
         rng = np.random.default_rng(10)
         # m == p, so the features excite every direction and forgetting does
@@ -248,7 +248,7 @@ class TestRlsIngest:
             assert np.array_equal(state.weights[k], weights_before[k])
             assert np.array_equal(state.inv_cov[k], inv_cov_before[k])
 
-    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    @pytest.mark.parametrize("lam", [1.0, 0.9, 0.5, 0.3])
     def test_pending_rows_across_folds_match_two_product_recursion(self, lam):
         rng = np.random.default_rng(12)
         p, m, stages = 3, 3, 3
@@ -259,7 +259,9 @@ class TestRlsIngest:
         W, S = two_product_recursion(state, A, samples, lam)
         for x0, x_opt in samples:
             rls_ingest(state, x_opt, x0, smap)  # S is not read in between
-        assert state._count == 5  # three folds made, five rows pending
+            assert max(state._scale) <= _MAX_SCALE
+        if lam == 1.0:
+            assert state._count == [5, 4, 3]  # three folds per stage made, in turn
         for k in range(stages):
             for got, want in ((state.weights[k], W[k]), (state.inv_cov[k], S[k])):
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -275,6 +277,21 @@ class TestRlsIngest:
         for S in state.inv_cov:
             assert np.array_equal(S, S.T)
 
+    def test_stages_take_turns_to_fold(self):
+        rng = np.random.default_rng(17)
+        p, m, stages = 2, 3, 4
+        smap = linear_map(rng.normal(size=(m, p)))
+        state = init_online(empty_sequence(p, m, stages=stages), ridge=1.0)
+        folded = []
+        for _ in range(3 * _FOLD):
+            before = list(state._count)
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+            folded.append([k for k in range(stages) if state._count[k] <= before[k]])
+        # the stages fill together, then fold one per ingest and stay staggered
+        assert folded[_FOLD - 1 : _FOLD + 3] == [[0], [1], [2], [3]]
+        assert folded[2 * _FOLD - 1 : 2 * _FOLD + 3] == [[0], [1], [2], [3]]
+        assert all(len(f) <= 1 for f in folded)
+
     def test_reading_inv_cov_folds_into_the_given_arrays(self):
         rng = np.random.default_rng(14)
         p, m = 2, 3
@@ -287,7 +304,7 @@ class TestRlsIngest:
         assert np.array_equal(given[0], np.eye(m + 1))  # the downdates are pending
         read = state.inv_cov
         assert all(a is b for a, b in zip(read, given))
-        assert state._count == 0 and state._scale == 1.0
+        assert state._count == [0, 0] and state._scale == [1.0, 1.0]
         assert not np.array_equal(given[0], np.eye(m + 1))
 
     @pytest.mark.parametrize("cause", ["breakdown", "map"])
@@ -314,7 +331,7 @@ class TestRlsIngest:
         for _ in range(5):
             x0 = 0.1 * rng.normal(size=p)
             rls_ingest(state, x0 + 0.01 * rng.normal(size=p), x0, smap)
-        assert state._count == 5
+        assert state._count == [5, 5, 5]
         clone = copy.deepcopy(state)
         x0 = np.full(p, 100.0)
         if cause == "breakdown":
@@ -345,7 +362,7 @@ class TestRlsIngest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert state._count == 0  # the run made a fold and the read made another
+        assert state._count == [0] * 4  # the run made folds and the read made the rest
         assert peak < (m + 1) ** 2 * 8
 
     def test_steps_expose_subtractive_convention(self):
