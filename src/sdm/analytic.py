@@ -147,9 +147,8 @@ def registry() -> dict[str, AnalyticFunction]:
 def build_training_set(fn: AnalyticFunction) -> TrainingSet:
     """Targets sampled on the training range, optima via the inverse oracle."""
     ys = fn.train_targets()
-    optima = [np.array([fn.h_inverse(y)]) for y in ys]
-    targets = [np.array([y]) for y in ys]
-    return TrainingSet.reversed_targets(fn.smooth_map(), np.array([fn.x0]), optima, targets)
+    optima = np.array([fn.h_inverse(y) for y in ys])[:, None]
+    return TrainingSet.reversed_targets(fn.smooth_map(), np.array([fn.x0]), optima, ys[:, None])
 
 
 @dataclass(frozen=True)
@@ -187,16 +186,15 @@ def run_comparison(fn: AnalyticFunction, stages: int = 10) -> ComparisonResult:
     x_star = np.array([fn.h_inverse(y) for y in Y[:, 0]])[:, None]
     traj = apply_sequence(seq, X0, smap, Y)
     runs = newton_rows(smap, Y, X0, max_iters=stages)
-    k = np.arange(stages + 1)
-    newton_x = [run.iterates[np.minimum(k, len(run.iterates) - 1), 0] for run in runs]
     # (method, target, iteration), C-contiguous: each table is averaged over targets in row order
-    E = np.abs(np.stack([traj[..., 0].T, newton_x]) - x_star) / np.abs(x_star)
+    table = np.stack([traj[..., 0], runs.iterates[..., 0]]).transpose(0, 2, 1).copy()
+    E = np.abs(table - x_star) / np.abs(x_star)
     sdm_mean, newton_mean = (e.mean(axis=0) for e in np.where(E <= RESIDUAL_CAP, E, RESIDUAL_CAP))
     return ComparisonResult(
         sdm_mean=sdm_mean,
         newton_mean=newton_mean,
         n_test=len(Y),
-        newton_statuses=tuple(run.status.value for run in runs),
+        newton_statuses=tuple(s.value for s in runs.status),
         sequence=seq,
     )
 

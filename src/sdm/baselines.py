@@ -32,21 +32,28 @@ class RunStatus(str, Enum):
 
 @dataclass(frozen=True)
 class DescentRun:
-    """Iterates (k, p) and per-iterate residual norms (k,) of one solver run."""
+    """One run: iterates (k, p), residual norms (k,), a RunStatus, `iterations` = k - 1. Runs on
+    rows: (K+1, N, p) and (K+1, N), rows held at their last iterate, (N,) statuses and counts."""
 
     iterates: Array
     residuals: Array
-    status: RunStatus
+    status: RunStatus | Array
+    iterations: int | Array
 
     def __post_init__(self):
-        if not len(self.iterates):
-            raise ValueError("a run records at least its starting point")
-        if len(self.iterates) != len(self.residuals):
-            raise ValueError("iterates and residuals must be aligned")
+        shape = np.shape(self.residuals)  # (k,) for one run, (K+1, N) for runs on rows
+        if (not len(self.iterates) or np.shape(self.iterates)[:len(shape)] != shape
+                or not getattr(self.status, "shape", ()) == shape[1:] == np.shape(self.iterations)):
+            raise ValueError("a run needs a start, and aligned iterates, residuals and statuses")
 
     @property
     def final(self) -> Array:
         return self.iterates[-1]
+
+    def row(self, i: int) -> DescentRun:
+        """Row i of runs on rows as one run, up to its last iterate."""
+        k = int(self.iterations[i])
+        return DescentRun(self.iterates[:k + 1, i], self.residuals[:k + 1, i], self.status[i], k)
 
 
 def _norms(V: Array) -> Array:
@@ -68,7 +75,7 @@ def _solve_rows(A: Array, B: Array) -> tuple[Array, Array]:
 
 
 def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
-             newton: bool) -> list[DescentRun]:
+             newton: bool) -> DescentRun:
     """Newton (`newton`) or Gauss-Newton from every row of X0 (N, p), row i
     against the target Y[i] (N, m). Each iterate makes one kernel call on
     the rows still going, for the value, the Jacobian and, for Newton, the
@@ -84,17 +91,20 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     is singular (a saddle, for Newton, when the gradient vanishes too),
     the step is not finite, the step stalls. Only rows that pass the two
     residual tests get a step; the others move, and have converged when
-    the move is below STEP_REL_TOL relative. A row leaves when it ends.
-    A round in which every row passes costs one combined test; the
-    ordered tests run only when some row ends.
+    the move is below STEP_REL_TOL relative. A row leaves when it ends,
+    held at its last iterate and residual from then on. A round in which
+    every row passes costs one combined test; the ordered tests run only
+    when some row ends.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     n = len(X0)
     traj, res = np.empty((max_iters + 1, *X0.shape)), np.empty((max_iters + 1, n))
-    # per row, its number of iterates and its status, as a run through every round has them
-    length, status = [max_iters + 1] * n, [RunStatus.MAX_ITERS] * n
+    # per row, its steps and its status (RunStatus members), as a run through every round has them
+    steps, status = np.array([max_iters] * n), np.array([RunStatus.MAX_ITERS] * n, dtype=object)
     top = 2 if newton else 1
+    if not n:
+        return DescentRun(traj, res, status, steps)
 
     def observe(live, X, Y, k, order):
         """Residuals at the rows X of `live` against Y, their norms, recorded as
@@ -109,19 +119,20 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         traj[k, rows], res[k, rows] = X, rn
         return R, rn, D
 
+    def end(rows, k, s):
+        """End `rows` at iterate k - 1 with status `s`, held there from then on."""
+        rows = slice(None) if len(rows) == n else rows  # every row: a faster basic index
+        steps[rows], status[rows] = k - 1, s
+        traj[k:, rows], res[k:, rows] = traj[k - 1, rows], res[k - 1, rows]
+
     def stop(k, tests, live, *arrays):
         """End the rows of `live` failing one of `tests`, (mask, status) pairs
         in test order, at iterate k - 1 with the status of the first test
         they fail; returns `live` and `arrays` at the rows that go on."""
-        failed = np.logical_or.reduce([mask for mask, _ in tests])
-        ended = live[failed].tolist()
-        if not ended:
-            return (live, *arrays)
-        for i in ended:
-            length[i] = k
-        for mask, s in reversed(tests):  # the first test a row fails is written last
-            for i in live[mask].tolist():
-                status[i] = s
+        failed = np.zeros(len(live), dtype=bool)
+        for mask, s in tests:
+            end(live[mask & ~failed], k, s)
+            failed |= mask
         return tuple(a[~failed] for a in (live, *arrays))
 
     live, X = np.arange(n), X0
@@ -148,7 +159,8 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         # a finite step whose norm overflows fails this test and passes the ordered ones
         if singular is not None or not every((sn >= STALL_STEP_TOL) & (sn < np.inf)):
             singular = np.zeros(len(S), dtype=bool) if singular is None else singular
-            saddle = [(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)] if newton else []
+            saddle = ([(singular & (_norms(G) <= GRAD_TOL), RunStatus.SADDLE_STALL)]
+                      if newton else [])
             finite = np.logical_and.reduce(np.isfinite(S), axis=1)
             live, X, S, Y = stop(k, [*saddle, (singular, RunStatus.SINGULAR_HESSIAN),
                                      (~finite, RunStatus.DIVERGED),
@@ -160,25 +172,22 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
         moved = _norms(X - X_prev) <= STEP_REL_TOL * np.maximum(1.0, _norms(X))
         if every(moved):  # every row converges here, with the value its last iterate needs
             observe(live, X, Y, k, 0)
-            for i in live.tolist():
-                length[i], status[i] = k + 1, RunStatus.CONVERGED
+            end(live, k + 1, RunStatus.CONVERGED)
             break
         R, rn, D = observe(live, X, Y, k, 0 if k == max_iters else top)
     else:
         live, = stop(max_iters + 1, [(moved, RunStatus.CONVERGED)], live)
         # out of iterations while moving away from the data is a divergence,
         # even with a bounded residual (a parameter escaping on a saturating map)
-        for i in live[res[-1, live] > np.maximum(res[0, live], RESIDUAL_TOL)].tolist():
-            status[i] = RunStatus.DIVERGED
-    return [DescentRun(iterates=traj[:k, i], residuals=res[:k, i], status=s)
-            for i, (k, s) in enumerate(zip(length, status))]
+        status[live[res[-1, live] > np.maximum(res[0, live], RESIDUAL_TOL)]] = RunStatus.DIVERGED
+    return DescentRun(traj, res, status, steps)
 
 
-def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> list[DescentRun]:
+def _rows(map: SmoothMap, targets, X0, max_iters: int, newton: bool) -> DescentRun:
     """`_descend` from the rows of X0 (N, p) against targets (N, m), validated."""
     Y = as_matrix(targets, "targets", width=map.feature_dim)
     X0 = as_matrix(X0, "x0", width=map.param_dim, rows=len(Y))
-    return _descend(map, Y, X0, max_iters, newton=newton) if len(X0) else []
+    return _descend(map, Y, X0, max_iters, newton=newton)
 
 
 def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
@@ -189,10 +198,10 @@ def newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> DescentRun:
     exactly singular system yields status `singular_hessian`
     (`saddle_stall` when the gradient also vanishes), never an exception."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
-    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=True)[0]
+    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=True).row(0)
 
 
-def newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[DescentRun]:
+def newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> DescentRun:
     """`newton_minimize` of N problems at once: problem i has the target
     row i of an (N, m) array and starts at row i of X0 (N, p)."""
     return _rows(map, targets, X0, max_iters, newton=True)
@@ -204,16 +213,16 @@ def gauss_newton_minimize(problem: NlsProblem, x0, max_iters: int = 50) -> Desce
     (`SmoothMap.derivatives`) per iterate, and of the value alone at a last
     iterate reached on the step-size test or at `max_iters`."""
     x0 = as_vector(x0, "x0", dim=problem.map.param_dim)
-    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=False)[0]
+    return _descend(problem.map, problem.target[None], x0[None], max_iters, newton=False).row(0)
 
 
-def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> list[DescentRun]:
+def gauss_newton_rows(map: SmoothMap, targets, X0, max_iters: int = 50) -> DescentRun:
     """`gauss_newton_minimize` of N problems at once: problem i has the
     target row i of an (N, m) array and starts at row i of X0 (N, p).
 
     Each round evaluates value and Jacobian once (the value alone where no
-    row can step on), on the rows of every run still going. The runs are those of N single calls, bit for bit,
-    when the map's kernel gives each row the bits of a one-point call,
-    as the package's kernels do.
+    row can step on), on the rows of every run still going. Row i of the
+    record is the run of a single call, bit for bit, when the map's kernel
+    gives each row the bits of a one-point call, as the package's kernels do.
     """
     return _rows(map, targets, X0, max_iters, newton=False)

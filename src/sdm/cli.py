@@ -234,20 +234,14 @@ def cmd_pose(cfg) -> int:
             ("index", "wall_ms"),
             [(i, r.wall_ms) for i, r in enumerate(records)],
         )
-        rot = np.array([r.rot_err_deg for r in records])
-        tr = np.array([r.trans_err_mm for r in records])
-        ms = np.array([r.wall_ms for r in records])
-        print(
-            f"{name:8s} {rot.mean():10.3f} +- {rot.std():7.3f} "
-            f"{tr.mean():11.3f} +- {tr.std():7.3f} {ms.mean():8.3f}"
-        )
+        summary = [(name, [r.rot_err_deg for r in records], [r.trans_err_mm for r in records],
+                    f"{np.mean([r.wall_ms for r in records]):8.3f}")]
         if cfg.gauss_newton:
-            gn_rot = np.array([r.gn_rot_err_deg for r in records])
-            gn_tr = np.array([r.gn_trans_err_mm for r in records])
-            print(
-                f"{name + '/gn':8s} {gn_rot.mean():10.3f} +- {gn_rot.std():7.3f} "
-                f"{gn_tr.mean():11.3f} +- {gn_tr.std():7.3f} {'':8s}"
-            )
+            summary.append((name + "/gn", [r.gn_rot_err_deg for r in records],
+                            [r.gn_trans_err_mm for r in records], ""))
+        for label, rot, tr, ms in summary:
+            print(f"{label:8s} {np.mean(rot):10.3f} +- {np.std(rot):7.3f} "
+                  f"{np.mean(tr):11.3f} +- {np.std(tr):7.3f} {ms:8s}")
     return 0
 
 

@@ -479,10 +479,9 @@ def evaluate_test_poses(
     gn = [{}] * n
     if with_gauss_newton:
         runs = gauss_newton_rows(model.feature_map, targets, truths, max_iters=25)
-        gn_final = np.array([r.final for r in runs]).reshape(-1, 6)
-        gn = [dict(gn_rot_err_deg=float(gr), gn_trans_err_mm=float(gt), gn_status=r.status,
-                   gn_iterations=len(r.iterates) - 1)
-              for r, gr, gt in zip(runs, *_pose_errors(_wrap_poses(gn_final), truths))]
+        errs = zip(*(e.tolist() for e in _pose_errors(_wrap_poses(runs.final), truths)))
+        gn = [dict(gn_rot_err_deg=r, gn_trans_err_mm=t, gn_status=s, gn_iterations=i)
+              for (r, t), s, i in zip(errs, runs.status, runs.iterations.tolist())]
     return [
         PoseEvalRecord(model=model.name, truth=truth, estimate=Pose.from_vector(x),
                        rot_err_deg=float(r), trans_err_mm=float(t), wall_ms=wall_ms, **g)

@@ -171,7 +171,7 @@ class TestOneEvaluationPerIterate:
         X0 = np.array([[1.3, 1.6], [0.9, 2.2], [1.0, 2.0]])
         runs = gauss_newton_rows(smap, np.tile([9.0, 6.0, 2.0], (3, 1)), X0)
         # the rows still going at the last iterate all met the step-size test there
-        assert calls == {"fused": max(len(r.iterates) for r in runs) - 1, "evaluate": 1}
+        assert calls == {"fused": max(runs.iterations), "evaluate": 1}
 
 
 class TestGaussNewtonRows:
@@ -192,7 +192,8 @@ class TestGaussNewtonRows:
         seen = set()
         for smap, targets, starts, max_iters in cases:
             runs = gauss_newton_rows(smap, np.array(targets), np.array(starts), max_iters)
-            for run, y, x0 in zip(runs, targets, starts):
+            for i, (y, x0) in enumerate(zip(targets, starts)):
+                run = runs.row(i)
                 want = gauss_newton_minimize(NlsProblem(smap, y), x0, max_iters)
                 assert run.status is want.status
                 assert np.array_equal(run.iterates, want.iterates)
@@ -239,7 +240,8 @@ def reference_run(problem, x0, max_iters, newton):
     iterates, residuals = [x], [float(np.linalg.norm(r))]
 
     def run(status):
-        return DescentRun(iterates=tuple(iterates), residuals=tuple(residuals), status=status)
+        return DescentRun(iterates=tuple(iterates), residuals=tuple(residuals), status=status,
+                          iterations=len(iterates) - 1)
 
     for _ in range(max_iters):
         rn = residuals[-1]
@@ -279,8 +281,19 @@ def assert_same_run(got, want):
     assert got.status is want.status
     k, p = len(want.iterates), len(want.iterates[0])
     assert got.iterates.shape == (k, p) and got.residuals.shape == (k,)
+    assert got.iterations == k - 1
     assert all(np.array_equal(a, b) for a, b in zip(got.iterates, want.iterates))
     assert np.array_equal(got.residuals, want.residuals)
+
+
+def assert_same_row(runs, i, want):
+    """Row i of a rows record is `want` up to its last iterate, and held at
+    that iterate and its residual through the record's last iterate."""
+    k = len(want.iterates)
+    assert runs.status[i] is want.status and runs.iterations[i] == k - 1
+    assert_same_run(runs.row(i), want)
+    assert (runs.iterates[k:, i] == runs.iterates[k - 1, i]).all()
+    assert (runs.residuals[k:, i] == runs.residuals[k - 1, i]).all()
 
 
 def fold_map():
@@ -321,10 +334,11 @@ class TestScalarReference:
         seen = Counter()
         for smap, targets, starts, max_iters in cases:
             got = rows(smap, np.array(targets), np.array(starts), max_iters)
-            assert len(got) == len(targets)
-            for run, y, x0 in zip(got, targets, starts):
+            assert got.iterates.shape == (max_iters + 1, *np.shape(starts))
+            assert got.status.shape == got.iterations.shape == (len(targets),)
+            for i, (y, x0) in enumerate(zip(targets, starts)):
                 want = reference_run(NlsProblem(smap, y), x0, max_iters, newton)
-                assert_same_run(run, want)
+                assert_same_row(got, i, want)
                 assert_same_run(single(NlsProblem(smap, y), x0, max_iters), want)
                 seen[want.status] += 1
         assert set(seen) == set(RunStatus)
@@ -336,14 +350,14 @@ class TestScalarReference:
         smap = cube_1d(calls, points)
         # the first row converges in a few steps, the second takes many more
         runs = newton_rows(smap, [[1.0], [1.0]], [[1.001], [4.0]], max_iters=max_iters)
-        assert [r.status for r in runs] == [RunStatus.CONVERGED, long_status]
-        short, long = (len(r.iterates) for r in runs)
+        assert list(runs.status) == [RunStatus.CONVERGED, long_status]
+        short, long = (runs.iterations + 1).tolist()
         assert 1 < short < long
         # out of iterations, the second run's last iterate gets its value alone
         last = int(long_status is RunStatus.MAX_ITERS)
         assert calls == {"hess": short + long - last, **({"fn": 1} if last else {})}
         # one call at every iterate a run can step from, none once a run has ended
-        stepped = [*runs[0].iterates, *runs[1].iterates[:long - last]]
+        stepped = [*runs.iterates[:short, 0], *runs.iterates[:long - last, 1]]
         assert sorted(points) == sorted(float(x[0]) for x in stepped)
 
     def test_a_step_onto_the_last_iterate_takes_its_value_alone(self):
@@ -366,7 +380,7 @@ class TestScalarReference:
         # far from its solution, steps on from the same round
         targets, starts = np.array([[1.0], [8.0]]), np.array([[1.0 + 1e-11], [3.0]])
         runs = (newton_rows if newton else gauss_newton_rows)(smap, targets, starts, 30)
-        first, second = runs
+        first, second = runs.row(0), runs.row(1)
         assert first.status is RunStatus.CONVERGED and len(first.iterates) == 2
         assert first.residuals[0] > RESIDUAL_TOL  # it stepped
         assert abs(first.iterates[1, 0] - first.iterates[0, 0]) <= STEP_REL_TOL
@@ -375,8 +389,8 @@ class TestScalarReference:
         # iterates 0 and 1 of both rows, each in one call of full order
         assert log[:2] == [(top, (2, 1)), (top, (2, 1))]
         assert all(shape == (1,) for _, shape in log[2:])
-        for run, y, x0 in zip(runs, targets, starts):
-            assert_same_run(run, reference_run(NlsProblem(smap, y), x0, 30, newton))
+        for i, (y, x0) in enumerate(zip(targets, starts)):
+            assert_same_row(runs, i, reference_run(NlsProblem(smap, y), x0, 30, newton))
 
     @pytest.mark.parametrize("max_iters", [0, 1])
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
@@ -388,11 +402,11 @@ class TestScalarReference:
             got = rows(logged(smap, log), np.array(targets), np.array(starts), max_iters)
             # one call per iterate, and the iterate max_iters, where rows reach it,
             # for its value alone
-            assert len(log) == max(len(r.iterates) for r in got) <= max_iters + 1
-            assert (log[-1][0] == 0) == any(len(r.iterates) > max_iters for r in got)
-            for run, y, x0 in zip(got, targets, starts):
+            assert len(log) == max(got.iterations) + 1 <= max_iters + 1
+            assert (log[-1][0] == 0) == any(got.iterations == max_iters)
+            for i, (y, x0) in enumerate(zip(targets, starts)):
                 want = reference_run(NlsProblem(smap, y), x0, max_iters, newton)
-                assert_same_run(run, want)
+                assert_same_row(got, i, want)
                 assert_same_run(single(NlsProblem(smap, y), x0, max_iters), want)
 
 
@@ -425,11 +439,12 @@ class TestNewtonOnALinearMap:
         assume(np.linalg.matrix_rank(A) == p)
         smap = linear_map_with_zero_curvature(A, rng.normal(size=p + extra))
         targets, X0 = rng.normal(size=(n, p + extra)), rng.normal(size=(n, p)) * 10.0
-        for newton, gauss in zip(newton_rows(smap, targets, X0, max_iters),
-                                 gauss_newton_rows(smap, targets, X0, max_iters)):
-            assert newton.status is gauss.status
-            assert np.array_equal(newton.iterates, gauss.iterates)
-            assert np.array_equal(newton.residuals, gauss.residuals)
+        newton = newton_rows(smap, targets, X0, max_iters)
+        gauss = gauss_newton_rows(smap, targets, X0, max_iters)
+        assert all(a is b for a, b in zip(newton.status, gauss.status, strict=True))
+        assert np.array_equal(newton.iterations, gauss.iterations)
+        assert np.array_equal(newton.iterates, gauss.iterates)
+        assert np.array_equal(newton.residuals, gauss.residuals)
 
 
 class TestRowArguments:
@@ -445,8 +460,13 @@ class TestRowArguments:
 
     @pytest.mark.parametrize("rows", [gauss_newton_rows, newton_rows])
     def test_negative_max_iters_is_refused(self, rows):
-        with pytest.raises(ValueError, match="max_iters"):
-            rows(cube_1d(), np.ones((2, 1)), np.ones((2, 1)), max_iters=-3)
+        for n in (2, 0):
+            with pytest.raises(ValueError, match="max_iters"):
+                rows(cube_1d(), np.ones((n, 1)), np.ones((n, 1)), max_iters=-3)
+        empty = rows(cube_1d(), np.ones((0, 1)), np.ones((0, 1)), max_iters=3)
+        assert empty.iterates.shape == (4, 0, 1) and empty.residuals.shape == (4, 0)
+        assert empty.status.shape == empty.iterations.shape == (0,)
+        assert empty.final.shape == (0, 1)
         with pytest.raises(ValueError, match="max_iters"):
             gauss_newton_minimize(NlsProblem(cube_1d(), [1.0]), [0.5], max_iters=-1)
 
@@ -454,4 +474,14 @@ class TestRowArguments:
 class TestDescentRun:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            DescentRun(iterates=(np.zeros(1),), residuals=(), status=RunStatus.CONVERGED)
+            DescentRun(iterates=(np.zeros(1),), residuals=(), status=RunStatus.CONVERGED,
+                       iterations=0)
+        status, iterations = np.array([RunStatus.CONVERGED] * 2, dtype=object), np.ones(2, int)
+        DescentRun(np.zeros((3, 2, 1)), np.zeros((3, 2)), status, iterations)  # aligned rows
+        for iterates, residuals, s, i in [
+                (np.zeros((3, 2, 1)), np.zeros((3, 3)), status, iterations),  # a third row
+                (np.zeros((4, 2, 1)), np.zeros((3, 2)), status, iterations),  # an iterate more
+                (np.zeros((3, 2, 1)), np.zeros((3, 2)), status[:1], iterations),
+                (np.zeros((3, 2, 1)), np.zeros((3, 2)), status, None)]:
+            with pytest.raises(ValueError):
+                DescentRun(iterates, residuals, s, i)

@@ -591,7 +591,8 @@ def test_gauss_newton_rows_equal_single_runs_on_the_projection_map():
     targets = [observe(p, model, DEFAULT_CAMERA, rng, 4.0).feature() for p in truths]
     runs = gauss_newton_rows(model.feature_map, np.array(targets),
                              np.array([p.vector() for p in truths]), max_iters=25)
-    for run, y, truth in zip(runs, targets, truths):
+    for i, (y, truth) in enumerate(zip(targets, truths)):
+        run = runs.row(i)
         want = gauss_newton_minimize(NlsProblem(model.feature_map, y), truth.vector(), 25)
         assert run.status is want.status
         assert np.array_equal(run.iterates, want.iterates)
