@@ -4,11 +4,11 @@ Subcommands drive the analytic-function comparison, the synthetic pose
 experiment, the contraction-certificate suite, the online/batch
 equivalence demo, and model train/apply round-trips. The experiments
 live in their modules (`analytic.run_comparison`, `pose.run_protocol`,
-`theory.certificate_suite`); a handler calls one, prints and writes its
-results, and picks the exit code. All randomness flows from a single
---seed through named streams, and every output CSV is byte-identical
-across reruns with the same configuration; wall-clock numbers go to
-sidecar files only. Each setting is declared once, in `COMMANDS`.
+`theory.certificate_suite`, `online.batch_deviation`); a handler calls
+one, prints and writes its results, and picks the exit code. All
+randomness flows from one --seed through named streams; every output
+CSV is byte-identical across reruns of one configuration, and timings
+go to sidecar files only. Each setting is declared once, in `COMMANDS`.
 
 Exit codes: 0 success, 1 a checked property failed, 2 bad configuration.
 """
@@ -27,9 +27,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analytic, model_io, pose
-from .core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence, matvec_rows
+from .core import apply_sequence
 from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError
-from .online import init_online, rls_ingest
+from .online import batch_deviation
 from .seeds import stream
 from .theory import certificate_suite
 from .trainer import TrainerConfig, train
@@ -73,7 +73,7 @@ def _check_output_dir(path: Path) -> None:
 
 
 def _read_config_file(path) -> dict:
-    """Map each key (with `-` read as `_`) to its (line number, raw value)."""
+    """Map each key (with `-` read as `_`), given once, to its (line number, raw value)."""
     out = {}
     with _accessing("config file", path), open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -83,7 +83,11 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = (lineno, value.strip())
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: {key.replace('_', '-')} was already "
+                                  f"given on line {out[key][0]}")
+            out[key] = (lineno, value.strip())
     return out
 
 
@@ -263,38 +267,13 @@ def cmd_verify(cfg) -> int:
     return 0 if all(row.certificate.valid for row in suite if row.counts) else 1
 
 
-def _online_case(rng, n: int, m: int, p: int, lam: float, ridge: float):
-    """One single-stage check against the exponentially weighted ridge solve
-    (at lam = 1, the plain one); returns the relative deviation."""
-    A = rng.normal(size=(m, p))
-    smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
-    zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
-    seq_stub = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m, mode=Mode.GENERALIZED)
-    state = init_online(seq_stub, ridge=ridge, forgetting=lam)
-    starts = rng.normal(size=(n, p))
-    optima = rng.normal(size=(n, p))
-    for x0, x_opt in zip(starts, optima):
-        rls_ingest(state, x_opt, x0, smap)
-    W_online = state.weights[0]
-
-    feats = np.column_stack([smap.evaluate(starts), np.ones(n)])
-    resid = optima - starts
-    # ridge over all augmented coefficients, decayed as the recursive state's is
-    weights = lam ** np.arange(n - 1, -1, -1)
-    gram = feats.T @ (weights[:, None] * feats) + (lam**n) * ridge * np.eye(m + 1)
-    W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * resid)).T
-    return float(
-        np.linalg.norm(W_online - W_batch, "fro") / np.linalg.norm(W_batch, "fro")
-    )
-
-
 def cmd_online_demo(cfg) -> int:
     rng = stream(cfg.seed, "online-demo")
     sizes = (10, 50, 200) if cfg.forgetting == 1.0 else (5, 10, 20)
     tol = 1e-6 if cfg.forgetting == 1.0 else 1e-8
     devs = []
     for n in sizes:
-        devs.append(_online_case(rng, n=n, m=6, p=3, lam=cfg.forgetting, ridge=cfg.ridge))
+        devs.append(batch_deviation(rng, n, m=6, p=3, forgetting=cfg.forgetting, ridge=cfg.ridge))
         print(f"n={n:4d}  relative deviation from batch solve: {devs[-1]:.3e}")
     worst = np.max(devs)  # NaN if any deviation is NaN, which fails the tolerance
     print(f"max deviation {worst:.3e} (tolerance {tol:.0e})")

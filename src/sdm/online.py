@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector
+from .core import Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector, matvec_rows
 from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError
 
 
@@ -214,3 +214,25 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
         state._fold(fullest)
     state.weights[:] = new_weights
     return state
+
+
+def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float) -> float:
+    """Relative Frobenius deviation of one stage over a zero generalized
+    cascade, after ingesting n samples (a linear map A (m x p), then n
+    starts, then n optima, drawn from `rng`), from the exponentially
+    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one)."""
+    A = rng.normal(size=(m, p))
+    smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
+    zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
+    seq = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m, mode=Mode.GENERALIZED)
+    state = init_online(seq, ridge=ridge, forgetting=forgetting)
+    starts, optima = rng.normal(size=(2, n, p))
+    for x0, x_opt in zip(starts, optima):
+        rls_ingest(state, x_opt, x0, smap)
+    feats = np.column_stack([smap.evaluate(starts), np.ones(n)])
+    # ridge over all augmented coefficients, decayed as the recursive state's is
+    weights = forgetting ** np.arange(n - 1, -1, -1)
+    gram = feats.T @ (weights[:, None] * feats) + (forgetting**n) * ridge * np.eye(m + 1)
+    W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * (optima - starts))).T
+    deviation = np.linalg.norm(state.weights[0] - W_batch, "fro") / np.linalg.norm(W_batch, "fro")
+    return float(deviation)

@@ -23,7 +23,7 @@ from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMono
 # lattice that fits, the remainder is filled with seeded uniform draws.
 LATTICE_CAP = 100_000
 
-# Ties count as violations in strict monotonicity checks.
+# Cosines at or below this count as violations in strict monotonicity checks.
 STRICT_TOL = 1e-12
 
 
@@ -131,11 +131,11 @@ class AnchoredSample:
     anchor_value: Array
 
 
-def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> AnchoredSample:
+def anchored_sample(map: SmoothMap, nbhd: Neighborhood) -> AnchoredSample:
     """Sample `nbhd` (see `neighborhood_points`) and evaluate `map` there."""
     if map.param_dim != nbhd.dim:
         raise DimensionMismatchError("param", expected=map.param_dim, got=nbhd.dim)
-    pts = neighborhood_points(nbhd, seed=seed)
+    pts = neighborhood_points(nbhd)
     dist = _row_norms(pts - nbhd.anchor)
     # drop the anchor itself plus float-rounding ghosts of it, whose
     # difference quotients are pure cancellation noise
@@ -153,18 +153,15 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood, seed: int = 0) -> Anchor
 
 def lipschitz_anchored(s: AnchoredSample) -> float:
     """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid."""
-    ratios = _row_norms(s.values - s.anchor_value) / s.dist
-    return float(np.max(ratios))
+    return float(np.max(_row_norms(s.values - s.anchor_value) / s.dist))
 
 
 def monotone_anchored_1d(s: AnchoredSample) -> int | None:
     """Sign of (h(x)-h(x*))*(x-x*) over the grid: +1, -1, or None if mixed."""
     if s.nbhd.dim != 1 or s.values.shape[1] != 1:
         raise ValueError("monotone_anchored_1d requires p = m = 1")
-    for sign in (1, -1):
-        if monotone_operator_check(s, [[sign]]):
-            return sign
-    return None
+    cos = _cosines(s, [[1.0]])  # the cosines under gain -1 are these negated
+    return 1 if np.all(cos > STRICT_TOL) else -1 if np.all(cos < -STRICT_TOL) else None
 
 
 def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
@@ -185,15 +182,24 @@ def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
     return sign * (budget - epsilon)
 
 
+def _cosines(s: AnchoredSample, gain) -> Array:
+    """Per sample, the cosine of x* - x and gain @ (h(x*) - h(x)); NaN where the latter is 0."""
+    gain = as_matrix(gain, "gain", width=s.values.shape[1], rows=s.nbhd.dim)
+    rdh = (s.anchor_value - s.values) @ gain.T
+    # rows over powers of two, as in `_row_norms`: the same quotient, finite at any radius
+    v = rdh / np.ldexp(1.0, np.frexp(np.max(np.abs(rdh), axis=1))[1])[:, None]
+    with np.errstate(invalid="ignore"):  # 0/0 is NaN, which passes no test
+        return np.einsum("ij,ij->i", s.nbhd.anchor - s.points, v) / (s.dist * _row_norms(v))
+
+
 def monotone_operator_check(s: AnchoredSample, gain) -> bool:
     """True iff x -> gain @ h(x) is strictly monotone anchored at the anchor.
 
-    Checks <x - x*, R h(x) - R h(x*)> > 0 at every grid sample; ties
-    within STRICT_TOL count as violations.
+    Checks <x - x*, R h(x) - R h(x*)> > 0 at every grid sample by its
+    cosine, a test that does not shrink with the radius; a cosine at or
+    below STRICT_TOL, or a tie, counts as a violation.
     """
-    gain = as_matrix(gain, "gain", width=s.values.shape[1], rows=s.nbhd.dim)
-    inner = np.einsum("ij,ij->i", s.points - s.nbhd.anchor, (s.values - s.anchor_value) @ gain.T)
-    return bool(np.all(inner > STRICT_TOL))
+    return bool(np.all(_cosines(s, gain) > STRICT_TOL))
 
 
 def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
@@ -204,17 +210,11 @@ def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
     Requires the monotone-operator condition (otherwise some cosine is
     not positive and the bound is meaningless).
     """
-    gain = np.asarray(gain, dtype=float)
-    if not monotone_operator_check(s, gain):
+    cos = _cosines(s, gain)
+    if not np.all(cos > STRICT_TOL):
         raise NotMonotoneError("gain @ h is not a strictly monotone operator on the grid")
-    dx = s.nbhd.anchor - s.points
-    rdh = (s.anchor_value - s.values) @ gain.T
-    rdh_norm = _row_norms(rdh)
-    cos = np.einsum("ij,ij->i", dx, rdh) / (s.dist * rdh_norm)
-    K = lipschitz_anchored(s)
-    bound = (2.0 / K) * float(np.min(cos))
-    fro = float(np.linalg.norm(gain, ord="fro"))
-    return bound, fro < bound
+    bound = (2.0 / lipschitz_anchored(s)) * float(np.min(cos))
+    return bound, float(np.linalg.norm(gain, ord="fro")) < bound
 
 
 def contraction_certify(s: AnchoredSample, step: DescentStep) -> ContractionCertificate:
@@ -268,9 +268,8 @@ def random_operator_suite(seed: int = 0, count: int = 10):
 
         m = SmoothMap(p, p, fn, name=f"random-{i}{'-nl' if nonlinear else ''}")
         sample = anchored_sample(m, Neighborhood(anchor, 0.5, grid_per_dim=41 if p == 2 else 21))
-        gain0 = A.T
-        bound, _ = frobenius_dm_bound(sample, gain0)
-        gain = gain0 * (0.9 * bound / np.linalg.norm(gain0, ord="fro"))
+        bound, _ = frobenius_dm_bound(sample, A.T)
+        gain = A.T * (0.9 * bound / np.linalg.norm(A.T, ord="fro"))
         suite.append((m.name, sample, gain))
     return suite
 

@@ -13,7 +13,7 @@ from sdm.analytic import ACCURACY_FLOOR, registry, run_comparison
 from sdm.baselines import RunStatus
 from sdm.cli import main
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap, apply_sequence
-from sdm.online import init_online, rls_ingest
+from sdm.online import batch_deviation, init_online, rls_ingest
 from sdm.seeds import stream
 from sdm.theory import (
     anchored_sample,
@@ -220,28 +220,9 @@ def test_criterion_6_online_batch_equivalence():
             )
             worst_plain = max(worst_plain, rel)
 
-    worst_forget = 0.0
-    lam = 0.9
-    for n in (5, 12, 20):
-        p, m, ridge = 2, 4, 1e-2
-        A = rng.normal(size=(m, p))
-        smap = linear_smooth_map(A)
-        zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
-        seq = DescentSequence(steps=(zero,), param_dim=p, feature_dim=m,
-                              mode=Mode.GENERALIZED)
-        state = init_online(seq, ridge=ridge, forgetting=lam)
-        starts = rng.normal(size=(n, p))
-        optima = rng.normal(size=(n, p))
-        for x0, x_opt in zip(starts, optima):
-            rls_ingest(state, x_opt, x0, smap)
-        feats = np.array([np.append(smap.evaluate(x0), 1.0) for x0 in starts])
-        w = lam ** np.arange(n - 1, -1, -1)
-        gram = feats.T @ (w[:, None] * feats) + (lam**n) * ridge * np.eye(m + 1)
-        W_batch = np.linalg.solve(gram, feats.T @ (w[:, None] * (optima - starts))).T
-        rel = np.linalg.norm(state.weights[0] - W_batch, "fro") / np.linalg.norm(
-            W_batch, "fro"
-        )
-        worst_forget = max(worst_forget, rel)
+    # against batch_deviation's exponentially weighted ridge solve, on the same stream
+    worst_forget = max(batch_deviation(rng, n, m=4, p=2, forgetting=0.9, ridge=1e-2)
+                       for n in (5, 12, 20))
 
     ok = worst_plain <= 1e-6 and worst_forget <= 1e-8
     assert report(6, "online/batch equivalence", ok,

@@ -89,6 +89,12 @@ class TestVerifyCommand:
             assert main(["verify", "--radius", radius, "--output-dir", str(tmp_path)]) == 2
         assert f"configuration error: map '{culprit}' is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["1e-5", "1e-7"])
+    def test_small_radius_passes(self, tmp_path, radius):
+        # monotonicity is judged by the cosine, which does not shrink with the radius
+        assert main(["verify", "--radius", radius, "--grid", "101",
+                     "--output-dir", str(tmp_path)]) == 0
+
     def test_one_sample_per_neighborhood(self, tmp_path, monkeypatch):
         calls = []
         real = theory.neighborhood_points
@@ -115,7 +121,7 @@ class TestOnlineDemoCommand:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_deviation_that_is_not_finite_fails(self, tmp_path, monkeypatch, capsys, bad):
         devs = iter([1e-9, bad, 1e-9])
-        monkeypatch.setattr(cli, "_online_case", lambda *args, **kwargs: next(devs))
+        monkeypatch.setattr(cli, "batch_deviation", lambda *args, **kwargs: next(devs))
         assert main(["online-demo", "--output-dir", str(tmp_path)]) == 1
         assert f"max deviation {bad:.3e}" in capsys.readouterr().out
 
@@ -409,6 +415,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "takes no key 'stage'" in err and "stages" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,lines,name", [
+        ("verify", ["grid = 101", "grid = 5"], "grid"),
+        ("verify", ["seed = 1", "# the same key again", "seed = 2"], "seed"),
+        ("pose", ["train-rot-step = 15", "train_rot_step = 20"], "train-rot-step"),
+    ], ids=["grid", "seed", "dash-and-underscore"])
+    def test_a_key_given_twice_is_refused_at_its_second_line(self, tmp_path, capsys, command,
+                                                              lines, name):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{len(lines)}: {name} was already given on line 1" in err
+        assert not out.exists()
 
     def test_output_dir_from_the_file_receives_run_log(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
 from sdm.errors import NumericalBreakdownError, PartitionError, SdmError
-from sdm.online import _FOLD, _MAX_SCALE, OnlineState, init_online, rls_ingest
+from sdm.online import _FOLD, _MAX_SCALE, OnlineState, batch_deviation, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
 
@@ -123,20 +123,7 @@ class TestRlsIngest:
     @pytest.mark.parametrize("n", [5, 12, 20])
     def test_forgetting_matches_weighted_batch(self, n):
         rng = np.random.default_rng(200 + n)
-        p, m, lam, ridge = 2, 4, 0.9, 1e-2
-        smap = linear_map(rng.normal(size=(m, p)))
-        state = init_online(empty_sequence(p, m), ridge=ridge, forgetting=lam)
-        starts = rng.normal(size=(n, p))
-        optima = rng.normal(size=(n, p))
-        for x0, x_opt in zip(starts, optima):
-            rls_ingest(state, x_opt, x0, smap)
-        feats = augmented(np.array([smap.evaluate(x0) for x0 in starts]))
-        resid = optima - starts
-        w = lam ** np.arange(n - 1, -1, -1)
-        gram = feats.T @ (w[:, None] * feats) + (lam**n) * ridge * np.eye(m + 1)
-        W_batch = np.linalg.solve(gram, feats.T @ (w[:, None] * resid)).T
-        rel = np.linalg.norm(state.weights[0] - W_batch, "fro") / np.linalg.norm(W_batch, "fro")
-        assert rel <= 1e-8
+        assert batch_deviation(rng, n, m=4, p=2, forgetting=0.9, ridge=1e-2) <= 1e-8
 
     def test_zero_innovation_leaves_gain_unchanged(self):
         rng = np.random.default_rng(3)

@@ -124,6 +124,28 @@ class TestMonotoneOperator:
         smap = SmoothMap(2, 2, lambda x: x @ A.T)
         assert monotone_operator_check(sample(smap, [0.2, -0.1], 0.8, 31), np.eye(2))
 
+    # <x - x*, R(h - h*)> is about 4e-12 at radius 1e-6; its cosine is 1
+    @pytest.mark.parametrize("radius", [1e-5, 1e-6, 1e-7])
+    def test_linear_map_is_monotone_at_a_small_radius(self, radius):
+        region = sample(scalar_map(lambda t: 2 * t), 0.0, radius, 101)
+        assert monotone_operator_check(region, [[1.0]])
+        assert monotone_anchored_1d(region) == 1
+        plane = sample(SmoothMap(2, 2, lambda x: 2 * x), [0.0, 0.0], radius, 21)
+        assert monotone_operator_check(plane, np.eye(2))
+
+    def test_constant_map_is_an_exact_tie_and_refused(self):
+        region = sample(scalar_map(lambda t: 3.0), 0.0, 1e-6, 101)
+        assert not monotone_operator_check(region, [[1.0]])
+        assert not monotone_operator_check(region, [[-1.0]])
+        assert monotone_anchored_1d(region) is None
+        plane = sample(SmoothMap(2, 2, lambda x: np.ones_like(x)), [0.0, 0.0], 1.0, 21)
+        with pytest.raises(NotMonotoneError):
+            frobenius_dm_bound(plane, np.eye(2))
+
+    def test_products_do_not_overflow_at_a_large_radius(self):
+        # x^3 - 1 reaches 1e300 and (x - 1)(x^3 - 1) would overflow to inf
+        assert monotone_anchored_1d(sample(scalar_map(lambda t: t**3), 1.0, 1e100, 101)) == 1
+
 
 class TestFrobeniusBound:
     def test_identity_map_small_gain_satisfied(self):
@@ -150,6 +172,14 @@ class TestFrobeniusBound:
         assert ok
         cert = contraction_certify(region, DescentStep.from_gain(gain))
         assert cert.valid
+
+    def test_bound_is_the_plain_cosine_formula_bit_for_bit(self):
+        for name, region, gain in random_operator_suite(seed=3, count=4):
+            dx = region.nbhd.anchor - region.points
+            rdh = (region.anchor_value - region.values) @ gain.T
+            cos = np.einsum("ij,ij->i", dx, rdh) / (region.dist * np.linalg.norm(rdh, axis=1))
+            bound, _ = frobenius_dm_bound(region, gain)
+            assert bound == (2.0 / lipschitz_anchored(region)) * np.min(cos), name
 
     def test_requires_monotone_operator(self):
         smap = scalar_map(lambda t: t**3)
