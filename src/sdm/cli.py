@@ -31,7 +31,7 @@ from .core import apply_sequence
 from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError
 from .online import batch_deviation
 from .seeds import stream
-from .theory import certificate_suite
+from .theory import LATTICE_CAP, certificate_suite
 from .trainer import TrainerConfig, train
 
 
@@ -100,7 +100,7 @@ _RULES = {
     # a subnormal value is > 0, but its reciprocal overflows to inf
     "> 0 with a finite reciprocal": lambda v: 0 < v < np.inf and 1.0 / v < np.inf,
     ">= 0": lambda v: 0 <= v < np.inf,
-    ">= 3": lambda v: 3 <= v < np.inf,
+    f"in [3, {LATTICE_CAP}]": lambda v: 3 <= v <= LATTICE_CAP,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
@@ -396,7 +396,7 @@ COMMANDS = {
         **_SHARED,
         "epsilon": Setting(None, float, "> 0", "gain margin below 2/K (absolute)"),
         "radius": Setting(None, float, "> 0", "override registry neighborhood radii"),
-        "grid": Setting(1001, int, ">= 3", "grid points per dimension"),
+        "grid": Setting(1001, int, f"in [3, {LATTICE_CAP}]", "grid points per dimension"),
     }),
     "online-demo": (cmd_online_demo, "recursive vs batch least-squares equivalence", {
         **_SHARED,

@@ -73,8 +73,7 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
     axes = [np.linspace(a[i] - r, a[i] + r, g) for i in range(p)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    inside = np.linalg.norm(pts - a, axis=1) <= r * (1 + 1e-12)
-    pts = pts[inside]
+    pts = pts[_row_norms(pts - a) <= r * (1 + 1e-12)]
 
     needed = min(requested, LATTICE_CAP) - pts.shape[0]
     if needed > 0:
@@ -84,7 +83,7 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
         extra = np.empty((0, p))
         while extra.shape[0] < needed:
             cand = a + rng.uniform(-r, r, size=(needed, p))
-            extra = np.vstack([extra, cand[np.linalg.norm(cand - a, axis=1) <= r]])
+            extra = np.vstack([extra, cand[_row_norms(cand - a) <= r]])
         pts = np.vstack([pts, extra[:needed]])
     return pts
 
@@ -92,13 +91,17 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
 def _row_norms(V: Array) -> Array:
     """Euclidean norm of every row of V, free of overflow in the squares:
     each row is scaled by a power of two near its largest entry first,
-    an exact scaling, so the norms are bit for bit those of
-    ``np.linalg.norm(V, axis=1)`` wherever that neither overflows nor
-    underflows."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(V), axis=1))[1])
-    W = V / scale[:, None]
-    W *= W
-    return np.sqrt(W.sum(axis=1)) * scale
+    an exact scaling. The reductions run down the columns of a contiguous
+    (p, N) copy, which sums ``((a0 + a1) + a2) + ...`` as numpy sums a row
+    of fewer than 8 entries, so for widths 1 to 7 the norms are bit for
+    bit those of ``np.linalg.norm(V, axis=1)`` wherever that neither
+    overflows nor underflows; at 8 or more, where numpy sums a row
+    pairwise, they may differ in the last bit."""
+    A = np.abs(V.T, order="C")  # (p, N): the squares need no sign
+    scale = np.ldexp(1.0, np.frexp(A.max(axis=0))[1])
+    A /= scale
+    A *= A
+    return np.sqrt(A.sum(axis=0)) * scale
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,9 @@ def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
     """
     sign = monotone_anchored_1d(s)
     if sign is None:
-        raise NotMonotoneError(f"map is not monotone on the grid around {s.nbhd.anchor}")
+        ties = np.count_nonzero(s.values == s.anchor_value)
+        raise NotMonotoneError(f"map {s.map.name!r} is not monotone on the grid around "
+                               f"{s.nbhd.anchor}: {ties} of {s.dist.size} samples tie its value")
     K = lipschitz_anchored(s)
     budget = 2.0 / K
     if epsilon is None:
@@ -187,7 +192,7 @@ def _cosines(s: AnchoredSample, gain) -> Array:
     gain = as_matrix(gain, "gain", width=s.values.shape[1], rows=s.nbhd.dim)
     rdh = (s.anchor_value - s.values) @ gain.T
     # rows over powers of two, as in `_row_norms`: the same quotient, finite at any radius
-    v = rdh / np.ldexp(1.0, np.frexp(np.max(np.abs(rdh), axis=1))[1])[:, None]
+    v = rdh / np.ldexp(1.0, np.frexp(np.abs(rdh.T, order="C").max(axis=0))[1])[:, None]
     with np.errstate(invalid="ignore"):  # 0/0 is NaN, which passes no test
         return np.einsum("ij,ij->i", s.nbhd.anchor - s.points, v) / (s.dist * _row_norms(v))
 

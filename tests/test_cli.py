@@ -350,6 +350,7 @@ class TestOutOfRangeSettings:
             ["pose", "--subsample", "-1"],
             ["verify", "--grid", "2"],
             ["verify", "--grid", "0"],
+            ["verify", "--grid", "100001"],  # above theory.LATTICE_CAP, the lattice budget
             ["verify", "--radius", "nan"],
             ["online-demo", "--ridge", "-1"],
             ["online-demo", "--ridge", "0"],
@@ -545,7 +546,9 @@ RULE_BREAKERS = {
     "> 0 with a finite reciprocal": (st.integers(max_value=0),
                                      st.floats(max_value=0.0) | st.floats(5e-324, 5e-309)),
     ">= 0": (st.integers(max_value=-1), st.floats(max_value=-1e-300)),
-    ">= 3": (st.integers(max_value=2), st.floats(max_value=2.9)),
+    f"in [3, {theory.LATTICE_CAP}]": (
+        st.integers(max_value=2) | st.integers(min_value=theory.LATTICE_CAP + 1),
+        st.floats(max_value=2.9) | st.floats(min_value=theory.LATTICE_CAP + 0.5)),
     "in (0, 1]": (st.integers(max_value=0) | st.integers(min_value=2),
                   st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)),
 }

@@ -10,6 +10,7 @@ from sdm.errors import DegenerateNeighborhoodError, NotMonotoneError
 from sdm.theory import (
     LATTICE_CAP,
     Neighborhood,
+    _row_norms,
     anchored_sample,
     certificate_suite,
     contraction_certify,
@@ -97,6 +98,18 @@ class TestGenericDm1d:
     def test_non_monotone_rejected(self):
         with pytest.raises(NotMonotoneError):
             generic_dm_1d(sample(scalar_map(lambda t: t * t), 0.0, 1.0))
+
+    def test_refusal_names_the_map_and_counts_its_ties(self):
+        ramp = scalar_map(lambda t: max(t, 0.0), "ramp")  # flat left of the anchor
+        with pytest.raises(NotMonotoneError, match=r"^map 'ramp' is not monotone on the grid "
+                                                   r"around \[0\.\]: 5 of 10 samples tie"):
+            generic_dm_1d(sample(ramp, 0.0, 1.0, 11))
+
+    def test_registry_exp_below_its_resolution_is_refused_by_name(self):
+        # linear shares the anchor 0; 7 of exp's 100 samples round to exp(0)
+        exp = {name: smap for name, smap, _ in monotone_1d_registry(101)}["exp"]
+        with pytest.raises(NotMonotoneError, match=r"^map 'exp' .*: 7 of 100 samples tie"):
+            generic_dm_1d(sample(exp, 0.0, 1e-15, 101))
 
     def test_epsilon_exceeding_budget_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -300,6 +313,46 @@ class TestNeighborhoodSampling:
         b = neighborhood_points(region, seed=4)
         assert a.shape[0] <= 100_000
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("radius", [1e160, 1e-170])
+    def test_ball_holds_where_the_squares_overflow_or_underflow(self, radius):
+        # squared, 1e160 is inf (no draw would pass) and 1e-170 is 0 (every corner would)
+        pts = neighborhood_points(Neighborhood(np.zeros(3), radius, 5), seed=1)
+        assert pts.shape == (125, 3)
+        assert max(math.hypot(*row) for row in pts) <= radius * (1 + 1e-12)
+
+
+# rows of 1 to 7 entries, each zero or a mantissa in [1, 10] of either sign, so that
+# the terms of a row's sum are of one size and their order shows in the last bits
+SHORT_ROWS = st.integers(1, 7).flatmap(lambda p: st.lists(
+    st.lists(st.just(0.0) | st.floats(1.0, 10.0) | st.floats(-10.0, -1.0),
+             min_size=p, max_size=p),
+    min_size=1, max_size=20)).map(np.array)
+
+
+class TestRowNorms:
+    # squares of entries within [1e-150, 1e151] are normal numbers, and 7 of them sum below 1e303
+    @settings(max_examples=200, deadline=None)
+    @given(SHORT_ROWS, st.integers(-150, 150))
+    def test_bit_for_bit_the_plain_norm_for_widths_below_eight(self, V, exponent):
+        V = V * 10.0**exponent
+        assert np.array_equal(_row_norms(V), np.linalg.norm(V, axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(SHORT_ROWS, st.sampled_from([1e200, 1e-200]))
+    def test_finite_where_the_squares_overflow_or_underflow(self, V, magnitude):
+        V = V * magnitude
+        expected = [math.hypot(*row) for row in V]
+        assert np.all(np.isfinite(_row_norms(V)))
+        assert _row_norms(V) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(8, 40).flatmap(lambda p: st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=p, max_size=p), min_size=1, max_size=20)))
+    def test_within_rounding_of_the_plain_norm_for_wider_rows(self, V):
+        # numpy sums a row of 8 or more entries pairwise, the columns in order
+        V = np.array(V)
+        assert _row_norms(V) == pytest.approx(np.linalg.norm(V, axis=1), rel=1e-14, abs=0.0)
 
 
 def one_draw_at_a_time(nbhd, seed):
