@@ -99,17 +99,17 @@ class TestGenericDm1d:
         with pytest.raises(NotMonotoneError):
             generic_dm_1d(sample(scalar_map(lambda t: t * t), 0.0, 1.0))
 
-    def test_refusal_names_the_map_and_counts_its_ties(self):
-        ramp = scalar_map(lambda t: max(t, 0.0), "ramp")  # flat left of the anchor
-        with pytest.raises(NotMonotoneError, match=r"^map 'ramp' is not monotone on the grid "
-                                                   r"around \[0\.\]: 5 of 10 samples tie"):
-            generic_dm_1d(sample(ramp, 0.0, 1.0, 11))
-
-    def test_registry_exp_below_its_resolution_is_refused_by_name(self):
-        # linear shares the anchor 0; 7 of exp's 100 samples round to exp(0)
-        exp = {name: smap for name, smap, _ in monotone_1d_registry(101)}["exp"]
-        with pytest.raises(NotMonotoneError, match=r"^map 'exp' .*: 7 of 100 samples tie"):
-            generic_dm_1d(sample(exp, 0.0, 1e-15, 101))
+    # ramp is flat left of its anchor; 7 of the registry exp's 100 samples round to exp(0),
+    # and linear shares its anchor
+    @pytest.mark.parametrize("smap, radius, grid, match", [
+        (scalar_map(lambda t: max(t, 0.0), "ramp"), 1.0, 11,
+         r"^map 'ramp' is not monotone on the grid around \[0\.\]: 5 of 10 samples tie"),
+        ({name: m for name, m, _ in monotone_1d_registry(101)}["exp"], 1e-15, 101,
+         r"^map 'exp' .*: 7 of 100 samples tie"),
+    ])
+    def test_refusal_names_the_map_and_counts_its_ties(self, smap, radius, grid, match):
+        with pytest.raises(NotMonotoneError, match=match):
+            generic_dm_1d(sample(smap, 0.0, radius, grid))
 
     def test_epsilon_exceeding_budget_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
