@@ -48,14 +48,22 @@ def _bisect_inverse(f, y: float, lo: float, hi: float, tol: float = 1e-12) -> fl
 
 def scalar_map(h, h_prime, h_double_prime, name: str = "") -> SmoothMap:
     """h and both derivatives as one kernel of order 2, each callable applied
-    entry by entry to float64 scalars; past overflow a value is inf, silently."""
-    oracles = [np.frompyfunc(lambda t, f=f: f(np.float64(t)), 1, 1)
-               for f in (h, h_prime, h_double_prime)]
+    entry by entry to Python floats, whose arithmetic has float64's bits. An
+    entry whose arithmetic raises OverflowError, as ``t**3`` does on a float,
+    is redone on a float64 scalar: past overflow a value is inf, silently."""
+    def values(f, ts: list) -> np.ndarray:
+        try:
+            return np.fromiter(map(f, ts), float, len(ts))
+        except OverflowError:
+            if len(ts) > 1:  # redo entry by entry, to find the entries that raise
+                return np.concatenate([values(f, [t]) for t in ts])
+            with np.errstate(over="ignore"):
+                return np.array([f(np.float64(ts[0]))])
 
     def kernel(X, order=0):
-        with np.errstate(over="ignore"):
-            out = tuple(f(X.reshape(*X.shape, *(1,) * d)).astype(float)
-                        for d, f in enumerate(oracles[:order + 1]))
+        ts = X.reshape(-1).tolist()
+        out = tuple(values(f, ts).reshape(*X.shape, *(1,) * d)
+                    for d, f in enumerate((h, h_prime, h_double_prime)[:order + 1]))
         return out if order else out[0]
 
     return SmoothMap(1, 1, kernel, order=2, name=name)

@@ -21,6 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import analytic, model_io, pose
 from .core import apply_sequence
-from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError
+from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError, SettingError
 from .online import batch_deviation
 from .seeds import stream
 from .theory import LATTICE_CAP, certificate_suite
@@ -252,7 +253,7 @@ def cmd_pose(cfg) -> int:
 def cmd_verify(cfg) -> int:
     try:
         suite = certificate_suite(cfg.seed, cfg.grid, radius=cfg.radius, epsilon=cfg.epsilon)
-    except (DegenerateNeighborhoodError, ValueError) as exc:  # a refused radius or epsilon
+    except (DegenerateNeighborhoodError, SettingError) as exc:  # a refused radius, epsilon or seed
         raise ConfigError(str(exc)) from exc
     rows = [(row.name, row.bound, row.gain, row.certificate.contraction_factor,
              row.certificate.samples_checked, row.certificate.valid) for row in suite]
@@ -421,6 +422,7 @@ COMMANDS = {
 }
 
 
+@cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdm-bench",

@@ -16,6 +16,10 @@ class DimensionMismatchError(SdmError, ValueError):
         super().__init__(f"{axis} dimension mismatch: expected {expected}, got {got}")
 
 
+class SettingError(SdmError, ValueError):
+    """A setting outside its range, such as a negative seed. Also a ValueError."""
+
+
 class DivergedError(SdmError):
     """An iteration produced a non-finite evaluation.
 

@@ -1,23 +1,25 @@
 """Constructive verification of descent-map contraction conditions.
 
-Everything here is finite-sample evidence on a deterministic grid, not
-a proof. `anchored_sample` samples a neighborhood once and evaluates
-the map there once; every check then reads that sample: the anchored
-Lipschitz constant, strict local monotonicity, the 1-D gain
-``sign(h') * (2/K - eps)``, the Frobenius-norm sufficient bound, and
-the sample-by-sample contraction certificate. `certificate_suite` is
-the one experiment built from them, which `sdm-bench verify` runs.
+Everything here is finite-sample evidence on a deterministic grid, not a
+proof. `anchored_sample` samples a neighborhood once and evaluates the
+map there once; every check reads that sample and its anchored Lipschitz
+constant K, computed once: strict local monotonicity, the 1-D gain
+``sign(h') * (2/K - eps)``, the Frobenius-norm sufficient bound, and the
+sample-by-sample contraction certificate. `certificate_suite` is the one
+experiment built from them, which `sdm-bench verify` runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analytic import registry
 from .core import Array, DescentStep, SmoothMap, as_matrix, as_vector, matvec_rows
-from .errors import DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError
+from .errors import (DegenerateNeighborhoodError, DimensionMismatchError, NotMonotoneError,
+                     SettingError)
 
 # Total sample budget for multi-dimensional lattices; beyond the largest
 # lattice that fits, the remainder is filled with seeded uniform draws.
@@ -53,8 +55,9 @@ class Neighborhood:
         return self.anchor.size
 
 
-def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
-    """Deterministic sample of the ball, shape (N, p), anchor included.
+def neighborhood_points(nbhd: Neighborhood, seed: int = 0, distances: bool = False):
+    """Deterministic sample of the ball, shape (N, p), anchor included, and
+    with `distances` the (N,) `_row_norms` distances its ball tests took.
 
     1-D uses the full regular grid. In higher dimensions a regular
     lattice is intersected with the ball; if the requested lattice would
@@ -64,42 +67,43 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> Array:
     p = nbhd.dim
     a, r = nbhd.anchor, nbhd.radius
     if p == 1:
-        return np.linspace(a[0] - r, a[0] + r, nbhd.grid_per_dim).reshape(-1, 1)
+        pts = np.linspace(a[0] - r, a[0] + r, nbhd.grid_per_dim).reshape(-1, 1)
+        return (pts, _row_norms(pts - a)) if distances else pts
 
-    requested = nbhd.grid_per_dim**p
-    g = nbhd.grid_per_dim
-    if requested > LATTICE_CAP:
+    g, total = nbhd.grid_per_dim, min(nbhd.grid_per_dim**p, LATTICE_CAP)
+    if g**p > LATTICE_CAP:
         g = max(3, int(LATTICE_CAP ** (1.0 / p)))
-    axes = [np.linspace(a[i] - r, a[i] + r, g) for i in range(p)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    pts = pts[_row_norms(pts - a) <= r * (1 + 1e-12)]
+    def ball(cand, bound):  # the rows of `cand` within `bound` of the anchor, and their distances
+        d = _row_norms(cand - a)
+        return cand.compress(d <= bound, axis=0), d.compress(d <= bound)
 
-    needed = min(requested, LATTICE_CAP) - pts.shape[0]
-    if needed > 0:
-        # rejection sampling in blocks: the first `needed` accepted draws,
-        # in draw order, are the points a one-draw-at-a-time loop keeps
-        rng = np.random.default_rng(seed)
-        extra = np.empty((0, p))
-        while extra.shape[0] < needed:
-            cand = a + rng.uniform(-r, r, size=(needed, p))
-            extra = np.vstack([extra, cand[_row_norms(cand - a) <= r]])
-        pts = np.vstack([pts, extra[:needed]])
-    return pts
+    pts = np.empty((*(g,) * p, p))  # the lattice, written axis by axis without a mesh
+    for i in range(p):
+        pts[..., i] = np.linspace(a[i] - r, a[i] + r, g).reshape(-1, *(1,) * (p - 1 - i))
+    parts = [ball(pts.reshape(-1, p), r * (1 + 1e-12))]
+    # top-up by rejection sampling in blocks: the first `needed` accepted
+    # draws, in draw order, are the points a one-draw-at-a-time loop keeps
+    needed, rng = total - parts[0][1].size, np.random.default_rng(seed)
+    while sum(d.size for _, d in parts) < total:
+        parts.append(ball(a + rng.uniform(-r, r, size=(needed, p)), r))
+    pts, dist = (np.concatenate(part)[:total] for part in zip(*parts))
+    return (pts, dist) if distances else pts
 
 
 def _row_norms(V: Array) -> Array:
     """Euclidean norm of every row of V, free of overflow in the squares:
-    each row is scaled by a power of two near its largest entry first,
-    an exact scaling. The reductions run down the columns of a contiguous
-    (p, N) copy, which sums ``((a0 + a1) + a2) + ...`` as numpy sums a row
-    of fewer than 8 entries, so for widths 1 to 7 the norms are bit for
-    bit those of ``np.linalg.norm(V, axis=1)`` wherever that neither
-    overflows nor underflows; at 8 or more, where numpy sums a row
-    pairwise, they may differ in the last bit."""
+    unless every nonzero row's largest entry lies in [2^-250, 2^250], where
+    it would change no bit, rows are scaled by a power of two near it first.
+    The reductions run down the columns of a contiguous (p, N) copy, which
+    sums ``((a0 + a1) + a2) + ...`` as numpy sums a row of fewer than 8
+    entries, so for widths 1 to 7 the norms are bit for bit those of
+    ``np.linalg.norm(V, axis=1)`` wherever that neither overflows nor
+    underflows; at 8 or more, where numpy sums pairwise, they may differ."""
     A = np.abs(V.T, order="C")  # (p, N): the squares need no sign
-    scale = np.ldexp(1.0, np.frexp(A.max(axis=0))[1])
-    A /= scale
+    top, scale = A.max(axis=0), 1.0
+    if not (top.max(initial=0.0) <= 2.0**250 and top.min(where=top > 0, initial=1.0) >= 2.0**-250):
+        scale = np.ldexp(1.0, np.frexp(top)[1])
+        A /= scale
     A *= A
     return np.sqrt(A.sum(axis=0)) * scale
 
@@ -121,9 +125,9 @@ class ContractionCertificate:
 class AnchoredSample:
     """One map evaluated once on one sampled neighborhood.
 
-    `points` (N, p) excludes the anchor, `dist` (N,) holds their
-    distances to it, `values` (N, m) the map at each point and
-    `anchor_value` (m,) the map at the anchor.
+    `points` (N, p) excludes the anchor, `dist` (N,) holds their distances
+    to it, `values` (N, m) the map at each point and `anchor_value` (m,)
+    the map at the anchor. `K`, which every check reads, is computed once.
     """
 
     map: SmoothMap
@@ -133,17 +137,19 @@ class AnchoredSample:
     values: Array
     anchor_value: Array
 
+    # the sample's `lipschitz_anchored`, computed on first read and kept; the name is looked up then
+    K = cached_property(lambda self: lipschitz_anchored(self))
+
 
 def anchored_sample(map: SmoothMap, nbhd: Neighborhood) -> AnchoredSample:
     """Sample `nbhd` (see `neighborhood_points`) and evaluate `map` there."""
     if map.param_dim != nbhd.dim:
         raise DimensionMismatchError("param", expected=map.param_dim, got=nbhd.dim)
-    pts = neighborhood_points(nbhd)
-    dist = _row_norms(pts - nbhd.anchor)
+    pts, dist = neighborhood_points(nbhd, distances=True)
     # drop the anchor itself plus float-rounding ghosts of it, whose
     # difference quotients are pure cancellation noise
     keep = dist > 1e-12 * nbhd.radius
-    pts, dist = pts[keep], dist[keep]
+    pts, dist = pts.compress(keep, axis=0), dist.compress(keep)
     if pts.shape[0] == 0:
         raise DegenerateNeighborhoodError("all sampled points coincide with the anchor")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -155,7 +161,8 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood) -> AnchoredSample:
 
 
 def lipschitz_anchored(s: AnchoredSample) -> float:
-    """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid."""
+    """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid.
+    The checks read it as the sample's `K`, which computes it once."""
     return float(np.max(_row_norms(s.values - s.anchor_value) / s.dist))
 
 
@@ -178,12 +185,11 @@ def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
         ties = np.count_nonzero(s.values == s.anchor_value)
         raise NotMonotoneError(f"map {s.map.name!r} is not monotone on the grid around "
                                f"{s.nbhd.anchor}: {ties} of {s.dist.size} samples tie its value")
-    K = lipschitz_anchored(s)
-    budget = 2.0 / K
+    budget = 2.0 / s.K
     if epsilon is None:
         epsilon = 0.01 * budget
     if not (0 < epsilon < budget):
-        raise ValueError(f"epsilon must lie in (0, 2/K) = (0, {budget:.6g}), got {epsilon}")
+        raise SettingError(f"epsilon must lie in (0, 2/K) = (0, {budget:.6g}), got {epsilon}")
     return sign * (budget - epsilon)
 
 
@@ -218,7 +224,7 @@ def frobenius_dm_bound(s: AnchoredSample, gain) -> tuple[float, bool]:
     cos = _cosines(s, gain)
     if not np.all(cos > STRICT_TOL):
         raise NotMonotoneError("gain @ h is not a strictly monotone operator on the grid")
-    bound = (2.0 / lipschitz_anchored(s)) * float(np.min(cos))
+    bound = (2.0 / s.K) * float(np.min(cos))
     return bound, float(np.linalg.norm(gain, ord="fro")) < bound
 
 
@@ -254,6 +260,8 @@ def random_operator_suite(seed: int = 0, count: int = 10):
     keeps the monotone-operator condition, then rescaled to 90% of the
     computed bound (positive rescaling leaves the angles unchanged).
     """
+    if seed < 0:
+        raise SettingError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     suite = []
     for i in range(count):
@@ -302,22 +310,20 @@ def certificate_suite(seed: int, grid_per_dim: int, radius: float | None = None,
     `radius` replaces the registry's neighborhood radii and `epsilon` the
     1-D gains' default margin. Maps are taken in order, and the first one
     that refuses them raises before any later map is sampled:
-    DegenerateNeighborhoodError for a radius, ValueError for an epsilon at
-    or above the map's 2/K.
+    DegenerateNeighborhoodError for a radius, SettingError (a ValueError)
+    for an epsilon at or above the map's 2/K or a negative seed.
     """
     rows = []
     for name, smap, nbhd in monotone_1d_registry(grid_per_dim):
         if radius is not None:
             nbhd = Neighborhood(nbhd.anchor, radius, grid_per_dim)
         sample = anchored_sample(smap, nbhd)
-        K = lipschitz_anchored(sample)
-        if epsilon is not None and not epsilon < 2.0 / K:
-            raise ValueError(
-                f"epsilon must be below 2/K = {2.0 / K:.6g} for map {name}, got {epsilon}"
-            )
+        if epsilon is not None and not epsilon < 2.0 / sample.K:
+            raise SettingError(f"epsilon must be below 2/K = {2.0 / sample.K:.6g} for map {name}, "
+                               f"got {epsilon}")
         r = generic_dm_1d(sample, epsilon=epsilon)
-        rows.append(SuiteRow(name, K, r, contraction_certify(sample, DescentStep.from_gain([[r]])),
-                             True))
+        rows.append(SuiteRow(name, sample.K, r,
+                             contraction_certify(sample, DescentStep.from_gain([[r]])), True))
     for name, sample, gain in random_operator_suite(seed=seed):
         bound, ok = frobenius_dm_bound(sample, gain)
         rows.append(SuiteRow(name, bound, float(np.linalg.norm(gain, ord="fro")),

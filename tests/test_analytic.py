@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,48 @@ class TestRegistry:
                 h_double_prime=lambda t: 0.0, h_inverse=lambda y: y,
                 y_lo=0.0, y_hi=1.0, train_step=0.1, test_step=0.1, x0=0.0,
             )
+
+
+
+def frompyfunc_kernel(fn, X, order):
+    """Reference for the registry kernels: each oracle applied to float64
+    scalars through `np.frompyfunc`, overflow warnings silenced."""
+    oracles = [np.frompyfunc(lambda t, f=f: f(np.float64(t)), 1, 1)
+               for f in (fn.h, fn.h_prime, fn.h_double_prime)]
+    with np.errstate(over="ignore"):
+        return tuple(f(X.reshape(*X.shape, *(1,) * d)).astype(float)
+                     for d, f in enumerate(oracles[:order + 1]))
+
+
+# ordinary points and signed zeros; where t**3, 3 t**2 and exp overflow to +-inf (t**3 raises
+# OverflowError on a Python float); where erf's derivatives underflow to zero, and where
+# exp(-t*t) meets t*t = inf
+ORACLE_POINTS = np.array([-2.0, -0.3, -0.0, 0.0, 1e-310, 0.7, 3.0, 27.0, -27.0, 40.0, -40.0,
+                          709.0, 710.0, -1000.0, 1e103, -1e103, 1e155, -1e155, 1e200, -1e200])
+
+
+class TestScalarMapKernel:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["linear", "cube", "exp", "erf"])
+    def test_python_float_oracles_keep_the_float64_bits(self, name, order):
+        fn = registry()[name]
+        for X in (ORACLE_POINTS.reshape(-1, 1), ORACLE_POINTS[14:15]):  # rows, and one point
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fn.smooth_map().kernel(X, order)
+            for value, expected in zip(got if order else (got,), frompyfunc_kernel(fn, X, order)):
+                assert value.shape == expected.shape and value.dtype == expected.dtype
+                # as integers, so that signed zeros and NaN payloads count
+                assert np.array_equal(value.view(np.int64), expected.view(np.int64)), name
+
+    def test_the_points_overflow_and_underflow(self):
+        reg = registry()
+        X = ORACLE_POINTS.reshape(-1, 1)
+        cube_h, cube_j, _ = reg["cube"].smooth_map().kernel(X, 2)
+        assert np.isposinf(cube_h).any() and np.isneginf(cube_h).any() and np.isposinf(cube_j).any()
+        assert np.isposinf(reg["exp"].smooth_map().kernel(X)).any()
+        _, erf_j, erf_jj = reg["erf"].smooth_map().kernel(X, 2)
+        assert erf_j[X[:, 0] == 40.0].item() == 0.0 and erf_jj[X[:, 0] == -40.0].item() == 0.0
 
 
 class TestBuildTrainingSet:

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr
@@ -99,13 +102,61 @@ class TestVerifyCommand:
         calls = []
         real = theory.neighborhood_points
 
-        def counting(nbhd, seed=0):
+        def counting(nbhd, *args, **kwargs):
             calls.append(nbhd)
-            return real(nbhd, seed=seed)
+            return real(nbhd, *args, **kwargs)
 
         monkeypatch.setattr(theory, "neighborhood_points", counting)
         assert main(["verify", "--grid", "101", "--output-dir", str(tmp_path)]) == 0
         assert len(calls) == 4 + 10  # registry maps, then random maps
+
+    def test_one_lipschitz_constant_per_sample(self, tmp_path, monkeypatch):
+        calls = []
+        real = theory.lipschitz_anchored
+
+        def counting(sample):
+            calls.append(sample.map.name)
+            return real(sample)
+
+        monkeypatch.setattr(theory, "lipschitz_anchored", counting)
+        assert main(["verify", "--grid", "101", "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == len(set(calls)) == 4 + 10  # once per map and its sample
+
+    def test_negative_seed_is_a_config_error_that_names_the_seed(self, tmp_path, capsys):
+        assert main(["verify", "--seed", "-1", "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: seed must be >= 0, got -1\n"
+        assert main(["verify", "--seed", "0", "--grid", "101", "--output-dir", str(tmp_path)]) == 0
+
+    def test_a_fault_in_sampling_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("a numpy fault")
+
+        monkeypatch.setattr(theory, "_row_norms", broken)
+        with pytest.raises(ValueError, match="a numpy fault"):
+            main(["verify", "--grid", "101", "--output-dir", str(tmp_path)])
+        assert "configuration error" not in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_two_calls_in_one_process_write_what_two_processes_write(self, tmp_path, capsys):
+        runs = (["verify", "--radius", "0.5"], ["verify"])
+        printed = []
+        for i, args in enumerate(runs):
+            assert main([*args, "--output-dir", str(tmp_path / f"in-process-{i}")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert cli.build_parser() is cli.build_parser()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for i, args in enumerate(runs):
+            out = tmp_path / f"fresh-{i}"
+            fresh = subprocess.run([sys.executable, "-m", "sdm.cli", *args, "--output-dir", str(out)],
+                                   capture_output=True, text=True, env=env, check=True)
+            assert fresh.stdout == printed[i]
+            assert (read_bytes(tmp_path / f"in-process-{i}" / "certificates.csv")
+                    == read_bytes(out / "certificates.csv"))
 
 
 class TestOnlineDemoCommand:

@@ -330,6 +330,19 @@ SHORT_ROWS = st.integers(1, 7).flatmap(lambda p: st.lists(
     min_size=1, max_size=20)).map(np.array)
 
 
+# entries of a row: zero, or a mantissa in [1, 2) of either sign times a power of two on either
+# side of the unscaled sum's bounds 2^-250 and 2^250, where the squares turn subnormal or
+# overflow, in between, or at the rounding ghosts of an anchor near 1 (its neighbours' ulps)
+_EXPONENTS = st.integers(-262, -238) | st.integers(238, 262) | st.integers(-545, -500) \
+    | st.integers(500, 520) | st.integers(-60, 60) | st.integers(-60, -50)
+ROWS_NEAR_THE_BOUNDS = st.integers(1, 10).flatmap(lambda p: st.lists(
+    st.lists(st.just(0.0) | st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                                      st.floats(1.0, 2.0, exclude_max=True), _EXPONENTS,
+                                      st.sampled_from([-1.0, 1.0])),
+             min_size=p, max_size=p),
+    min_size=1, max_size=20)).map(np.array)
+
+
 class TestRowNorms:
     # squares of entries within [1e-150, 1e151] are normal numbers, and 7 of them sum below 1e303
     @settings(max_examples=200, deadline=None)
@@ -353,6 +366,64 @@ class TestRowNorms:
         # numpy sums a row of 8 or more entries pairwise, the columns in order
         V = np.array(V)
         assert _row_norms(V) == pytest.approx(np.linalg.norm(V, axis=1), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ROWS_NEAR_THE_BOUNDS)
+    def test_skipping_the_scaling_changes_no_bit(self, V):
+        assert np.array_equal(_row_norms(V), rescaled_row_norms(V))
+        for row in V:  # alone, a row takes the path its own largest entry selects
+            assert np.array_equal(_row_norms(row[None]), rescaled_row_norms(row[None]))
+
+
+def rescaled_row_norms(V):
+    """Reference for `_row_norms`: every row scaled by a power of two near its
+    largest entry, whatever its size, then summed down the columns."""
+    A = np.abs(V.T, order="C")
+    scale = np.ldexp(1.0, np.frexp(A.max(axis=0))[1])
+    A /= scale
+    A *= A
+    return np.sqrt(A.sum(axis=0)) * scale
+
+
+def row_built_points(nbhd, seed):
+    """Reference for `neighborhood_points`: the lattice stacked from a mesh as
+    (N, p) rows, each ball test by `rescaled_row_norms`, and the top-up grown
+    by `vstack`; with the distances of the points to the anchor."""
+    a, r, p = nbhd.anchor, nbhd.radius, nbhd.dim
+    if p == 1:
+        pts = np.linspace(a[0] - r, a[0] + r, nbhd.grid_per_dim).reshape(-1, 1)
+        return pts, rescaled_row_norms(pts - a)
+    g = nbhd.grid_per_dim
+    if g**p > LATTICE_CAP:
+        g = max(3, int(LATTICE_CAP ** (1.0 / p)))
+    axes = [np.linspace(a[i] - r, a[i] + r, g) for i in range(p)]
+    pts = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    pts = pts[rescaled_row_norms(pts - a) <= r * (1 + 1e-12)]
+    needed = min(nbhd.grid_per_dim**p, LATTICE_CAP) - pts.shape[0]
+    if needed > 0:
+        rng = np.random.default_rng(seed)
+        extra = np.empty((0, p))
+        while extra.shape[0] < needed:
+            cand = a + rng.uniform(-r, r, size=(needed, p))
+            extra = np.vstack([extra, cand[rescaled_row_norms(cand - a) <= r]])
+        pts = np.vstack([pts, extra[:needed]])
+    return pts, rescaled_row_norms(pts - a)
+
+
+class TestSamplerDistances:
+    # a grid over the cap in 2, 3 and 4 dimensions takes the capped lattice and a long top-up
+    @pytest.mark.parametrize("radius", [1e-170, 1e-5, 0.5, 1e160])
+    @pytest.mark.parametrize("anchor, grid", [
+        ([0.25], 1001), ([0.1, -0.3], 41), ([0.0, 0.0], 317), ([0.1, -0.2, 0.3], 21),
+        ([0.0, 0.0, 0.0], 101), ([0.5, 0.0, -0.5, 1.0], 9), ([0.0, 0.0, 0.0, 0.0], 18),
+    ])
+    def test_points_and_distances_are_the_row_built_ones(self, anchor, grid, radius):
+        region = Neighborhood(np.array(anchor), radius, grid)
+        pts, dist = neighborhood_points(region, seed=3, distances=True)
+        ref_pts, ref_dist = row_built_points(region, seed=3)
+        assert pts.flags.c_contiguous and pts.shape == ref_pts.shape
+        assert np.array_equal(pts, ref_pts) and np.array_equal(dist, ref_dist)
+        assert np.array_equal(neighborhood_points(region, seed=3), ref_pts)
 
 
 def one_draw_at_a_time(nbhd, seed):
