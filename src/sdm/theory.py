@@ -56,8 +56,8 @@ class Neighborhood:
 
 
 def neighborhood_points(nbhd: Neighborhood, seed: int = 0, distances: bool = False):
-    """Deterministic sample of the ball, shape (N, p), anchor included, and
-    with `distances` the (N,) `_row_norms` distances its ball tests took.
+    """Deterministic sample of the ball, shape (N, p), anchor included; with
+    `distances`, also the (N,) `_row_norms` distances to the anchor.
 
     1-D uses the full regular grid. In higher dimensions a regular
     lattice is intersected with the ball; if the requested lattice would
