@@ -49,12 +49,14 @@ def _bisect_inverse(f, y: float, lo: float, hi: float, tol: float = 1e-12) -> fl
 def scalar_map(h, h_prime, h_double_prime, name: str = "") -> SmoothMap:
     """h and both derivatives as one kernel of order 2, each callable applied
     entry by entry to Python floats, whose arithmetic has float64's bits. An
-    entry whose arithmetic raises OverflowError, as ``t**3`` does on a float,
-    is redone on a float64 scalar: past overflow a value is inf, silently."""
+    entry where that fails is redone on a float64 scalar, as numpy computes
+    it: one that raises an ArithmeticError, as ``t**3`` past overflow or
+    ``1/t`` at zero do on a float, or gives a complex, as ``t**0.5`` below
+    zero does. Past overflow a value is inf, silently."""
     def values(f, ts: list) -> np.ndarray:
         try:
             return np.fromiter(map(f, ts), float, len(ts))
-        except OverflowError:
+        except (ArithmeticError, TypeError):  # TypeError: fromiter refuses a complex
             if len(ts) > 1:  # redo entry by entry, to find the entries that raise
                 return np.concatenate([values(f, [t]) for t in ts])
             with np.errstate(over="ignore"):

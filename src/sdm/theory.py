@@ -55,9 +55,9 @@ class Neighborhood:
         return self.anchor.size
 
 
-def neighborhood_points(nbhd: Neighborhood, seed: int = 0, distances: bool = False):
-    """Deterministic sample of the ball, shape (N, p), anchor included; with
-    `distances`, also the (N,) `_row_norms` distances to the anchor.
+def neighborhood_points(nbhd: Neighborhood, seed: int = 0) -> tuple[Array, Array]:
+    """Deterministic sample of the ball, shape (N, p), anchor included, and
+    the (N,) `_row_norms` distances of its points to the anchor.
 
     1-D uses the full regular grid. In higher dimensions a regular
     lattice is intersected with the ball; if the requested lattice would
@@ -68,7 +68,7 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0, distances: bool = Fal
     a, r = nbhd.anchor, nbhd.radius
     if p == 1:
         pts = np.linspace(a[0] - r, a[0] + r, nbhd.grid_per_dim).reshape(-1, 1)
-        return (pts, _row_norms(pts - a)) if distances else pts
+        return pts, _row_norms(pts - a)
 
     g, total = nbhd.grid_per_dim, min(nbhd.grid_per_dim**p, LATTICE_CAP)
     if g**p > LATTICE_CAP:
@@ -86,24 +86,21 @@ def neighborhood_points(nbhd: Neighborhood, seed: int = 0, distances: bool = Fal
     needed, rng = total - parts[0][1].size, np.random.default_rng(seed)
     while sum(d.size for _, d in parts) < total:
         parts.append(ball(a + rng.uniform(-r, r, size=(needed, p)), r))
-    pts, dist = (np.concatenate(part)[:total] for part in zip(*parts))
-    return (pts, dist) if distances else pts
+    return tuple(np.concatenate(part)[:total] for part in zip(*parts))
 
 
 def _row_norms(V: Array) -> Array:
     """Euclidean norm of every row of V, free of overflow in the squares:
-    unless every nonzero row's largest entry lies in [2^-250, 2^250], where
-    it would change no bit, rows are scaled by a power of two near it first.
-    The reductions run down the columns of a contiguous (p, N) copy, which
-    sums ``((a0 + a1) + a2) + ...`` as numpy sums a row of fewer than 8
-    entries, so for widths 1 to 7 the norms are bit for bit those of
-    ``np.linalg.norm(V, axis=1)`` wherever that neither overflows nor
-    underflows; at 8 or more, where numpy sums pairwise, they may differ."""
+    each row is scaled by a power of two near its largest entry first,
+    an exact scaling. The reductions run down the columns of a contiguous
+    (p, N) copy, which sums ``((a0 + a1) + a2) + ...`` as numpy sums a row
+    of fewer than 8 entries, so for widths 1 to 7 the norms are bit for
+    bit those of ``np.linalg.norm(V, axis=1)`` wherever that neither
+    overflows nor underflows; at 8 or more, where numpy sums a row
+    pairwise, they may differ in the last bit."""
     A = np.abs(V.T, order="C")  # (p, N): the squares need no sign
-    top, scale = A.max(axis=0), 1.0
-    if not (top.max(initial=0.0) <= 2.0**250 and top.min(where=top > 0, initial=1.0) >= 2.0**-250):
-        scale = np.ldexp(1.0, np.frexp(top)[1])
-        A /= scale
+    scale = np.ldexp(1.0, np.frexp(A.max(axis=0))[1])
+    A /= scale
     A *= A
     return np.sqrt(A.sum(axis=0)) * scale
 
@@ -145,7 +142,7 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood) -> AnchoredSample:
     """Sample `nbhd` (see `neighborhood_points`) and evaluate `map` there."""
     if map.param_dim != nbhd.dim:
         raise DimensionMismatchError("param", expected=map.param_dim, got=nbhd.dim)
-    pts, dist = neighborhood_points(nbhd, distances=True)
+    pts, dist = neighborhood_points(nbhd)
     # drop the anchor itself plus float-rounding ghosts of it, whose
     # difference quotients are pure cancellation noise
     keep = dist > 1e-12 * nbhd.radius

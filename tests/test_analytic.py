@@ -48,7 +48,7 @@ class TestRegistry:
 
 
 def frompyfunc_kernel(fn, X, order):
-    """Reference for the registry kernels: each oracle applied to float64
+    """Reference for the scalar kernels: each oracle applied to float64
     scalars through `np.frompyfunc`, overflow warnings silenced."""
     oracles = [np.frompyfunc(lambda t, f=f: f(np.float64(t)), 1, 1)
                for f in (fn.h, fn.h_prime, fn.h_double_prime)]
@@ -86,6 +86,20 @@ class TestScalarMapKernel:
         assert np.isposinf(reg["exp"].smooth_map().kernel(X)).any()
         _, erf_j, erf_jj = reg["erf"].smooth_map().kernel(X, 2)
         assert erf_j[X[:, 0] == 40.0].item() == 0.0 and erf_jj[X[:, 0] == -40.0].item() == 0.0
+
+    def test_an_entry_that_fails_on_a_float_is_computed_on_a_float64(self):
+        # 1/t raises ZeroDivisionError at a float zero, and (-t)**0.5 is complex on a positive
+        # float; on float64 scalars they are inf and nan, as the kernel gives them
+        fn = AnalyticFunction(name="poles", h=lambda t: 1 / t, h_prime=lambda t: (-t)**0.5,
+                              h_double_prime=lambda t: t**3, h_inverse=lambda y: 1 / y,
+                              y_lo=0.5, y_hi=1.0, train_step=0.1, test_step=0.05, x0=1.0)
+        X = np.array([[-4.0], [-0.0], [0.0], [2.0], [1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, expected = fn.smooth_map().kernel(X, 2), frompyfunc_kernel(fn, X, 2)
+        for value, ref in zip(got, expected):
+            assert np.array_equal(value.view(np.int64), ref.view(np.int64))
+        assert np.isneginf(got[0][1]) and np.isposinf(got[0][2]) and np.isnan(got[1][3])
 
 
 class TestBuildTrainingSet:
