@@ -102,9 +102,9 @@ class TestVerifyCommand:
         calls = []
         real = theory.neighborhood_points
 
-        def counting(nbhd, *args, **kwargs):
+        def counting(nbhd, seed=0):
             calls.append(nbhd)
-            return real(nbhd, *args, **kwargs)
+            return real(nbhd, seed=seed)
 
         monkeypatch.setattr(theory, "neighborhood_points", counting)
         assert main(["verify", "--grid", "101", "--output-dir", str(tmp_path)]) == 0
