@@ -52,7 +52,8 @@ def scalar_map(h, h_prime, h_double_prime, name: str = "") -> SmoothMap:
     entry where that fails is redone on a float64 scalar, as numpy computes
     it: one that raises an ArithmeticError, as ``t**3`` past overflow or
     ``1/t`` at zero do on a float, or gives a complex, as ``t**0.5`` below
-    zero does. Past overflow a value is inf, silently."""
+    zero does. Past overflow a value is inf, silently. A non-finite t
+    enters as NaN: erf(inf), say, is then NaN, not 1."""
     def values(f, ts: list) -> np.ndarray:
         try:
             return np.fromiter(map(f, ts), float, len(ts))
@@ -63,7 +64,7 @@ def scalar_map(h, h_prime, h_double_prime, name: str = "") -> SmoothMap:
                 return np.array([f(np.float64(ts[0]))])
 
     def kernel(X, order=0):
-        ts = X.reshape(-1).tolist()
+        ts = np.where(np.isfinite(X), X, np.nan).reshape(-1).tolist()
         out = tuple(values(f, ts).reshape(*X.shape, *(1,) * d)
                     for d, f in enumerate((h, h_prime, h_double_prime)[:order + 1]))
         return out if order else out[0]

@@ -34,8 +34,10 @@ def every(mask: Array) -> bool:
 
 
 def as_vector(values, name: str = "vector", dim: int | None = None) -> Array:
-    """Coerce to a finite, read-only 1-D float64 array."""
-    arr = np.array(values, dtype=float, copy=True).reshape(-1)
+    """Coerce a scalar or a 1-D sequence to a finite, read-only 1-D float64 array."""
+    arr = np.array(values, dtype=float, copy=True, ndmin=1)
+    if arr.ndim > 1:
+        raise DimensionMismatchError(name, expected=dim or "1-D", got=arr.shape)
     if arr.size < 1:
         raise ValueError(f"{name} must have length >= 1")
     if not every(np.isfinite(arr)):
@@ -105,7 +107,9 @@ class SmoothMap:
     (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
     the bits of ``kernel(X)``: the solvers take h from their derivative
     call. Derivatives the map does not declare come from central
-    differences on rows (see `derivatives`).
+    differences on rows (see `derivatives`). A non-finite row, one with a
+    NaN entry or all entries ±inf, must give a non-finite value, and no
+    row with a non-finite entry may raise: the cascade runs such rows on.
     """
 
     param_dim: int
@@ -140,9 +144,9 @@ class SmoothMap:
 
     def derivatives(self, X, order: int = 1) -> tuple[Array, ...]:
         """h, J and, for `order` 2, the second derivatives at one point or at
-        every row of an (N, p) array; for `order` 0, h alone. Beyond the
-        map's own `order`, the top one is central differences of the one
-        below, on rows (symmetrized for second derivatives)."""
+        every row of an (N, p) array; for `order` 0, h alone. An order the
+        map does not declare is central differences, on rows, of the order
+        below it, taken by this same call (symmetrized at order 2)."""
         if not order:
             return (self.evaluate(X),)
         X = self._points(X)
@@ -152,10 +156,9 @@ class SmoothMap:
                 out.append(self._checked(value, shape))
                 shape += (self.param_dim,)
             return tuple(out)
-        if order == 1:
-            return self.evaluate(X), self.fd_jacobian(X)
-        D = central_differences(self.jacobian, X)
-        return (*self.derivatives(X, 1), (D + D.swapaxes(-1, -2)) / 2.0)
+        D = central_differences(lambda Z: self.derivatives(Z, order - 1)[-1], X)
+        top = (D + D.swapaxes(-1, -2)) / 2.0 if order == 2 else D
+        return (*self.derivatives(X, order - 1), top)
 
     def jacobian(self, X) -> Array:
         """J (m, p) at one point or (N, m, p) at rows, declared or by `derivatives`."""
@@ -336,9 +339,10 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
     same bits alone as in a stack. In generalized mode `y` must be
     omitted and is taken as zero (the steps' biases stand in for it);
     otherwise it is the target, (m,) for a point or (N, m) with row i's
-    target in row i. If some row's evaluation turns non-finite, the
-    first such row raises DivergedError once every row has run, with
-    its index and the partial trajectory its one-point run gives.
+    target in row i. A row whose value or update turns non-finite runs
+    on as inf or NaN; then the first row whose last iterate is not finite
+    raises DivergedError with its index and the iterates before its first
+    non-finite one, the partial trajectory its one-point run gives.
     """
     if (map.param_dim, map.feature_dim) != (seq.param_dim, seq.feature_dim):
         raise DimensionMismatchError("map", (seq.param_dim, seq.feature_dim),
@@ -356,22 +360,15 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
     n, r = len(seq), seq.n_regions
     traj = np.empty((n + 1, *X0.shape))
     traj[0] = X0
-    broke = None  # per row, the stage at which its evaluation broke down, or n
-    for k in range(n):
-        X = traj[k]
-        Phi = Y - map.evaluate(X)
-        if not every(np.isfinite(Phi)):
-            bad = ~np.isfinite(Phi).all(axis=-1)
-            broke = np.full(bad.shape, n) if broke is None else broke
-            broke[bad & (broke > k)] = k
-            if (broke < n).all():
-                break
-            Phi[bad] = 0.0  # what such a row does next is never reported
-        regions = region_index(X, seq.partition, seq.center) if r > 1 else 0
-        traj[k + 1] = advance_regions(seq.steps[k * r:(k + 1) * r], X, Phi, regions)
-    if broke is not None:
-        i = np.flatnonzero(broke.reshape(-1) < n)[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # a row that diverges carries inf or NaN
+        for k, X in enumerate(traj[:-1]):  # X views traj[k], written by the stage before
+            regions = region_index(X, seq.partition, seq.center) if r > 1 else 0
+            traj[k + 1] = advance_regions(seq.steps[k * r:(k + 1) * r], X, Y - map.evaluate(X),
+                                          regions)
+    if not every(np.isfinite(traj[-1])):
+        rows = traj.reshape(n + 1, -1, p)
+        finite = np.isfinite(rows).all(axis=-1)  # (n + 1, N): a row stays non-finite once it is
+        i = np.flatnonzero(~finite[-1])[0]
         raise DivergedError("map produced a non-finite value mid-trajectory",
-                            traj.reshape(n + 1, -1, seq.param_dim)[:broke.flat[i] + 1, i],
-                            row=int(i) if X0.ndim == 2 else None)
+                            rows[:finite[:, i].argmin(), i], row=int(i) if X0.ndim == 2 else None)
     return traj

@@ -21,7 +21,7 @@ class SettingError(SdmError, ValueError):
 
 
 class DivergedError(SdmError):
-    """An iteration produced a non-finite evaluation.
+    """An iteration produced a non-finite evaluation or iterate.
 
     Carries the iterates computed before the breakdown in `trajectory`,
     a (k, p) array, and in `row` the failing row of a run on rows, shown as " (row i)".

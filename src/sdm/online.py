@@ -174,8 +174,9 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     weights move by the prediction error times the gain ``S phi / denom``,
     ``denom = forgetting + phi' S phi``, and the next stage's residual dx
     uses them. All stages' weights are computed before anything is
-    written, so NumericalBreakdownError (denom <= 0) or a failing map
-    leaves `state` as it was. Then S becomes ``(S - g g') / forgetting``
+    written, so NumericalBreakdownError (denom not in (0, inf), as from a
+    non-finite map value) or a failing map leaves `state` as it was.
+    Then S becomes ``(S - g g') / forgetting``
     with ``g = S phi / sqrt(denom)``: ``g / sqrt(scale)`` is appended to
     Q, scale is divided by the forgetting factor, the stages the module
     docstring names fold, and the new weight arrays replace the old ones
@@ -196,8 +197,8 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
         # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
         Sphi = scale * (np.vecdot(S, phi) - np.einsum("k,ki->i", np.vecdot(Q, phi), Q))
         denom = lam + float(phi @ Sphi)
-        if denom <= 0:
-            raise NumericalBreakdownError(f"non-positive update denominator {denom} at stage {k}")
+        if not 0 < denom < np.inf:  # NaN too, from a non-finite map value
+            raise NumericalBreakdownError(f"denominator {denom} not in (0, inf) at stage {k}")
         W_new = W + np.outer(dx - W @ phi, Sphi / denom)
         new_weights.append(W_new)
         downdates.append(Sphi / np.sqrt(denom * scale))

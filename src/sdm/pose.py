@@ -364,8 +364,8 @@ def estimate_pose(
 ) -> tuple[Pose, Array]:
     """Run the cascade from the base pose against an observed projection.
 
-    Returns the last iterate as a Pose and the cascade's trajectory, the
-    (len(seq) + 1, 6) array of pose vectors (see `apply_sequence`).
+    Returns the last iterate as a Pose and the (len(seq) + 1, 6) trajectory
+    (see `apply_sequence`, which raises DivergedError if it is not finite).
     """
     if observed.n_points != model.n_points:
         raise ValueError(
@@ -461,8 +461,8 @@ def evaluate_test_poses(
 
     The first pose that fails, in test order, raises what estimating the
     poses one by one would: InvalidProjectionError for a point at
-    non-positive depth, DivergedError for a cascade whose map evaluation
-    turns non-finite.
+    non-positive depth, DivergedError for a cascade whose last iterate
+    is not finite.
     """
     truths = np.array([p.vector() for p in test_poses]).reshape(-1, 6)
     px, depth = _observe(truths, model, cam, rng, noise_variance)

@@ -34,7 +34,8 @@ class Neighborhood:
     """A sampled Euclidean ball around an anchor point.
 
     `grid_per_dim` controls the per-axis resolution of the regular
-    lattice (>= 3 so the anchor and both extremes appear in 1-D).
+    lattice (>= 3 so the anchor and both extremes appear in 1-D). A
+    subnormal radius is refused: the sample's cosines would underflow.
     """
 
     anchor: Array
@@ -43,9 +44,9 @@ class Neighborhood:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", as_vector(self.anchor, "anchor"))
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        if not (math.isfinite(self.radius) and self.radius >= np.finfo(float).tiny):
             raise DegenerateNeighborhoodError(
-                f"neighborhood radius must be finite and positive, got {self.radius}"
+                f"neighborhood radius must be finite and positive, not subnormal, got {self.radius}"
             )
         if self.grid_per_dim < 3:
             raise ValueError("grid_per_dim must be >= 3")

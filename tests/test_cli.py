@@ -92,6 +92,15 @@ class TestVerifyCommand:
             assert main(["verify", "--radius", radius, "--output-dir", str(tmp_path)]) == 2
         assert f"configuration error: map '{culprit}' is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["5e-324", "1e-310"])
+    def test_subnormal_radius_is_config_error(self, tmp_path, capsys, radius):
+        # the sample's cosines would underflow, and a linear map read as not monotone
+        assert main(["verify", "--radius", radius, "--grid", "101",
+                     "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error: neighborhood radius must be finite and positive" in err
+
     @pytest.mark.parametrize("radius", ["1e-5", "1e-7"])
     def test_small_radius_passes(self, tmp_path, radius):
         # monotonicity is judged by the cosine, which does not shrink with the radius
@@ -357,6 +366,29 @@ class TestTrainApply:
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {inputs}:4: map produced a non-finite value mid-trajectory\n")
+        assert not out.exists()
+
+    def test_last_stage_overflow_fails_naming_its_line(self, tmp_path, capsys):
+        from sdm import pose as pose_mod
+
+        # the map stays finite; a gain near the largest float overflows the one
+        # update of an observation 0.5 off the base pose's features, not of the base
+        wild = DescentStep(gain=1e308 * np.ones((6, 16)), bias=np.zeros(6))
+        model_io.save_sequence(DescentSequence(steps=(wild,), param_dim=6, feature_dim=16,
+                                               mode=Mode.REVERSED), tmp_path / "wild.sdm")
+        cam = pose_mod.DEFAULT_CAMERA
+        base = pose_mod.observe(pose_mod.DEFAULT_BASE_POSE, pose_mod.builtin_models()["cube"],
+                                cam).points2d
+        shift = -0.5 * np.array([[cam.fx], [cam.fy]])
+        inputs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        with open(inputs, "w", newline="") as f:
+            csv.writer(f).writerows([[f"c{i}" for i in range(16)]] + [
+                list((base + s).ravel(order="F")) for s in (0.0, shift)])
+        assert main(["apply", "--problem", "pose", "--model-file", str(tmp_path / "wild.sdm"),
+                     "--inputs", str(inputs), "--out", str(out),
+                     "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {inputs}:3: map produced a non-finite value mid-trajectory\n")
         assert not out.exists()
 
     def test_train_requires_out(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import sdm
 from sdm.analytic import registry
@@ -15,7 +17,7 @@ from sdm.core import (
 )
 from sdm.baselines import gauss_newton_rows, newton_rows
 from sdm.errors import DimensionMismatchError, DivergedError, PartitionError, SdmError
-from sdm.pose import DEFAULT_BASE_POSE, builtin_models, grid_poses
+from sdm.pose import DEFAULT_BASE_POSE, Pose, builtin_models, grid_poses
 from sdm.theory import (
     Neighborhood,
     anchored_sample,
@@ -196,6 +198,47 @@ class TestApplySequence:
         assert np.array_equal(alone.value.trajectory, np.array(trajectory)[:, None])
         assert (rows.value.row, alone.value.row) == (first, None)
 
+    @seed(2027)
+    @settings(max_examples=200, deadline=None)
+    @given(starts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20),
+           blowup=st.sampled_from([np.inf, -np.inf, np.nan]),
+           gain=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e308, -1e308])),
+           stages=st.integers(1, 5))
+    def test_stack_raises_exactly_when_a_last_iterate_is_not_finite(self, starts, blowup, gain,
+                                                                     stages):
+        # h(x) = x turns `blowup` at |x| >= 10, and x <- x - g h(x); a gain
+        # near the largest float overflows the update of a finite value
+        smap = SmoothMap(1, 1, lambda x: np.where(np.abs(x) < 10.0, x, blowup))
+        seq = DescentSequence(steps=(DescentStep.from_gain([[gain]]),) * stages, param_dim=1,
+                              feature_dim=1, mode=Mode.TEMPLATE)
+
+        def first_non_finite(x):  # index of the first iterate that is not finite, in floats
+            for k in range(stages + 1):
+                if not np.isfinite(x):
+                    return k
+                x = x - gain * (x if abs(x) < 10.0 else blowup)
+            return None
+
+        ends = [first_non_finite(x) for x in starts]
+        runs = []
+        for x in starts:
+            try:
+                runs.append(apply_sequence(seq, [x], smap, y=[0.0]))
+            except DivergedError as exc:
+                runs.append(exc)
+        assert [isinstance(r, DivergedError) for r in runs] == [k is not None for k in ends]
+        X0 = np.array(starts)[:, None]
+        if any(k is not None for k in ends):
+            first = next(i for i, k in enumerate(ends) if k is not None)
+            with pytest.raises(DivergedError, match=rf"\(row {first}\)$") as err:
+                apply_sequence(seq, X0, smap, y=np.zeros_like(X0))
+            assert err.value.row == first and runs[first].row is None
+            assert err.value.trajectory.shape == (ends[first], 1)
+            assert np.array_equal(err.value.trajectory, runs[first].trajectory)
+        else:
+            traj = apply_sequence(seq, X0, smap, y=np.zeros_like(X0))
+            assert np.array_equal(traj, np.stack(runs, 1))
+
     def test_target_requirements_by_mode(self):
         smap = linear_map([[1.0]])
         step = DescentStep.from_gain([[1.0]])
@@ -280,6 +323,14 @@ class TestSmoothMap:
             x = rng.uniform(-2, 2, size=2)
             assert smap.fd_jacobian(x) == pytest.approx(smap.jacobian(x), rel=1e-6, abs=1e-8)
 
+    def test_an_undeclared_order_is_central_differences_of_the_order_below(self):
+        cube = registry()["cube"].smooth_map()  # declares h, h' and h''
+        X = np.linspace(-1.0, 1.0, 7)[:, None]
+        out = cube.derivatives(X, 3)
+        assert [a.shape for a in out] == [(7, 1), (7, 1, 1), (7, 1, 1, 1), (7, 1, 1, 1, 1)]
+        assert out[3].reshape(-1) == pytest.approx(6.0, rel=1e-6)
+        assert np.array_equal(cube.derivatives(X[2], 3)[3], out[3][2])
+
     def test_evaluate_checks_output_length(self):
         smap = SmoothMap(1, 2, lambda x: np.array([x[0]]))
         with pytest.raises(DimensionMismatchError):
@@ -316,6 +367,20 @@ class TestKernelContract:
             assert len(out) == d + 1
             assert out[0].shape == want.shape and out[0].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("case", KERNEL_CONTRACT_CASES)
+    def test_a_non_finite_row_has_a_value_that_is_not_finite(self, case):
+        smap, rows = KERNEL_CONTRACT_CASES[case]
+        p = smap.param_dim  # a NaN in each coordinate, then all entries inf and all -inf
+        bad = np.concatenate([np.repeat(rows[:1], p, axis=0), np.full((2, p), np.inf)])
+        bad[np.arange(p), np.arange(p)] = np.nan
+        bad[-1] = -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):  # as `apply_sequence` evaluates
+            stacked = smap.evaluate(np.concatenate([bad, rows[:5]]))
+            alone = [smap.evaluate(x) for x in bad]
+        assert not np.isfinite(stacked[:len(bad)]).all(axis=1).any()
+        assert not any(np.isfinite(h).all() for h in alone)
+        assert np.isfinite(stacked[len(bad):]).all()
+
 
 def _size_cases():
     """(call, argument name) pairs: each call hands one row argument of the
@@ -330,6 +395,11 @@ def _size_cases():
         "apply_sequence-x0": (lambda: apply_sequence(seq, y, smap, y), "x0"),
         "apply_sequence-y": (lambda: apply_sequence(seq, x, smap, x), "y"),
         "apply_sequence-y-rows": (lambda: apply_sequence(seq, x, smap, y[:3]), "y rows"),
+        "apply_sequence-x0-ndim":
+            (lambda: apply_sequence(seq, x[:1, None], smap, y[0]), "x0"),
+        "apply_sequence-y-ndim": (lambda: apply_sequence(seq, x[0], smap, y[:1]), "y"),
+        "Pose.from_vector-ndim":
+            (lambda: Pose.from_vector(np.arange(6.0).reshape(2, 3)), "pose vector"),
         "TrainingSet-optima": (lambda: TrainingSet(Mode.TEMPLATE, smap, y, y, x), "optima"),
         "TrainingSet-targets": (lambda: TrainingSet(Mode.TEMPLATE, smap, x, x, x), "targets"),
         "TrainingSet-targets-rows":
@@ -369,6 +439,11 @@ class TestTypes:
     def test_as_vector_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             as_vector([1.0, np.nan])
+
+    def test_as_vector_takes_a_scalar_or_one_axis(self):
+        for values, want in ((2.5, [2.5]), (np.float64(-1.0), [-1.0]), ([1.0, 2.0], [1.0, 2.0])):
+            got = as_vector(values)
+            assert got.shape == (len(want),) and got.tolist() == want
 
     def test_sequence_needs_consistent_steps(self):
         s1 = DescentStep.from_gain(np.zeros((2, 3)))

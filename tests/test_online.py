@@ -334,6 +334,52 @@ class TestRlsIngest:
             assert np.array_equal(state.weights[k], clone.weights[k])
             assert np.array_equal(state.inv_cov[k], clone.inv_cov[k])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_stage", [0, 2])
+    def test_non_finite_features_raise_and_leave_state_as_a_clone(self, bad_stage, value):
+        rng = np.random.default_rng(18)
+        p, m = 2, 3
+        A = 0.1 * rng.normal(size=(m, p))
+        calls, fail_at = [0], [None]
+
+        def kernel(X):
+            calls[0] += 1
+            return np.full(m, value) if calls[0] == fail_at[0] else X @ A.T
+
+        smap = SmoothMap(p, m, kernel, name="non-finite")
+        state = init_online(empty_sequence(p, m, stages=3), ridge=1.0, forgetting=0.9)
+        for _ in range(5):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        clone = copy.deepcopy(state)
+        fail_at[0] = calls[0] + bad_stage + 1  # one evaluation per stage
+        with pytest.raises(NumericalBreakdownError, match=f"at stage {bad_stage}$"), \
+                np.errstate(invalid="ignore"):  # inf times a zero entry of S
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        assert state._count == clone._count == [5, 5, 5] and state._scale == clone._scale
+        assert np.array_equal(state._pending[:, :5], clone._pending[:, :5])
+        for k in range(3):
+            assert np.array_equal(state.weights[k], clone.weights[k])
+            assert np.array_equal(state.inv_cov[k], clone.inv_cov[k])
+
+    def test_a_start_behind_the_camera_raises_and_keeps_every_entry_finite(self):
+        from sdm.pose import DEFAULT_BASE_POSE, builtin_models
+
+        cube = builtin_models()["cube"]
+        state = init_online(empty_sequence(6, 16, stages=2), ridge=1e-3)
+        rng = np.random.default_rng(19)
+        base = DEFAULT_BASE_POSE.vector()
+        for _ in range(3):
+            start = base + rng.normal(size=6) * [0.05, 0.05, 0.05, 20.0, 20.0, 20.0]
+            rls_ingest(state, base, start, cube.feature_map)
+        clone = copy.deepcopy(state)
+        # the first stage evaluates the projection at the start, behind the camera: NaN
+        with pytest.raises(NumericalBreakdownError, match="at stage 0$"):
+            rls_ingest(state, base, [0.0, 0.0, 0.0, 0.0, 0.0, -500.0], cube.feature_map)
+        assert all(np.isfinite(W).all() for W in state.weights)
+        for k in range(2):
+            assert np.array_equal(state.weights[k], clone.weights[k])
+            assert np.array_equal(state.inv_cov[k], clone.inv_cov[k])
+
     def test_ingests_through_a_fold_allocate_less_than_one_S(self):
         rng = np.random.default_rng(16)
         p, m = 2, 800

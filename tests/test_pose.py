@@ -406,6 +406,17 @@ class TestEstimation:
             estimate_pose(seq, target, cube, DEFAULT_CAMERA)
         assert len(err.value.trajectory) == 2  # start plus the wild step
 
+    def test_last_stage_overflow_raises_diverged(self, small_cube_seq):
+        cube, _ = small_cube_seq
+        # the map stays finite; a gain near the largest float overflows the one update
+        wild = DescentStep(gain=1e308 * np.ones((6, 16)), bias=np.zeros(6))
+        seq = DescentSequence(steps=(wild,), param_dim=6, feature_dim=16, mode=Mode.REVERSED)
+        clean = observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA)
+        target = Projection(points2d=clean.points2d, normalized=clean.normalized - 0.5)
+        with pytest.raises(DivergedError) as err:
+            estimate_pose(seq, target, cube, DEFAULT_CAMERA)
+        assert np.array_equal(err.value.trajectory, [DEFAULT_BASE_POSE.vector()])
+
     def test_observation_point_count_checked(self, small_cube_seq):
         cube, seq = small_cube_seq
         obs = observe(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)

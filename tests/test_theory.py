@@ -350,9 +350,11 @@ class TestRowNorms:
     @given(st.integers(8, 40).flatmap(lambda p: st.lists(
         st.lists(st.floats(-1e3, 1e3), min_size=p, max_size=p), min_size=1, max_size=20)))
     def test_within_rounding_of_the_plain_norm_for_wider_rows(self, V):
-        # numpy sums a row of 8 or more entries pairwise, the columns in order
+        # numpy sums a row of 8 or more entries pairwise, the columns in order; the
+        # reference is math.hypot, as np.linalg.norm underflows in its squares (a row
+        # whose one nonzero entry is 2.4e-200 has plain norm 0)
         V = np.array(V)
-        assert _row_norms(V) == pytest.approx(np.linalg.norm(V, axis=1), rel=1e-14, abs=0.0)
+        assert _row_norms(V) == pytest.approx([math.hypot(*row) for row in V], rel=1e-14, abs=0.0)
 
 
 def rescaled_row_norms(V):
@@ -491,6 +493,8 @@ class TestCertificateSuite:
 
     @pytest.mark.parametrize("radius, match", [
         (0.0, "radius must be finite and positive"),
+        (5e-324, "radius must be finite and positive"),  # subnormal: the cosines underflow
+        (1e-310, "radius must be finite and positive"),
         (1000.0, "map 'exp' is not finite"),  # exp overflows first; linear and cube are finite
     ])
     def test_refused_radius_raises_degenerate_neighborhood(self, radius, match):
