@@ -297,22 +297,27 @@ class DescentSequence:
         return len(self.steps) // self.n_regions
 
 
+def region_rows(regions: Array, n_regions: int) -> list[Array]:
+    """For each of `n_regions` regions, the indices of the rows that
+    `regions` (see `region_index`) puts in it, in row order: the blocks of
+    one stable sort, an empty block for a region that holds no row."""
+    order = np.argsort(regions, kind="stable")
+    ends = np.bincount(regions, minlength=n_regions).cumsum().tolist()
+    return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
 def advance_regions(steps, X: Array, Phi: Array, regions) -> Array:
     """Advance the point X (p,), or each row i of X (N, p), with its
     residual Phi by the step of its region, ``steps[regions]`` or
     ``steps[regions[i]]`` (see `region_index`). One step advances all
-    rows at once; else one stable sort groups the rows by region, and only
-    the regions that hold rows are visited."""
+    rows at once; else each region's step advances its `region_rows`."""
     if X.ndim == 1:
         return steps[regions].advance(X, Phi)
     if len(steps) == 1:
         return steps[0].advance(X, Phi)
-    order = np.argsort(regions, kind="stable")
-    ends = np.cumsum(np.bincount(regions, minlength=len(steps)))
-    X, Phi, out = X[order], Phi[order], np.empty_like(X)
-    for r, (lo, hi) in enumerate(zip((0, *ends[:-1]), ends)):
-        if hi > lo:
-            out[order[lo:hi]] = steps[r].advance(X[lo:hi], Phi[lo:hi])
+    out = np.empty_like(X)
+    for step, rows in zip(steps, region_rows(regions, len(steps))):
+        out[rows] = step.advance(X[rows], Phi[rows])
     return out
 
 

@@ -27,7 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector, matvec_rows
+from .core import (Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector, every,
+                   matvec_rows)
 from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError
 
 
@@ -174,8 +175,8 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     weights move by the prediction error times the gain ``S phi / denom``,
     ``denom = forgetting + phi' S phi``, and the next stage's residual dx
     uses them. All stages' weights are computed before anything is
-    written, so NumericalBreakdownError (denom not in (0, inf), as from a
-    non-finite map value) or a failing map leaves `state` as it was.
+    written, so NumericalBreakdownError (a non-finite map value, or denom
+    not in (0, inf)) or a failing map leaves `state` as it was.
     Then S becomes ``(S - g g') / forgetting``
     with ``g = S phi / sqrt(denom)``: ``g / sqrt(scale)`` is appended to
     Q, scale is divided by the forgetting factor, the stages the module
@@ -194,10 +195,12 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     for k, (W, S, scale) in enumerate(zip(state.weights, state._base, state._scale)):
         Q = state._pending[k, : count[k]]
         phi = np.append(map.evaluate(x_opt - dx), 1.0)
+        if not every(np.isfinite(phi)):  # before the products, where inf times 0 would warn
+            raise NumericalBreakdownError(f"non-finite map value at stage {k}")
         # one dot per entry: a threaded BLAS S @ phi stalls on busy hosts
         Sphi = scale * (np.vecdot(S, phi) - np.einsum("k,ki->i", np.vecdot(Q, phi), Q))
         denom = lam + float(phi @ Sphi)
-        if not 0 < denom < np.inf:  # NaN too, from a non-finite map value
+        if not 0 < denom < np.inf:
             raise NumericalBreakdownError(f"denominator {denom} not in (0, inf) at stage {k}")
         W_new = W + np.outer(dx - W @ phi, Sphi / denom)
         new_weights.append(W_new)

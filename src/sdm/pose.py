@@ -60,14 +60,9 @@ class ObjectModel:
     name: str = ""
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != 3:
-            raise ValueError("points must be a 3 x n array")
+        pts = as_matrix(self.points, "points", rows=3)
         if pts.shape[1] < 4:
             raise ValueError("a pose model needs at least 4 points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("model points must be finite")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -203,16 +198,10 @@ class Projection:
     normalized: Array
 
     def __post_init__(self):
-        px = np.array(self.points2d, dtype=float)
-        nm = np.array(self.normalized, dtype=float)
-        if px.shape != nm.shape or px.ndim != 2 or px.shape[0] != 2:
-            raise ValueError("points2d and normalized must both be 2 x n")
-        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(nm))):
-            raise ValueError("projection coordinates must be finite")
-        px.setflags(write=False)
-        nm.setflags(write=False)
+        px = as_matrix(self.points2d, "points2d", rows=2)
         object.__setattr__(self, "points2d", px)
-        object.__setattr__(self, "normalized", nm)
+        object.__setattr__(self, "normalized",
+                           as_matrix(self.normalized, "normalized", width=px.shape[1], rows=2))
 
     @property
     def n_points(self) -> int:

@@ -175,20 +175,20 @@ def monotone_anchored_1d(s: AnchoredSample) -> int | None:
 def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
     """Scalar gain ``sign * (2/K - epsilon)`` for a 1-D monotone map.
 
-    `epsilon` defaults to 1% of the 2/K budget. Values at or above 2/K
-    would flip the bound and are rejected.
+    `epsilon` defaults to 1% of the 2/K budget. A given epsilon that is
+    not positive, or at or above 2/K (it would flip the bound), raises
+    SettingError naming the map, before monotonicity is tested.
     """
+    budget = 2.0 / s.K if s.K else math.inf  # K = 0: a constant map, refused as not monotone
+    if epsilon is not None and not 0 < epsilon < budget:
+        bound = "positive" if epsilon <= 0 else f"below 2/K = {budget:.6g}"
+        raise SettingError(f"epsilon must be {bound} for map {s.map.name}, got {epsilon}")
     sign = monotone_anchored_1d(s)
     if sign is None:
         ties = np.count_nonzero(s.values == s.anchor_value)
         raise NotMonotoneError(f"map {s.map.name!r} is not monotone on the grid around "
                                f"{s.nbhd.anchor}: {ties} of {s.dist.size} samples tie its value")
-    budget = 2.0 / s.K
-    if epsilon is None:
-        epsilon = 0.01 * budget
-    if not (0 < epsilon < budget):
-        raise SettingError(f"epsilon must lie in (0, 2/K) = (0, {budget:.6g}), got {epsilon}")
-    return sign * (budget - epsilon)
+    return sign * (budget - (0.01 * budget if epsilon is None else epsilon))
 
 
 def _cosines(s: AnchoredSample, gain) -> Array:
@@ -316,9 +316,6 @@ def certificate_suite(seed: int, grid_per_dim: int, radius: float | None = None,
         if radius is not None:
             nbhd = Neighborhood(nbhd.anchor, radius, grid_per_dim)
         sample = anchored_sample(smap, nbhd)
-        if epsilon is not None and not epsilon < 2.0 / sample.K:
-            raise SettingError(f"epsilon must be below 2/K = {2.0 / sample.K:.6g} for map {name}, "
-                               f"got {epsilon}")
         r = generic_dm_1d(sample, epsilon=epsilon)
         rows.append(SuiteRow(name, sample.K, r,
                              contraction_certify(sample, DescentStep.from_gain([[r]])), True))

@@ -13,6 +13,7 @@ its current estimate lies relative to the shared start point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +28,10 @@ from .core import (
     advance_regions,
     as_matrix,
     as_vector,
+    every,
     partition_coords,
     region_index,
+    region_rows,
 )
 from .errors import PartitionError, RankDeficiencyError, TrainingDivergedError
 
@@ -139,12 +142,16 @@ def solve_stage(residuals, features, with_bias: bool = False, ridge: float = 0.0
     Minimizes ``sum_i ||dx_i - R phi_i - b||^2 + ridge * ||R||_F^2``
     (b fixed at zero unless `with_bias`; the bias is never penalized).
     With ridge 0 the minimum-norm solution is returned; fewer samples
-    than feature dimensions then raises RankDeficiencyError.
+    than feature dimensions then raises RankDeficiencyError. Non-finite
+    residuals or features are refused before any solve.
     """
     D = np.atleast_2d(np.asarray(residuals, dtype=float))
     Phi = np.atleast_2d(np.asarray(features, dtype=float))
     if D.shape[0] != Phi.shape[0] or D.shape[0] == 0:
         raise ValueError("residuals and features must be equal-length and nonempty")
+    for name, arr in (("residuals", D), ("features", Phi)):
+        if not every(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
     n, m = Phi.shape
     p = D.shape[1]
     if ridge < 0:
@@ -187,23 +194,19 @@ def _solve_regions(
     D: Array, Phi: Array, regions: Array, n_regions: int, with_bias: bool,
     config: TrainerConfig,
 ) -> list[DescentStep]:
-    """One step per region, each fitted on that region's samples only.
+    """One step per region, each fitted on that region's `region_rows` only.
 
     A region with no samples takes the fit over all samples; so does a
-    region with all of them, which is the same fit without a second
-    solve (and keeps an unpartitioned cascade bit-identical).
+    region with all of them, which is the same fit (and keeps an
+    unpartitioned cascade bit-identical). That fit is solved only if a
+    region takes it, and once.
     """
-    fit_all = solve_stage(D, Phi, with_bias=with_bias, ridge=_stage_ridge(config, Phi))
-    steps = []
-    for r in range(n_regions):
-        mask = regions == r
-        if np.count_nonzero(mask) in (0, len(regions)):
-            steps.append(fit_all)
-        else:
-            Phi_r = Phi[mask]
-            steps.append(solve_stage(D[mask], Phi_r, with_bias=with_bias,
-                                     ridge=_stage_ridge(config, Phi_r)))
-    return steps
+    def fit(D: Array, Phi: Array) -> DescentStep:
+        return solve_stage(D, Phi, with_bias=with_bias, ridge=_stage_ridge(config, Phi))
+
+    fit_all = functools.cache(lambda: fit(D, Phi))
+    return [fit_all() if rows.size in (0, len(D)) else fit(D[rows], Phi[rows])
+            for rows in region_rows(regions, n_regions)]
 
 
 def train(

@@ -14,6 +14,7 @@ from sdm.core import (
     as_matrix,
     as_vector,
     region_index,
+    region_rows,
 )
 from sdm.baselines import gauss_newton_rows, newton_rows
 from sdm.errors import DimensionMismatchError, DivergedError, PartitionError, SdmError
@@ -269,6 +270,16 @@ class TestPartitionedSequence:
     def test_no_partition_puts_every_point_in_region_zero(self):
         points = np.random.default_rng(0).normal(size=(7, 3))
         assert [region_index(x, (), np.zeros(0)) for x in points] == [0] * 7
+
+    @seed(2028)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda bits: st.tuples(
+        st.just(1 << bits), st.lists(st.integers(0, (1 << bits) - 1), max_size=40))))
+    def test_region_rows_are_each_region_s_rows_in_row_order(self, case):
+        n_regions, regions = case
+        got = region_rows(np.array(regions, dtype=np.intp), n_regions)
+        assert [rows.tolist() for rows in got] == [
+            [i for i, r in enumerate(regions) if r == region] for region in range(n_regions)]
 
     def test_stage_count_and_step_per_region(self):
         # stage k applies steps[2 k + region]; x[1] never moves, so neither does the region

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdm import pose as pose_module
+from sdm import trainer as trainer_module
 from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
 from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
 from sdm.core import (DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, apply_sequence,
@@ -112,6 +113,31 @@ class TestRotations:
 
 
 class TestProjection:
+    @pytest.mark.parametrize("points2d, normalized, error, match", [
+        (np.zeros((3, 4)), np.zeros((3, 4)), DimensionMismatchError,
+         r"^points2d rows dimension mismatch: expected 2, got 3$"),
+        (np.zeros((2, 4)), np.zeros((3, 4)), DimensionMismatchError,
+         r"^normalized rows dimension mismatch: expected 2, got 3$"),
+        (np.zeros((2, 4)), np.zeros((2, 5)), DimensionMismatchError,
+         r"^normalized dimension mismatch: expected 4, got 5$"),
+        (np.zeros(8), np.zeros((2, 4)), ValueError, r"^points2d must be 2-D, got ndim=1$"),
+        (np.full((2, 4), np.nan), np.zeros((2, 4)), ValueError,
+         r"^points2d contains non-finite entries$"),
+        (np.zeros((2, 4)), np.where(np.eye(2, 4), np.inf, 0.0), ValueError,
+         r"^normalized contains non-finite entries$"),
+    ])
+    def test_coordinates_are_checked_by_the_size_rule(self, points2d, normalized, error, match):
+        with pytest.raises(error, match=match):
+            Projection(points2d=points2d, normalized=normalized)
+
+    def test_coordinates_are_kept_as_read_only_copies(self):
+        px, nm = np.arange(8.0).reshape(2, 4), np.arange(8.0).reshape(2, 4) / 10
+        proj = Projection(points2d=px, normalized=nm)
+        for got, given in ((proj.points2d, px), (proj.normalized, nm)):
+            assert np.array_equal(got, given) and not np.shares_memory(got, given)
+            assert not got.flags.writeable
+        assert proj.feature().tolist() == [0.0, 0.4, 0.1, 0.5, 0.2, 0.6, 0.3, 0.7]
+
     def test_optical_axis_point_hits_principal_point(self):
         proj = observe(DEFAULT_BASE_POSE, tetra_model(), DEFAULT_CAMERA)
         assert proj.points2d[:, 0] == pytest.approx([500.0, 500.0], abs=1e-12)
@@ -213,7 +239,7 @@ class TestProjection:
                     assert np.array_equal(pxp, observe(Pose.from_vector(p), model,
                                                        DEFAULT_CAMERA).points2d)
                 else:  # a depth so small that a pixel overflows: `Projection` refuses it
-                    with pytest.raises(ValueError, match="must be finite"):
+                    with pytest.raises(ValueError, match="^points2d contains non-finite entries$"):
                         observe(Pose.from_vector(p), model, DEFAULT_CAMERA)
 
     def test_gauss_newton_diverges_where_the_reference_kernel_does(self):
@@ -275,6 +301,23 @@ class TestModels:
     def test_minimum_point_count(self):
         with pytest.raises(ValueError, match="at least 4"):
             ObjectModel(points=np.zeros((3, 3)), name="tri")
+
+    @pytest.mark.parametrize("points, error, match", [
+        (np.zeros((2, 5)), DimensionMismatchError,
+         r"^points rows dimension mismatch: expected 3, got 2$"),
+        (np.zeros(15), ValueError, r"^points must be 2-D, got ndim=1$"),
+        (np.where(np.eye(3, 5), np.nan, 1.0), ValueError, r"^points contains non-finite entries$"),
+        (np.where(np.eye(3, 5), -np.inf, 1.0), ValueError, r"^points contains non-finite entries$"),
+    ])
+    def test_points_are_checked_by_the_size_rule(self, points, error, match):
+        with pytest.raises(error, match=match):
+            ObjectModel(points=points, name="bad")
+
+    def test_points_are_kept_as_a_read_only_copy(self):
+        pts = tetra_model().points.copy()
+        model = ObjectModel(points=pts)
+        assert np.array_equal(model.points, pts) and not np.shares_memory(model.points, pts)
+        assert not model.points.flags.writeable
 
     def test_model_file_round_trip(self, tmp_path):
         path = tmp_path / "tri.txt"
@@ -455,6 +498,26 @@ class TestEulerPartition:
                             np.mean([r.trans_err_mm for r in recs]))
         assert errors["split"][0] < errors["flat"][0], errors
         assert errors["split"][1] < errors["flat"][1], errors
+
+    # At seed 42 stage 1 holds every sample in region 0, so its fit over all samples
+    # serves all eight regions; at stages 2 to 4 every region holds samples, so each of
+    # those stages solves eight region fits and no fit over all samples: 1 + 3 * 8 = 25.
+    @pytest.mark.parametrize("partition", [EULER_PARTITION, ()])
+    def test_default_grid_training_solves_only_the_fits_it_keeps(self, monkeypatch, partition):
+        sizes, solve = [], trainer_module.solve_stage
+        monkeypatch.setattr(trainer_module, "solve_stage",
+                            lambda D, Phi, **kw: sizes.append(len(D)) or solve(D, Phi, **kw))
+        grid = pose_grid_spec()
+        seq = train_pose_sdm(builtin_models()["cube"], DEFAULT_CAMERA, grid, noise_variance=4.0,
+                             config=TrainerConfig(stages=4),
+                             rng=stream(42, "pose-train-noise-cube"), partition=partition)
+        n = len(grid)
+        if partition:
+            assert len(sizes) == 25 and sizes[0] == n
+            assert all(sum(sizes[k:k + 8]) == n for k in (1, 9, 17)) and n not in sizes[1:]
+            assert all(step is seq.steps[0] for step in seq.steps[:8])
+        else:
+            assert sizes == [n] * 4
 
     def test_start_at_the_partition_center_uses_one_region(self, euler_cascades):
         split, flat = euler_cascades["split"], euler_cascades["flat"]

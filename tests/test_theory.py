@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdm.core import DescentStep, SmoothMap
-from sdm.errors import DegenerateNeighborhoodError, NotMonotoneError
+from sdm.errors import DegenerateNeighborhoodError, NotMonotoneError, SettingError
 from sdm.theory import (
     LATTICE_CAP,
     Neighborhood,
@@ -114,6 +114,27 @@ class TestGenericDm1d:
     def test_epsilon_exceeding_budget_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             generic_dm_1d(sample(scalar_map(lambda t: t), 0.0, 1.0), epsilon=2.5)
+
+    @pytest.mark.parametrize("epsilon, match", [
+        (4.0, r"^epsilon must be below 2/K = 4 for map half, got 4\.0$"),
+        (0.0, r"^epsilon must be positive for map half, got 0\.0$"),
+        (-0.5, r"^epsilon must be positive for map half, got -0\.5$"),
+    ])
+    def test_epsilon_refusal_names_the_map_and_its_side(self, epsilon, match):
+        with pytest.raises(SettingError, match=match):
+            generic_dm_1d(sample(scalar_map(lambda t: t / 2, "half"), 0.0, 1.0), epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [5.0, 0.0])
+    def test_epsilon_is_refused_before_monotonicity_is_tested(self, epsilon):
+        with pytest.raises(SettingError, match="for map square"):
+            generic_dm_1d(sample(scalar_map(lambda t: t * t, "square"), 0.0, 1.0),
+                          epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_constant_map_is_refused_as_not_monotone(self, epsilon):
+        with pytest.raises(NotMonotoneError, match="100 of 100 samples tie"):  # K = 0
+            generic_dm_1d(sample(scalar_map(lambda t: 3.0, "flat"), 0.0, 1.0, 101),
+                          epsilon=epsilon)
 
 
 class TestMonotoneOperator:

@@ -85,6 +85,21 @@ class TestSolveStage:
         # with ridge the same data solves fine
         solve_stage([[1.0]], [[1.0, 2.0, 3.0]], ridge=1e-6)
 
+    # at ridge 0 a NaN used to reach LAPACK, which printed to stderr and raised numpy's
+    # untyped LinAlgError; with a ridge the refusal named the gain
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["residuals", "features"])
+    def test_non_finite_input_is_refused_by_name_with_nothing_on_stderr(self, capfd, name, value,
+                                                                        with_bias, ridge):
+        rng = np.random.default_rng(3)
+        args = {"residuals": rng.normal(size=(20, 2)), "features": rng.normal(size=(20, 3))}
+        args[name][7, 1] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            solve_stage(**args, with_bias=with_bias, ridge=ridge)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestTrain:
     def test_template_cubic_contracts_sample_cloud(self):
