@@ -161,12 +161,8 @@ class SmoothMap:
         return (*self.derivatives(X, order - 1), top)
 
     def jacobian(self, X) -> Array:
-        """J (m, p) at one point or (N, m, p) at rows, declared or by `derivatives`."""
+        """``derivatives(X, 1)[1]``; kept while perfbench wraps it as a layer."""
         return self.derivatives(X, 1)[1]
-
-    def fd_jacobian(self, X) -> Array:
-        """Central finite-difference Jacobian, whatever the map declares."""
-        return central_differences(self.evaluate, self._points(X))
 
 
 @dataclass(frozen=True)
@@ -226,11 +222,12 @@ def region_index(x, partition: tuple[int, ...], center):
     Bit j of the region index is set where coordinate ``partition[j]``
     of `x` exceeds ``center[j]``; a point at the center, and every point
     when there are no partition coordinates, is in region 0. An (N, p)
-    array of points gives the length-N integer array of their regions.
+    array of points gives the length-N array of their regions in the
+    narrowest unsigned type that holds them, which numpy sorts by radix.
     """
     if np.ndim(x) == 2:
-        above = np.asarray(x)[:, list(partition)] > center
-        return above.astype(np.intp) @ (1 << np.arange(len(partition), dtype=np.intp))
+        bits = np.arange(len(partition), dtype=np.min_scalar_type((1 << len(partition)) - 1))
+        return (np.asarray(x)[:, list(partition)] > center).astype(bits.dtype) @ (1 << bits)
     x, center = np.asarray(x).tolist(), np.asarray(center).tolist()  # compared as Python floats
     return sum(1 << j for j, (c, v) in enumerate(zip(partition, center)) if x[c] > v)
 
@@ -306,17 +303,12 @@ def region_rows(regions: Array, n_regions: int) -> list[Array]:
     return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def advance_regions(steps, X: Array, Phi: Array, regions) -> Array:
-    """Advance the point X (p,), or each row i of X (N, p), with its
-    residual Phi by the step of its region, ``steps[regions]`` or
-    ``steps[regions[i]]`` (see `region_index`). One step advances all
-    rows at once; else each region's step advances its `region_rows`."""
-    if X.ndim == 1:
-        return steps[regions].advance(X, Phi)
-    if len(steps) == 1:
-        return steps[0].advance(X, Phi)
+def advance_regions(steps, X: Array, Phi: Array, blocks) -> Array:
+    """Advance the rows of X (N, p) with their residuals Phi (N, m), each
+    block ``blocks[r]`` of row indices (see `region_rows`) by
+    ``steps[r]``."""
     out = np.empty_like(X)
-    for step, rows in zip(steps, region_rows(regions, len(steps))):
+    for step, rows in zip(steps, blocks):
         out[rows] = step.advance(X[rows], Phi[rows])
     return out
 
@@ -367,13 +359,15 @@ def apply_sequence(seq: DescentSequence, x0, map: SmoothMap, y=None) -> Array:
     traj[0] = X0
     with np.errstate(invalid="ignore", over="ignore"):  # a row that diverges carries inf or NaN
         for k, X in enumerate(traj[:-1]):  # X views traj[k], written by the stage before
+            stage, Phi = seq.steps[k * r:(k + 1) * r], Y - map.evaluate(X)
             regions = region_index(X, seq.partition, seq.center) if r > 1 else 0
-            traj[k + 1] = advance_regions(seq.steps[k * r:(k + 1) * r], X, Y - map.evaluate(X),
-                                          regions)
+            # rows of several regions by their blocks; a point, or rows of one region, by one step
+            traj[k + 1] = (advance_regions(stage, X, Phi, region_rows(regions, r))
+                           if isinstance(regions, Array) else stage[regions].advance(X, Phi))
     if not every(np.isfinite(traj[-1])):
         rows = traj.reshape(n + 1, -1, p)
         finite = np.isfinite(rows).all(axis=-1)  # (n + 1, N): a row stays non-finite once it is
         i = np.flatnonzero(~finite[-1])[0]
-        raise DivergedError("map produced a non-finite value mid-trajectory",
+        raise DivergedError("the cascade produced a non-finite iterate",
                             rows[:finite[:, i].argmin(), i], row=int(i) if X0.ndim == 2 else None)
     return traj

@@ -31,7 +31,7 @@ from .core import (
     as_matrix,
     as_vector,
 )
-from .errors import InvalidProjectionError
+from .errors import InvalidProjectionError, SettingError
 from .trainer import TrainerConfig, TrainingSet, grid_offsets, train
 
 
@@ -228,8 +228,11 @@ def _observe(
     """Pixel coordinates (..., 2, n) of the model's points at pose vectors
     P, one (6,) or rows (N, 6), plus white noise when `noise_variance` is
     positive (for rows, the draws `observe` makes pose by pose in row
-    order from the same `rng`), and the points' depths (..., n). A pixel
-    is NaN where its depth is not positive."""
+    order from the same `rng`; a variance not finite and >= 0 raises
+    SettingError), and the depths (..., n). A pixel is NaN where its depth
+    is not positive."""
+    if not 0 <= noise_variance < math.inf:
+        raise SettingError(f"noise_variance must be finite and >= 0, got {noise_variance}")
     C = model.homogeneous @ _camera_columns(P).reshape(4, -1)
     C = C.reshape(len(C), 3, *P.shape[:-1])  # point, camera axis, then poses
     z = np.where(C[:, 2] > 0, C[:, 2], np.nan)

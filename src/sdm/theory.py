@@ -123,17 +123,16 @@ class ContractionCertificate:
 class AnchoredSample:
     """One map evaluated once on one sampled neighborhood.
 
-    `points` (N, p) excludes the anchor, `dist` (N,) holds their distances
-    to it, `values` (N, m) the map at each point and `anchor_value` (m,)
-    the map at the anchor. `K`, which every check reads, is computed once.
+    `points` (N, p) excludes the anchor x*, `dist` (N,) holds their distances
+    to it and `dh` (N, m) the differences h(x*) - h(x) at each point x.
+    `K`, which every check reads, is computed once.
     """
 
     map: SmoothMap
     nbhd: Neighborhood
     points: Array
     dist: Array
-    values: Array
-    anchor_value: Array
+    dh: Array
 
     # the sample's `lipschitz_anchored`, computed on first read and kept; the name is looked up then
     K = cached_property(lambda self: lipschitz_anchored(self))
@@ -155,18 +154,18 @@ def anchored_sample(map: SmoothMap, nbhd: Neighborhood) -> AnchoredSample:
         hv = map.evaluate(pts)
     if not (np.isfinite(h0).all() and np.isfinite(hv).all()):
         raise DegenerateNeighborhoodError(f"map {map.name!r} is not finite on the neighborhood")
-    return AnchoredSample(map, nbhd, pts, dist, hv, h0)
+    return AnchoredSample(map, nbhd, pts, dist, h0 - hv)
 
 
 def lipschitz_anchored(s: AnchoredSample) -> float:
     """Anchored Lipschitz estimate: max ||h(x)-h(x*)|| / ||x-x*|| on the grid.
     The checks read it as the sample's `K`, which computes it once."""
-    return float(np.max(_row_norms(s.values - s.anchor_value) / s.dist))
+    return float(np.max(_row_norms(s.dh) / s.dist))
 
 
 def monotone_anchored_1d(s: AnchoredSample) -> int | None:
     """Sign of (h(x)-h(x*))*(x-x*) over the grid: +1, -1, or None if mixed."""
-    if s.nbhd.dim != 1 or s.values.shape[1] != 1:
+    if s.nbhd.dim != 1 or s.dh.shape[1] != 1:
         raise ValueError("monotone_anchored_1d requires p = m = 1")
     cos = _cosines(s, [[1.0]])  # the cosines under gain -1 are these negated
     return 1 if np.all(cos > STRICT_TOL) else -1 if np.all(cos < -STRICT_TOL) else None
@@ -185,7 +184,7 @@ def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
         raise SettingError(f"epsilon must be {bound} for map {s.map.name}, got {epsilon}")
     sign = monotone_anchored_1d(s)
     if sign is None:
-        ties = np.count_nonzero(s.values == s.anchor_value)
+        ties = np.count_nonzero(s.dh == 0)
         raise NotMonotoneError(f"map {s.map.name!r} is not monotone on the grid around "
                                f"{s.nbhd.anchor}: {ties} of {s.dist.size} samples tie its value")
     return sign * (budget - (0.01 * budget if epsilon is None else epsilon))
@@ -193,8 +192,8 @@ def generic_dm_1d(s: AnchoredSample, epsilon: float | None = None) -> float:
 
 def _cosines(s: AnchoredSample, gain) -> Array:
     """Per sample, the cosine of x* - x and gain @ (h(x*) - h(x)); NaN where the latter is 0."""
-    gain = as_matrix(gain, "gain", width=s.values.shape[1], rows=s.nbhd.dim)
-    rdh = (s.anchor_value - s.values) @ gain.T
+    gain = as_matrix(gain, "gain", width=s.dh.shape[1], rows=s.nbhd.dim)
+    rdh = s.dh @ gain.T
     # rows over powers of two, as in `_row_norms`: the same quotient, finite at any radius
     v = rdh / np.ldexp(1.0, np.frexp(np.abs(rdh.T, order="C").max(axis=0))[1])[:, None]
     with np.errstate(invalid="ignore"):  # 0/0 is NaN, which passes no test
@@ -231,7 +230,7 @@ def contraction_certify(s: AnchoredSample, step: DescentStep) -> ContractionCert
     sample and record the worst ratio. An invalid certificate (factor >= 1)
     is a normal return.
     """
-    nxt = step.advance(s.points, s.anchor_value - s.values)
+    nxt = step.advance(s.points, s.dh)
     ratios = _row_norms(s.nbhd.anchor - nxt) / s.dist
     return ContractionCertificate(
         contraction_factor=float(np.max(ratios)),

@@ -33,7 +33,7 @@ from .core import (
     region_index,
     region_rows,
 )
-from .errors import PartitionError, RankDeficiencyError, TrainingDivergedError
+from .errors import PartitionError, RankDeficiencyError, SettingError, TrainingDivergedError
 
 
 def _grid_axis(lo: float, hi: float, step: float) -> Array:
@@ -117,6 +117,11 @@ class TrainingSet:
         return cls(Mode.REVERSED, map, optima, targets, np.tile(x0, (len(optima), 1)))
 
 
+def _check_ridge(ridge: float) -> None:
+    if not 0 <= ridge < math.inf:
+        raise SettingError(f"ridge must be finite and >= 0, got {ridge}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Stage count and ridge strength.
@@ -132,8 +137,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if self.ridge is not None:
+            _check_ridge(self.ridge)
 
 
 def solve_stage(residuals, features, with_bias: bool = False, ridge: float = 0.0) -> DescentStep:
@@ -152,10 +157,8 @@ def solve_stage(residuals, features, with_bias: bool = False, ridge: float = 0.0
     for name, arr in (("residuals", D), ("features", Phi)):
         if not every(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
+    _check_ridge(ridge)
     n, m = Phi.shape
-    p = D.shape[1]
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
 
     cols = m + 1 if with_bias else m
     if with_bias:
@@ -191,10 +194,9 @@ def _stage_ridge(config: TrainerConfig, Phi: Array) -> float:
 
 
 def _solve_regions(
-    D: Array, Phi: Array, regions: Array, n_regions: int, with_bias: bool,
-    config: TrainerConfig,
+    D: Array, Phi: Array, blocks: list[Array], with_bias: bool, config: TrainerConfig,
 ) -> list[DescentStep]:
-    """One step per region, each fitted on that region's `region_rows` only.
+    """One step per region, each fitted on its block of `region_rows` only.
 
     A region with no samples takes the fit over all samples; so does a
     region with all of them, which is the same fit (and keeps an
@@ -206,7 +208,7 @@ def _solve_regions(
 
     fit_all = functools.cache(lambda: fit(D, Phi))
     return [fit_all() if rows.size in (0, len(D)) else fit(D[rows], Phi[rows])
-            for rows in region_rows(regions, n_regions)]
+            for rows in blocks]
 
 
 def train(
@@ -251,10 +253,10 @@ def train(
             raise TrainingDivergedError(stage=k, sample=int(diverged[0]))
         D = tset.optima - X
         Phi = -H if generalized else tset.targets - H
-        regions = region_index(X, partition, center)
-        stage = _solve_regions(D, Phi, regions, n_regions, with_bias=generalized, config=config)
+        blocks = region_rows(region_index(X, partition, center), n_regions)
+        stage = _solve_regions(D, Phi, blocks, with_bias=generalized, config=config)
         steps.extend(stage)
-        X = advance_regions(stage, X, Phi, regions)
+        X = advance_regions(stage, X, Phi, blocks)
         report.append(mean_sq_residual())
 
     return DescentSequence(

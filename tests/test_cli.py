@@ -365,7 +365,7 @@ class TestTrainApply:
                      "--inputs", str(inputs), "--out", str(out),
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {inputs}:4: map produced a non-finite value mid-trajectory\n")
+            f"error: {inputs}:4: the cascade produced a non-finite iterate\n")
         assert not out.exists()
 
     def test_last_stage_overflow_fails_naming_its_line(self, tmp_path, capsys):
@@ -388,7 +388,7 @@ class TestTrainApply:
                      "--inputs", str(inputs), "--out", str(out),
                      "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {inputs}:3: map produced a non-finite value mid-trajectory\n")
+            f"error: {inputs}:3: the cascade produced a non-finite iterate\n")
         assert not out.exists()
 
     def test_train_requires_out(self, tmp_path):

@@ -13,6 +13,7 @@ from sdm.core import (
     apply_sequence,
     as_matrix,
     as_vector,
+    central_differences,
     region_index,
     region_rows,
 )
@@ -271,6 +272,15 @@ class TestPartitionedSequence:
         points = np.random.default_rng(0).normal(size=(7, 3))
         assert [region_index(x, (), np.zeros(0)) for x in points] == [0] * 7
 
+    def test_row_regions_take_the_narrowest_unsigned_type(self):
+        X = np.random.default_rng(4).normal(size=(50, 9))
+        for coords, dtype in (((), np.uint8), ((0, 4, 2), np.uint8),
+                              (tuple(range(8)), np.uint8), (tuple(range(9)), np.uint16)):
+            center = np.zeros(len(coords))
+            got = region_index(X, coords, center)
+            assert got.dtype == dtype
+            assert got.tolist() == [region_index(x, coords, center) for x in X]
+
     @seed(2028)
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda bits: st.tuples(
@@ -319,7 +329,7 @@ class TestPartitionedSequence:
 
 
 class TestSmoothMap:
-    def test_fd_jacobian_matches_analytic(self):
+    def test_central_differences_match_the_declared_jacobian(self):
         def kernel(x, order=0):
             x0, x1 = x[..., 0], x[..., 1]
             h = np.stack([np.sin(x0) * x1, x0 ** 2 + np.exp(x1)], -1)
@@ -332,7 +342,8 @@ class TestSmoothMap:
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)
-            assert smap.fd_jacobian(x) == pytest.approx(smap.jacobian(x), rel=1e-6, abs=1e-8)
+            assert central_differences(smap.evaluate, x) == pytest.approx(
+                smap.derivatives(x, 1)[1], rel=1e-6, abs=1e-8)
 
     def test_an_undeclared_order_is_central_differences_of_the_order_below(self):
         cube = registry()["cube"].smooth_map()  # declares h, h' and h''

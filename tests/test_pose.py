@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from sdm import pose as pose_module
 from sdm import trainer as trainer_module
-from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError
+from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError, SettingError
 from sdm.baselines import RunStatus, gauss_newton_minimize, gauss_newton_rows
 from sdm.core import (DescentSequence, DescentStep, Mode, NlsProblem, SmoothMap, apply_sequence,
-                      region_index)
+                      central_differences, region_index)
 from sdm.model_io import sequence_bytes
 from sdm.online import init_online, rls_ingest
 from sdm.pose import (
@@ -169,15 +169,15 @@ class TestProjection:
             proj = observe(pose, model, cam)
             assert proj.normalized == pytest.approx(expected, abs=1e-12)
 
-    def test_feature_map_matches_project_and_fd_jacobian(self):
+    def test_feature_map_matches_project_and_central_differences(self):
         model = builtin_models()["cube"]
         fmap = projection_feature_map(model)
         pose = Pose(euler=[0.1, 0.2, -0.3], translation=[30.0, -40.0, 2100.0])
         feat = fmap.evaluate(pose.vector())
         proj = observe(pose, model, DEFAULT_CAMERA)
         assert feat == pytest.approx(proj.feature(), abs=1e-15)
-        assert fmap.jacobian(pose.vector()) == pytest.approx(
-            fmap.fd_jacobian(pose.vector()), rel=1e-5, abs=1e-9
+        assert fmap.derivatives(pose.vector(), 1)[1] == pytest.approx(
+            central_differences(fmap.evaluate, pose.vector()), rel=1e-5, abs=1e-9
         )
 
     @settings(max_examples=60, deadline=None)
@@ -583,6 +583,19 @@ class TestObserve:
             ]
         )
         assert noisy.normalized == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("variance", [np.nan, -4.0, np.inf])
+    def test_a_variance_not_finite_and_non_negative_is_refused(self, small_cube_seq, variance):
+        cube, seq = small_cube_seq
+        grid, rng = pose_grid_spec(30.0, 30.0, 400.0, 400.0), np.random.default_rng(0)
+        match = "^noise_variance must be finite and >= 0"
+        with pytest.raises(SettingError, match=match):
+            observe(DEFAULT_BASE_POSE, cube, DEFAULT_CAMERA, rng, noise_variance=variance)
+        with pytest.raises(SettingError, match=match):
+            train_pose_sdm(cube, DEFAULT_CAMERA, grid, noise_variance=variance, rng=rng)
+        with pytest.raises(SettingError, match=match):
+            evaluate_test_poses(seq, cube, DEFAULT_CAMERA, [DEFAULT_BASE_POSE],
+                                noise_variance=variance, rng=rng)
 
     @pytest.mark.parametrize("name", ["cube", "body", "face"])
     def test_pixel_features_of_rows_equal_each_observed_feature(self, name):

@@ -210,7 +210,7 @@ class TestFrobeniusBound:
     def test_bound_is_the_plain_cosine_formula_bit_for_bit(self):
         for name, region, gain in random_operator_suite(seed=3, count=4):
             dx = region.nbhd.anchor - region.points
-            rdh = (region.anchor_value - region.values) @ gain.T
+            rdh = region.dh @ gain.T
             cos = np.einsum("ij,ij->i", dx, rdh) / (region.dist * np.linalg.norm(rdh, axis=1))
             bound, _ = frobenius_dm_bound(region, gain)
             assert bound == (2.0 / lipschitz_anchored(region)) * np.min(cos), name

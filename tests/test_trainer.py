@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdm import core as core_module
 from sdm import pose
+from sdm import trainer as trainer_module
 from sdm.analytic import registry
 from sdm.core import (Mode, SmoothMap, apply_sequence, central_differences, matvec_rows,
-                      region_index)
+                      region_index, region_rows)
 from sdm.errors import (
     DimensionMismatchError,
     PartitionError,
     RankDeficiencyError,
+    SettingError,
     TrainingDivergedError,
 )
 from sdm.theory import random_operator_suite
@@ -99,6 +102,15 @@ class TestSolveStage:
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             solve_stage(**args, with_bias=with_bias, ridge=ridge)
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_a_ridge_not_finite_and_non_negative_is_refused(self, ridge):
+        rng = np.random.default_rng(3)
+        match = "^ridge must be finite and >= 0"
+        with pytest.raises(SettingError, match=match):
+            TrainerConfig(ridge=ridge)
+        with pytest.raises(SettingError, match=match):
+            solve_stage(rng.normal(size=(20, 2)), rng.normal(size=(20, 3)), ridge=ridge)
 
 
 class TestTrain:
@@ -224,6 +236,19 @@ class TestPartitionedTrain:
         assert a.training_report == b.training_report
         assert all(np.array_equal(s.gain, t.gain) for s, t in zip(a.steps, b.steps))
         assert (b.partition, b.n_regions, len(b.steps)) == ((), 1, 3)
+
+    def test_each_stage_groups_its_rows_by_region_once(self, monkeypatch):
+        # the stage's fits and its update read one grouping of the default pose grid
+        sizes = []
+
+        def counted(regions, n_regions):
+            sizes.append((len(regions), n_regions))
+            return region_rows(regions, n_regions)
+
+        monkeypatch.setattr(core_module, "region_rows", counted)
+        monkeypatch.setattr(trainer_module, "region_rows", counted)
+        seq = pose.train_protocol(pose.builtin_models()["cube"], seed=42)
+        assert (len(seq), sizes) == (4, [(42_875, 8)] * 4)
 
     def test_partition_needs_reversed_mode_and_valid_coordinates(self):
         smap = cubic_map()
@@ -403,7 +428,7 @@ class TestEvaluateRows:
                     assert np.array_equal(got, [s[d] for s in singles], equal_nan=True)
             for order in range(1, smap.order + 1):
                 top = smap.derivatives(X, order)[-1]
-                fd = central_differences(smap.jacobian if order > 1 else smap.evaluate, X)
+                fd = central_differences(lambda Z: smap.derivatives(Z, order - 1)[-1], X)
                 ok = (np.isfinite(top) & np.isfinite(fd)).reshape(len(X), -1).all(1)
                 assert ok.sum() >= len(X) - 3  # all but the rows past overflow or behind
                 rel = np.abs(top[ok] - fd[ok]).max() / max(1.0, np.abs(top[ok]).max())
