@@ -10,9 +10,12 @@
 # table), analytic --function all (analytic_*.csv and the printed
 # summary), pose --model all at a coarse grid and at the default grid
 # (pose_results_*.csv), online-demo at forgetting 1 and 0.9 (the printed
-# deviations), and train for exp, the cube, the body and the face (the
-# model files). Each runs with PYTHONPATH=TREE/src, from TREE, in the
-# caller's environment (OPENBLAS_NUM_THREADS, say).
+# deviations), train for exp, the cube, the body and the face (the
+# model files), and apply on the exp and cube model files (apply_*.csv),
+# which reads the model files back. The apply inputs are fixed rows that
+# this script writes (apply/inputs_*.csv), so every tree reads the same
+# bytes. Each runs with PYTHONPATH=TREE/src, from TREE, in the caller's
+# environment (OPENBLAS_NUM_THREADS, say).
 set -euo pipefail
 if [ $# -ne 2 ]; then
   echo "usage: $0 TREE OUT" >&2
@@ -44,4 +47,18 @@ for model in cube body face; do
   sdm train --problem pose --model "$model" --out "$out/model_$model.sdm" \
     --output-dir "$out/train" > /dev/null
 done
+mkdir -p "$out/apply"
+printf '%s\n' target 1.0 1.1 1.5 2.718281828459045 3.9 4.5 > "$out/apply/inputs_exp.csv"
+{
+  printf 'c%s,' {0..14}; echo c15
+  echo 481.938,415.474,582.042,425.933,569.806,523.506,471.612,513.735,480.905,404.445,572.036,414.017,561.057,503.209,471.511,494.211
+  echo 356.466,494.337,457.758,461.894,488.326,569.371,385.270,599.809,391.818,498.528,483.876,469.353,511.675,566.252,418.169,593.794
+  echo 523.790,547.617,607.001,549.276,619.000,622.915,538.459,618.930,549.846,505.776,628.293,505.964,638.755,576.352,562.692,574.033
+} > "$out/apply/inputs_cube.csv"
+sdm apply --problem analytic --function exp --model-file "$out/model_exp.sdm" \
+  --inputs "$out/apply/inputs_exp.csv" --out "$out/apply/apply_exp.csv" \
+  --output-dir "$out/apply" > /dev/null
+sdm apply --problem pose --model cube --model-file "$out/model_cube.sdm" \
+  --inputs "$out/apply/inputs_cube.csv" --out "$out/apply/apply_cube.csv" \
+  --output-dir "$out/apply" > /dev/null
 find "$out" \( -name run.log -o -name 'pose_timings_*.csv' \) -delete

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import RunStatus, newton_rows
 from .core import DescentSequence, SmoothMap, apply_sequence
-from .trainer import TrainerConfig, TrainingSet, train
+from .trainer import TrainerConfig, TrainingSet, grid_offsets, train
 
 RESIDUAL_CAP = 1e8
 
@@ -95,8 +95,7 @@ class AnalyticFunction:
         return scalar_map(self.h, self.h_prime, self.h_double_prime, self.name)
 
     def _targets(self, step: float) -> np.ndarray:
-        n = int(round((self.y_hi - self.y_lo) / step)) + 1
-        return np.linspace(self.y_lo, self.y_lo + step * (n - 1), n)
+        return grid_offsets([self.y_lo], [self.y_hi], [step])[:, 0]
 
     def train_targets(self) -> np.ndarray:
         return self._targets(self.train_step)

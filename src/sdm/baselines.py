@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Array, NlsProblem, SmoothMap, as_matrix, as_vector, every
+from .errors import SettingError
 
 RESIDUAL_TOL = 1e-12
 STEP_REL_TOL = 1e-10
@@ -97,7 +98,7 @@ def _descend(map: SmoothMap, Y: Array, X0: Array, max_iters: int,
     when some row ends.
     """
     if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+        raise SettingError(f"max_iters must be >= 0, got {max_iters}")
     n = len(X0)
     traj, res = np.empty((max_iters + 1, *X0.shape)), np.empty((max_iters + 1, n))
     # per row, its steps and its status (RunStatus members), as a run through every round has them

@@ -16,7 +16,6 @@ generalized mode; every malformed file raises ModelFormatError.
 """
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -28,46 +27,15 @@ SEQ_MAGIC = b"SDMQ"
 FORMAT_VERSION = 1
 PARTITIONED_FORMAT_VERSION = 2
 
+_HEADER = "<HBIII"  # after the magic: version, mode code, p, m, stages
 _MODE_CODES = {Mode.TEMPLATE: 0, Mode.REVERSED: 1, Mode.GENERALIZED: 2}
 _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise ModelFormatError("model file truncated")
-        out = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def expect(self, n_floats: int) -> None:
-        """Require exactly `n_floats` float64 values to follow."""
-        left = len(self.data) - self.offset
-        if 8 * n_floats > left:
-            raise ModelFormatError(
-                f"model file truncated: header declares {8 * n_floats} more bytes, {left} left"
-            )
-        if 8 * n_floats < left:
-            raise ModelFormatError(f"{left - 8 * n_floats} trailing bytes at the end of the file")
-
-    def array(self, shape, name: str) -> np.ndarray:
-        arr = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(arr).all():
-            raise ModelFormatError(f"non-finite {name} in model file")
-        return arr
 
 
 def sequence_bytes(seq: DescentSequence) -> bytes:
     k = len(seq.partition)
     version = PARTITIONED_FORMAT_VERSION if k else FORMAT_VERSION
-    parts = [SEQ_MAGIC + struct.pack("<HBIII", version, _MODE_CODES[seq.mode], seq.param_dim,
+    parts = [SEQ_MAGIC + struct.pack(_HEADER, version, _MODE_CODES[seq.mode], seq.param_dim,
                                      seq.feature_dim, len(seq))]
     if k:
         parts.append(struct.pack(f"<I{k}I", k, *seq.partition))
@@ -83,11 +51,19 @@ def save_sequence(seq: DescentSequence, path) -> None:
         f.write(sequence_bytes(seq))
 
 
+def _fields(fmt: str, data: bytes, offset: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise ModelFormatError("model file truncated") from None
+
+
 def sequence_from_bytes(data: bytes) -> DescentSequence:
-    reader = _Reader(data)
-    if reader.take(4) != SEQ_MAGIC:
+    if len(data) < 4:
+        raise ModelFormatError("model file truncated")
+    if data[:4] != SEQ_MAGIC:
         raise ModelFormatError("bad magic; not a model file of this kind")
-    version, mode_code, p, m, stages = reader.unpack("<HBIII")
+    version, mode_code, p, m, stages = _fields(_HEADER, data, 4)
     if version not in (FORMAT_VERSION, PARTITIONED_FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {version}")
     mode = _CODE_MODES.get(mode_code)
@@ -95,20 +71,32 @@ def sequence_from_bytes(data: bytes) -> DescentSequence:
         raise ModelFormatError(f"unknown mode code {mode_code}")
     if min(p, m, stages) < 1:
         raise ModelFormatError(f"header needs p, m and stages >= 1, got {p}, {m}, {stages}")
-    partition, center = (), None
+    offset, partition = 4 + struct.calcsize(_HEADER), ()
     if version == PARTITIONED_FORMAT_VERSION:
-        (k,) = reader.unpack("<I")
+        (k,) = _fields("<I", data, offset)
         if not 1 <= k <= p:
             raise ModelFormatError(f"partition needs 1 to {p} coordinates, file gives {k}")
-        partition = reader.unpack(f"<{k}I")
-        center = reader.array((k,), "partition center")
-    n_steps = stages << len(partition)
-    reader.expect(n_steps * (p * m + p))
-    steps = tuple(DescentStep(gain=reader.array((p, m), "gain"), bias=reader.array((p,), "bias"))
-                  for _ in range(n_steps))
+        partition = _fields(f"<{k}I", data, offset + 4)
+        offset += 4 + 4 * k
+    # the partition center, then each step's gain and bias, all float64
+    k, size = len(partition), p * m + p
+    declared, left = 8 * (k + (stages << k) * size), len(data) - offset
+    if declared > left:
+        raise ModelFormatError(f"model file truncated: header declares {declared} more bytes, "
+                               f"{left} left")
+    if declared < left:
+        raise ModelFormatError(f"{left - declared} trailing bytes at the end of the file")
+    floats = np.frombuffer(data, dtype="<f8", offset=offset)
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        i = bad[0] - k
+        name = "partition center" if i < 0 else "gain" if i % size < p * m else "bias"
+        raise ModelFormatError(f"non-finite {name} in model file")
+    steps = tuple(DescentStep(gain=row[: p * m].reshape(p, m), bias=row[p * m :])
+                  for row in floats[k:].reshape(-1, size))
     try:
         return DescentSequence(steps=steps, param_dim=p, feature_dim=m, mode=mode,
-                               partition=partition, center=center)
+                               partition=partition, center=floats[:k] if k else None)
     except PartitionError as exc:
         raise ModelFormatError(f"malformed partition: {exc}") from exc
     except ValueError as exc:  # nonzero biases outside generalized mode

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import (Array, DescentSequence, DescentStep, Mode, SmoothMap, as_vector, every,
                    matvec_rows)
-from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError
+from .errors import DimensionMismatchError, NumericalBreakdownError, PartitionError, SettingError
 
 
 _BLOCK = 1 << 15  # entries of S per fold block: 256 KiB, which stays in cache
@@ -66,7 +66,7 @@ class OnlineState:
     def __init__(self, weights: list[Array], inv_cov: list[Array], param_dim: int,
                  feature_dim: int, forgetting: float = 1.0):
         if not (0 < forgetting <= 1):
-            raise ValueError(f"forgetting factor must lie in (0, 1], got {forgetting}")
+            raise SettingError(f"forgetting factor must lie in (0, 1], got {forgetting}")
         if len(weights) != len(inv_cov) or not weights:
             raise ValueError("weights and inv_cov must be aligned and nonempty")
         maug = feature_dim + 1
@@ -151,7 +151,7 @@ def init_online(seq: DescentSequence, ridge: float, forgetting: float = 1.0) -> 
     region-partitioned sequence raises PartitionError.
     """
     if not (ridge > 0 and 0 < 1.0 / float(ridge) < np.inf):
-        raise ValueError(f"ridge must be > 0 and finite with a finite 1/ridge, got {ridge}")
+        raise SettingError(f"ridge must be > 0 and finite with a finite 1/ridge, got {ridge}")
     if seq.partition:
         raise PartitionError(
             f"online refresh keeps one step per stage; this sequence is partitioned "

@@ -46,7 +46,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+            raise SettingError("focal lengths must be positive")
 
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=1000.0, fy=1000.0, u0=500.0, v0=500.0)

@@ -49,7 +49,7 @@ class Neighborhood:
                 f"neighborhood radius must be finite and positive, not subnormal, got {self.radius}"
             )
         if self.grid_per_dim < 3:
-            raise ValueError("grid_per_dim must be >= 3")
+            raise SettingError("grid_per_dim must be >= 3")
 
     @property
     def dim(self) -> int:

@@ -53,9 +53,9 @@ def grid_offsets(lo, hi, step) -> Array:
     hi = as_vector(hi, "hi", dim=lo.size)
     step = as_vector(step, "step", dim=lo.size)
     if np.any(step <= 0):
-        raise ValueError("grid step entries must be > 0")
+        raise SettingError("grid step entries must be > 0")
     if np.any(lo > hi):
-        raise ValueError("grid needs lo <= hi per dimension")
+        raise SettingError("grid needs lo <= hi per dimension")
     axes = [_grid_axis(a, b, st) for a, b, st in zip(lo, hi, step)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
 
@@ -136,7 +136,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.stages < 1:
-            raise ValueError("stages must be >= 1")
+            raise SettingError("stages must be >= 1")
         if self.ridge is not None:
             _check_ridge(self.ridge)
 

@@ -45,6 +45,17 @@ class TestRegistry:
                 y_lo=0.0, y_hi=1.0, train_step=0.1, test_step=0.1, x0=0.0,
             )
 
+    def test_targets_stop_at_the_end_of_the_range(self):
+        # one grid rule with trainer.grid_offsets: the last target is the largest not above y_hi
+        fn = AnalyticFunction(
+            name="short", h=lambda t: t, h_prime=lambda t: 1.0,
+            h_double_prime=lambda t: 0.0, h_inverse=lambda y: y,
+            y_lo=0.0, y_hi=1.0, train_step=0.6, test_step=0.3, x0=0.0,
+        )
+        assert fn.train_targets().tolist() == [0.0, 0.6]
+        np.testing.assert_allclose(fn.test_targets(), [0.0, 0.3, 0.6, 0.9])
+        assert "y_range=[0.0:0.6:1.0]" in fn.constants_header()
+
 
 
 def frompyfunc_kernel(fn, X, order):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +13,7 @@ from sdm.core import (
     DescentSequence,
     DescentStep,
     Mode,
+    NlsProblem,
     SmoothMap,
     apply_sequence,
     as_matrix,
@@ -17,16 +22,18 @@ from sdm.core import (
     region_index,
     region_rows,
 )
-from sdm.baselines import gauss_newton_rows, newton_rows
-from sdm.errors import DimensionMismatchError, DivergedError, PartitionError, SdmError
-from sdm.pose import DEFAULT_BASE_POSE, Pose, builtin_models, grid_poses
+from sdm.baselines import gauss_newton_rows, newton_minimize, newton_rows
+from sdm.errors import (DimensionMismatchError, DivergedError, PartitionError, SdmError,
+                        SettingError)
+from sdm.online import OnlineState, init_online
+from sdm.pose import DEFAULT_BASE_POSE, CameraIntrinsics, Pose, builtin_models, grid_poses
 from sdm.theory import (
     Neighborhood,
     anchored_sample,
     monotone_operator_check,
     random_operator_suite,
 )
-from sdm.trainer import TrainingSet
+from sdm.trainer import TrainerConfig, TrainingSet, grid_offsets
 
 
 def linear_map(A):
@@ -485,3 +492,61 @@ class TestPackage:
     def test_every_exported_name_resolves(self):
         missing = [name for name in sdm.__all__ if not hasattr(sdm, name)]
         assert missing == []
+
+    def test_exports_are_the_28_public_names(self):
+        assert sdm.__all__ == [
+            "AnchoredSample", "ContractionCertificate", "DescentRun", "DescentSequence",
+            "DescentStep", "Mode", "Neighborhood", "NlsProblem", "OnlineState", "RunStatus",
+            "SmoothMap", "TrainerConfig", "TrainingSet", "anchored_sample", "apply_sequence",
+            "contraction_certify", "frobenius_dm_bound", "gauss_newton_minimize",
+            "generic_dm_1d", "grid_offsets", "init_online", "lipschitz_anchored",
+            "monotone_anchored_1d", "monotone_operator_check", "newton_minimize", "rls_ingest",
+            "solve_stage", "train",
+        ]
+
+    def test_star_import_binds_every_export_to_its_module_object(self):
+        namespace = {}
+        exec("from sdm import *", namespace)
+        for name in sdm.__all__:
+            owner = sys.modules[namespace[name].__module__]
+            assert namespace[name] is getattr(owner, name), name
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sdm.no_such_name
+        assert not hasattr(sdm, "no_such_name")
+
+    @pytest.mark.parametrize("module, others", [
+        ("sdm.core", set()),
+        ("sdm.pose", {"sdm.baselines", "sdm.trainer"}),
+        ("sdm.online", set()),
+    ])
+    def test_importing_one_module_loads_only_what_it_imports(self, module, others):
+        src = os.path.dirname(os.path.dirname(sdm.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'sdm'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert set(out.split()) == {"sdm", "sdm.errors", "sdm.core", module} | others
+
+
+class TestSettingRefusals:
+    """An out-of-range setting raises SettingError, which is also a ValueError."""
+
+    @pytest.mark.parametrize("refused, match", [
+        (lambda: grid_offsets([0.0], [1.0], [0.0]), "grid step entries must be > 0"),
+        (lambda: grid_offsets([1.0], [0.0], [0.1]), "grid needs lo <= hi"),
+        (lambda: TrainerConfig(stages=0), "stages must be >= 1"),
+        (lambda: OnlineState([], [], 1, 1, forgetting=0.0), "forgetting factor"),
+        (lambda: init_online(DescentSequence(steps=(DescentStep.from_gain([[1.0]]),),
+                                             param_dim=1, feature_dim=1, mode=Mode.TEMPLATE),
+                             ridge=0.0), "ridge must be > 0"),
+        (lambda: Neighborhood(anchor=[0.0], radius=1.0, grid_per_dim=2), "grid_per_dim"),
+        (lambda: newton_minimize(NlsProblem(SmoothMap(1, 1, lambda x: x), [1.0]), [0.0],
+                                 max_iters=-1), "max_iters must be >= 0"),
+        (lambda: CameraIntrinsics(fx=0.0, fy=1.0, u0=0.0, v0=0.0), "focal lengths"),
+    ], ids=["grid-step", "grid-bounds", "stages", "forgetting", "online-ridge",
+            "grid-per-dim", "max-iters", "focal-length"])
+    def test_an_out_of_range_setting_raises_setting_error(self, refused, match):
+        with pytest.raises(SettingError, match=match):
+            refused()

@@ -190,6 +190,9 @@ class TestMalformedFiles:
             (v1_bytes(2, 0, 1, [np.zeros(2)]), "p, m"),
             (v1_bytes(2, 3, 1, [np.full((2, 3), np.nan), np.zeros(2)]), "non-finite gain"),
             (v1_bytes(2, 3, 1, [np.zeros((2, 3)), [0.0, np.inf]]), "non-finite bias"),
+            # the first non-finite value in file order is named: step 0's bias, not step 1's gain
+            (v1_bytes(2, 3, 2, [np.zeros((2, 3)), [np.nan, 0.0], np.full((2, 3), np.inf),
+                                np.zeros(2)]), "non-finite bias"),
             (v1_bytes(2, 3, 1, [np.zeros((2, 3)), np.zeros(2)]) + b"\0", "trailing"),
             (v1_bytes(2, 3, 1, [np.zeros((2, 3)), np.zeros(3)]), "trailing"),
             (v2_bytes(3, 2, 1, (0,), (np.nan,), [np.zeros((3, 2)), np.zeros(3)] * 2),
@@ -201,9 +204,9 @@ class TestMalformedFiles:
             # sizes in the header are checked before anything is allocated
             (v1_bytes(2**32 - 1, 2**32 - 1, 2**32 - 1, [np.zeros(4)]), "truncated"),
         ],
-        ids=["zero-stages", "zero-p", "zero-m", "nan-gain", "inf-bias", "trailing-byte",
-             "extra-bias-entry", "v2-nan-center", "v2-nan-bias", "v2-extra-step",
-             "huge-header"],
+        ids=["zero-stages", "zero-p", "zero-m", "nan-gain", "inf-bias", "bias-before-gain",
+             "trailing-byte", "extra-bias-entry", "v2-nan-center", "v2-nan-bias",
+             "v2-extra-step", "huge-header"],
     )
     def test_sequence_loader_raises_model_format_error(self, data, match):
         with pytest.raises(ModelFormatError, match=match):
