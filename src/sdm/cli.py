@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, model_io, pose
 from .core import apply_sequence
-from .errors import ConfigError, DegenerateNeighborhoodError, DivergedError, SdmError, SettingError
+from .errors import ConfigError, DivergedError, SdmError, SettingError
 from .online import batch_deviation
 from .seeds import stream
 from .theory import LATTICE_CAP, certificate_suite
@@ -122,7 +122,8 @@ class Setting:
 
 
 def _resolve(args: argparse.Namespace, table: dict[str, Setting]) -> SimpleNamespace:
-    """Flag values over config-file values over defaults, each range-checked."""
+    """Flag values over config-file values over defaults, each converted
+    from its text by one rule and range-checked."""
     entries = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(entries) - set(table))
     if unknown:
@@ -131,18 +132,18 @@ def _resolve(args: argparse.Namespace, table: dict[str, Setting]) -> SimpleNames
     cfg = SimpleNamespace()
     for name, setting in table.items():
         flag = name.replace("_", "-")
-        value = getattr(args, name)
+        value, where = getattr(args, name), ""  # a flag's text, or False from a --no- switch
         if value is None and name in entries:
-            lineno, text = entries[name]
+            lineno, value = entries[name]
+            where = f"{args.config}:{lineno}: "
+        if isinstance(value, str):  # text, which stays `value` if it does not convert
             try:
-                value = _BOOLS[text.lower()] if setting.type is bool else setting.type(text)
+                value = _BOOLS[value.lower()] if setting.type is bool else setting.type(value)
                 if setting.choices and value not in setting.choices:
-                    raise ValueError(text)
+                    raise ValueError(value)
             except (KeyError, ValueError):
                 kind = " or ".join(setting.choices) or setting.type.__name__
-                raise ConfigError(
-                    f"{args.config}:{lineno}: {flag} must be {kind}, got {text!r}"
-                ) from None
+                raise ConfigError(f"{where}{flag} must be {kind}, got {value!r}") from None
         if value is None:
             value = setting.default
         if value is REQUIRED:
@@ -220,10 +221,10 @@ _POSE_HEADER = (
 
 
 def cmd_pose(cfg) -> int:
-    names = ["cube", "body", "face"] if cfg.model == "all" else [cfg.model]
     table = pose.builtin_models()
-    models = [_pick(table, name, "model") for name in names]  # refused before anything is printed
-    print(f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}")
+    names = list(table) if cfg.model == "all" else [cfg.model]
+    models = [_pick(table, name, "model") for name in names]
+    lines = [f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}"]
     for name, model in zip(names, models):
         _, records = pose.run_protocol(
             model, cfg.seed,
@@ -245,16 +246,14 @@ def cmd_pose(cfg) -> int:
             summary.append((name + "/gn", [r.gn_rot_err_deg for r in records],
                             [r.gn_trans_err_mm for r in records], ""))
         for label, rot, tr, ms in summary:
-            print(f"{label:8s} {np.mean(rot):10.3f} +- {np.std(rot):7.3f} "
-                  f"{np.mean(tr):11.3f} +- {np.std(tr):7.3f} {ms:8s}")
+            lines.append(f"{label:8s} {np.mean(rot):10.3f} +- {np.std(rot):7.3f} "
+                         f"{np.mean(tr):11.3f} +- {np.std(tr):7.3f} {ms:8s}")
+    print(*lines, sep="\n")  # once every model has run, so a failing run prints nothing
     return 0
 
 
 def cmd_verify(cfg) -> int:
-    try:
-        suite = certificate_suite(cfg.seed, cfg.grid, radius=cfg.radius, epsilon=cfg.epsilon)
-    except (DegenerateNeighborhoodError, SettingError) as exc:  # a refused radius, epsilon or seed
-        raise ConfigError(str(exc)) from exc
+    suite = certificate_suite(cfg.seed, cfg.grid, radius=cfg.radius, epsilon=cfg.epsilon)
     rows = [(row.name, row.bound, row.gain, row.certificate.contraction_factor,
              row.certificate.samples_checked, row.certificate.valid) for row in suite]
     print(f"{'map':12s} {'K':>10s} {'gain':>10s} {'factor':>10s}  valid")
@@ -369,7 +368,7 @@ _POSE_TRAINING = {
 }
 
 _PROBLEM = {
-    "problem": Setting("pose", choices=("pose", "analytic")),
+    "problem": Setting("pose", help="pose or analytic", choices=("pose", "analytic")),
     "model": Setting("cube", help="built-in pose object: cube, body or face"),
     "function": Setting("cube", help="analytic registry name"),
 }
@@ -438,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None,
                                help=s.help)
             else:
-                p.add_argument(f"--{flag}", dest=name, type=s.type, choices=s.choices or None,
-                               help=s.help)
+                p.add_argument(f"--{flag}", dest=name, help=s.help)  # text, for `_resolve`
     return parser
 
 
@@ -457,7 +455,7 @@ def main(argv=None) -> int:
             log = cfg.output_dir / "run.log"
             with _accessing("run log", log, "write"), open(log, "a") as f:
                 f.write(f"{args.command} exit={code} elapsed_s={elapsed:.3f}\n")
-    except ConfigError as exc:
+    except (ConfigError, SettingError) as exc:  # a refused setting, wherever it is detected
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SdmError as exc:

@@ -36,8 +36,8 @@ class DivergedError(SdmError):
         return self.args[0] if self.row is None else f"{self.args[0]} (row {self.row})"
 
 
-class DegenerateNeighborhoodError(SdmError):
-    """A sampling neighborhood has no usable points around its anchor."""
+class DegenerateNeighborhoodError(SettingError):
+    """A neighborhood radius or grid that leaves no usable points around the anchor."""
 
 
 class NotMonotoneError(SdmError):

@@ -224,7 +224,9 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     """Relative Frobenius deviation of one stage over a zero generalized
     cascade, after ingesting n samples (a linear map A (m x p), then n
     starts, then n optima, drawn from `rng`), from the exponentially
-    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one)."""
+    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one).
+    A ridge so large that the batch weights' norm underflows to zero
+    raises SettingError."""
     A = rng.normal(size=(m, p))
     smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
     zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
@@ -238,5 +240,7 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     weights = forgetting ** np.arange(n - 1, -1, -1)
     gram = feats.T @ (weights[:, None] * feats) + (forgetting**n) * ridge * np.eye(m + 1)
     W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * (optima - starts))).T
-    deviation = np.linalg.norm(state.weights[0] - W_batch, "fro") / np.linalg.norm(W_batch, "fro")
-    return float(deviation)
+    size = np.linalg.norm(W_batch, "fro")
+    if size == 0:  # every weight is zero, or so small that its square underflows
+        raise SettingError(f"ridge {ridge} leaves the batch weights too small to compare")
+    return float(np.linalg.norm(state.weights[0] - W_batch, "fro") / size)

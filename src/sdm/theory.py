@@ -35,7 +35,8 @@ class Neighborhood:
 
     `grid_per_dim` controls the per-axis resolution of the regular
     lattice (>= 3 so the anchor and both extremes appear in 1-D). A
-    subnormal radius is refused: the sample's cosines would underflow.
+    subnormal radius is refused: the sample's cosines would underflow. So
+    is one whose span, 2 * radius or anchor +- radius, overflows.
     """
 
     anchor: Array
@@ -48,6 +49,11 @@ class Neighborhood:
             raise DegenerateNeighborhoodError(
                 f"neighborhood radius must be finite and positive, not subnormal, got {self.radius}"
             )
+        r = float(self.radius)  # Python floats overflow to inf without a warning
+        ends = [a + d for a in self.anchor.tolist() for d in (-r, r)]
+        if not all(math.isfinite(v) for v in (2 * r, *ends)):
+            raise DegenerateNeighborhoodError(
+                f"neighborhood radius {r} overflows its span around the anchor")
         if self.grid_per_dim < 3:
             raise SettingError("grid_per_dim must be >= 3")
 
@@ -100,10 +106,10 @@ def _row_norms(V: Array) -> Array:
     overflows nor underflows; at 8 or more, where numpy sums a row
     pairwise, they may differ in the last bit."""
     A = np.abs(V.T, order="C")  # (p, N): the squares need no sign
-    scale = np.ldexp(1.0, np.frexp(A.max(axis=0))[1])
-    A /= scale
+    e = np.frexp(A.max(axis=0))[1]
+    A = np.ldexp(A, -e)
     A *= A
-    return np.sqrt(A.sum(axis=0)) * scale
+    return np.ldexp(np.sqrt(A.sum(axis=0)), e)
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ def _cosines(s: AnchoredSample, gain) -> Array:
     gain = as_matrix(gain, "gain", width=s.dh.shape[1], rows=s.nbhd.dim)
     rdh = s.dh @ gain.T
     # rows over powers of two, as in `_row_norms`: the same quotient, finite at any radius
-    v = rdh / np.ldexp(1.0, np.frexp(np.abs(rdh.T, order="C").max(axis=0))[1])[:, None]
+    v = np.ldexp(rdh, -np.frexp(np.abs(rdh.T, order="C").max(axis=0))[1][:, None])
     with np.errstate(invalid="ignore"):  # 0/0 is NaN, which passes no test
         return np.einsum("ij,ij->i", s.nbhd.anchor - s.points, v) / (s.dist * _row_norms(v))
 
@@ -307,8 +313,9 @@ def certificate_suite(seed: int, grid_per_dim: int, radius: float | None = None,
     `radius` replaces the registry's neighborhood radii and `epsilon` the
     1-D gains' default margin. Maps are taken in order, and the first one
     that refuses them raises before any later map is sampled:
-    DegenerateNeighborhoodError for a radius, SettingError (a ValueError)
-    for an epsilon at or above the map's 2/K or a negative seed.
+    DegenerateNeighborhoodError for a radius, SettingError for an epsilon
+    at or above the map's 2/K or a negative seed. Both are SettingErrors,
+    and so ValueErrors.
     """
     rows = []
     for name, smap, nbhd in monotone_1d_registry(grid_per_dim):

@@ -36,10 +36,19 @@ from .core import (
 from .errors import PartitionError, RankDeficiencyError, SettingError, TrainingDivergedError
 
 
-def _grid_axis(lo: float, hi: float, step: float) -> Array:
+# The most points `grid_offsets` builds: 20 times the pose experiment's
+# full default test grid of 91,125 poses. That leaves room for much finer
+# grids while the (N, 6) offsets and the features observed at each stay
+# in the hundreds of megabytes.
+GRID_CAP = 1_822_500
+
+
+def _axis_count(lo: float, hi: float, step: float) -> int:
     # arange semantics: last value is the largest lo + k*step <= hi
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return np.linspace(lo, lo + step * (n - 1), n)
+    span = (float(hi) - float(lo)) / float(step)  # Python floats overflow to inf, unwarned
+    if not math.isfinite(span):
+        raise SettingError(f"grid step {step} is too small for the span {hi} - {lo}")
+    return math.floor(span + 1e-9) + 1
 
 
 def grid_offsets(lo, hi, step) -> Array:
@@ -47,7 +56,8 @@ def grid_offsets(lo, hi, step) -> Array:
     an (N, p) array of offsets with the last coordinate varying fastest.
 
     Each axis runs ``lo, lo + step, ...`` up to the largest value not
-    above `hi`. Steps must be positive and ``lo <= hi``.
+    above `hi`. Steps must be positive and ``lo <= hi``, and the grid may
+    have at most `GRID_CAP` points; each is counted before any is built.
     """
     lo = as_vector(lo, "lo")
     hi = as_vector(hi, "hi", dim=lo.size)
@@ -56,7 +66,13 @@ def grid_offsets(lo, hi, step) -> Array:
         raise SettingError("grid step entries must be > 0")
     if np.any(lo > hi):
         raise SettingError("grid needs lo <= hi per dimension")
-    axes = [_grid_axis(a, b, st) for a, b, st in zip(lo, hi, step)]
+    counts, total = [], 1
+    for a, b, st in zip(lo, hi, step):
+        counts.append(_axis_count(a, b, st))
+        total *= counts[-1]
+        if total > GRID_CAP:  # refused before the product grows to hundreds of digits
+            raise SettingError(f"grid has more than {GRID_CAP} points; use larger steps")
+    axes = [np.linspace(a, a + st * (n - 1), n) for a, st, n in zip(lo, step, counts)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
 
 

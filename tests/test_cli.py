@@ -14,10 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdm import cli, model_io, theory
+from sdm import cli, model_io, pose, theory
 from sdm.cli import COMMANDS, REQUIRED, main
 from sdm.analytic import registry
 from sdm.core import DescentSequence, DescentStep, Mode
+from sdm.errors import DivergedError
+from sdm.trainer import GRID_CAP
 
 # keep the pose runs desk-sized: coarse grids, small subsample
 POSE_SMALL = [
@@ -83,10 +85,12 @@ class TestVerifyCommand:
         assert "configuration error: map 'exp' is not finite" in err
         assert not (tmp_path / "certificates.csv").exists()
 
-    @pytest.mark.parametrize("radius, culprit", [("1e52", "exp"), ("1e155", "cube")])
+    @pytest.mark.parametrize("radius, culprit", [("1e52", "exp"), ("1e155", "cube"),
+                                                 ("5e307", "cube"), ("8e307", "cube")])
     def test_radius_past_the_square_overflow_is_config_error(self, tmp_path, capsys, radius,
                                                              culprit):
-        # norms of differences near 1e156 used to overflow in their squares
+        # norms of differences near 1e156 used to overflow in their squares; past 2**1023
+        # (from a radius of about 4.5e307) a row's power-of-two scale, 2**1024, is not a float
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["verify", "--radius", radius, "--output-dir", str(tmp_path)]) == 2
@@ -100,6 +104,15 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "configuration error: neighborhood radius must be finite and positive" in err
+
+    @pytest.mark.parametrize("radius", ["1e308", "9e307"])
+    def test_radius_whose_span_overflows_is_config_error(self, tmp_path, capsys, radius):
+        # refused before the sample is drawn, so linspace and the norms never see it
+        assert main(["verify", "--radius", radius, "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"configuration error: neighborhood radius {float(radius)} overflows its "
+                       "span around the anchor\n")
 
     @pytest.mark.parametrize("radius", ["1e-5", "1e-7"])
     def test_small_radius_passes(self, tmp_path, radius):
@@ -178,6 +191,14 @@ class TestOnlineDemoCommand:
     def test_forgetting_out_of_range_is_config_error(self, tmp_path):
         assert main(["online-demo", "--forgetting", "1.5", "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("ridge", ["1e200", "1e300", "1e308"])
+    def test_ridge_too_large_to_compare_is_config_error(self, tmp_path, capsys, ridge):
+        assert main(["online-demo", "--ridge", ridge, "--output-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"configuration error: ridge {float(ridge)} leaves the batch weights "
+                       "too small to compare\n")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_deviation_that_is_not_finite_fails(self, tmp_path, monkeypatch, capsys, bad):
         devs = iter([1e-9, bad, 1e-9])
@@ -213,6 +234,36 @@ class TestPoseCommand:
         assert out == ""
         assert "configuration error: unknown model 'nope'" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("steps", [
+        ["--train-rot-step", "1e-300"],
+        ["--train-rot-step", "2", "--train-trans-step", "50"],
+        [*POSE_SMALL[:4], "--test-rot-step", "1e-300"],
+        [*POSE_SMALL[:4], "--test-rot-step", "1e-3", "--test-trans-step", "1e-3"],
+    ])
+    def test_grid_past_the_cap_is_config_error(self, tmp_path, capsys, steps):
+        # a library SettingError, raised by trainer.grid_offsets, exits 2 from `main`
+        out_dir = tmp_path / "out"
+        assert main(["pose", *steps, "--output-dir", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"configuration error: grid has more than {GRID_CAP} points; "
+                       "use larger steps\n")
+        assert not out_dir.exists()
+
+    def test_a_failing_model_leaves_stdout_empty(self, tmp_path, monkeypatch, capsys):
+        real = pose.run_protocol
+
+        def second_fails(model, *args, **kwargs):
+            if model.name != "cube":
+                raise DivergedError("the cascade produced a non-finite iterate", None)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(pose, "run_protocol", second_fails)
+        assert main(["pose", "--model", "all", *POSE_SMALL, "--output-dir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # cube ran, but its line waits for every model
+        assert err == "error: the cascade produced a non-finite iterate\n"
 
     @staticmethod
     def _mean_errors(path):
@@ -709,12 +760,20 @@ class TestSettingsTable:
     @given(text=st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S"),
                                       exclude_characters="#"), max_size=8))
     def test_config_value_that_does_not_convert_exits_2(self, command, name, setting, text):
+        """One rule converts flags and config lines: `main` returns 2, with no
+        SystemExit, and one line naming the flag. A bool setting is a --no-
+        switch, which takes no value, so it is given in a config file only."""
         assume(not converts(setting, text))
-        code, err, written = run_in_scratch(command, [], f"{name} = {text}\n")
-        assert code == 2
-        assert err.startswith("configuration error:")
-        assert f"{name.replace('_', '-')} must be" in err
-        assert written == []
+        flag = name.replace("_", "-")
+        sources = [([], f"{name} = {text}\n")]
+        if setting.type is not bool:
+            sources.append(([f"--{flag}={text}"], None))
+        for args, config_text in sources:
+            code, err, written = run_in_scratch(command, args, config_text)
+            assert code == 2
+            assert err.startswith("configuration error:") and err.count("\n") == 1
+            assert f"{flag} must be" in err and err.endswith(f", got {text!r}\n")
+            assert written == []
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_help_lists_every_flag(self, command, capsys):

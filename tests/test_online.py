@@ -1,4 +1,5 @@
 import copy
+import re
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
-from sdm.errors import NumericalBreakdownError, PartitionError, SdmError
+from sdm.errors import NumericalBreakdownError, PartitionError, SdmError, SettingError
 from sdm.online import _FOLD, _MAX_SCALE, OnlineState, batch_deviation, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
@@ -124,6 +125,14 @@ class TestRlsIngest:
     def test_forgetting_matches_weighted_batch(self, n):
         rng = np.random.default_rng(200 + n)
         assert batch_deviation(rng, n, m=4, p=2, forgetting=0.9, ridge=1e-2) <= 1e-8
+
+    @pytest.mark.parametrize("ridge", [1e200, 1e300, 1e308])
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    def test_ridge_too_large_to_compare_is_refused(self, ridge, forgetting):
+        # the batch weights, near 1 / ridge, have a Frobenius norm that underflows to 0
+        with pytest.raises(SettingError, match=re.escape(f"ridge {ridge} leaves the batch")):
+            batch_deviation(np.random.default_rng(0), 10, m=6, p=3, forgetting=forgetting,
+                            ridge=ridge)
 
     def test_zero_innovation_leaves_gain_unchanged(self):
         rng = np.random.default_rng(3)

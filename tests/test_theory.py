@@ -63,6 +63,13 @@ class TestLipschitz:
         with pytest.raises(DegenerateNeighborhoodError):
             nb(0.0, -1.0)
 
+    @pytest.mark.parametrize("anchor, radius", [(0.0, 1e308), (0.0, 9e307), (1.79e308, 1e306),
+                                                (-1.79e308, 1e306)])
+    def test_radius_whose_span_overflows_is_a_setting_error(self, anchor, radius):
+        with pytest.raises(DegenerateNeighborhoodError, match="overflows its span") as exc:
+            nb(anchor, radius)
+        assert isinstance(exc.value, SettingError)
+
 
 class TestMonotone1d:
     def test_cubic_increasing(self):
@@ -366,6 +373,12 @@ class TestRowNorms:
         expected = [math.hypot(*row) for row in V]
         assert np.all(np.isfinite(_row_norms(V)))
         assert _row_norms(V) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [2.0**1023, -1.7e308, np.finfo(float).max])
+    def test_exact_for_entries_past_half_the_largest_float(self, x):
+        # the scale of such a row, 2**1024, is not a float; the rows are scaled by ldexp
+        V = np.array([[x, 0.0], [x / 3, 0.0], [0.0, 0.0]])
+        assert _row_norms(V).tolist() == [abs(x), abs(x / 3), 0.0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(8, 40).flatmap(lambda p: st.lists(

@@ -19,7 +19,7 @@ from sdm.errors import (
     TrainingDivergedError,
 )
 from sdm.theory import random_operator_suite
-from sdm.trainer import TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
+from sdm.trainer import GRID_CAP, TrainerConfig, TrainingSet, grid_offsets, solve_stage, train
 
 
 def linear_map(A):
@@ -56,6 +56,22 @@ class TestSampling:
                              ([np.nan], [1.0], [1.0]), ([0.0], [1.0], [np.nan])):
             with pytest.raises(ValueError):
                 grid_offsets(lo, hi, step)
+
+    def test_grid_of_the_cap_is_built_and_one_more_point_is_refused(self):
+        assert grid_offsets([0.0], [GRID_CAP - 1.0], [1.0]).shape == (GRID_CAP, 1)
+        with pytest.raises(SettingError, match=f"^grid has more than {GRID_CAP} points"):
+            grid_offsets([0.0], [float(GRID_CAP)], [1.0])
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-3])
+    def test_grid_past_the_cap_is_refused_with_a_short_message(self, step):
+        # 1e-300 gives each axis some 1e300 points: the count stops at the cap
+        with pytest.raises(SettingError) as exc:
+            grid_offsets([-1.0] * 6, [1.0] * 6, [step] * 6)
+        assert str(exc.value) == f"grid has more than {GRID_CAP} points; use larger steps"
+
+    def test_grid_whose_span_over_step_overflows_is_refused(self):
+        with pytest.raises(SettingError, match="too small for the span"):
+            grid_offsets([-1.0], [1.0], [5e-324])
 
 
 class TestSolveStage:
