@@ -15,7 +15,7 @@
 # which reads the model files back. The apply inputs are fixed rows that
 # this script writes (apply/inputs_*.csv), so every tree reads the same
 # bytes. Each runs with PYTHONPATH=TREE/src, from TREE, in the caller's
-# environment (OPENBLAS_NUM_THREADS, say).
+# environment (OPENBLAS_NUM_THREADS, say), and a RuntimeWarning fails it.
 set -euo pipefail
 if [ $# -ne 2 ]; then
   echo "usage: $0 TREE OUT" >&2
@@ -25,7 +25,7 @@ tree=$(cd "$1" && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 
-sdm() { (cd "$tree" && PYTHONPATH=src python -m sdm.cli "$@"); }
+sdm() { (cd "$tree" && PYTHONPATH=src python -W error::RuntimeWarning -m sdm.cli "$@"); }
 
 settings=("" "--seed 7 --grid 301" "--radius 0.5" "--epsilon 0.1" "--seed 3 --grid 5"
           "--radius 1e-5 --grid 101")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, model_io, pose
 from .core import apply_sequence
-from .errors import ConfigError, DivergedError, SdmError, SettingError
+from .errors import DivergedError, SdmError, SettingError
 from .online import batch_deviation
 from .seeds import stream
 from .theory import LATTICE_CAP, certificate_suite
@@ -57,11 +57,11 @@ def write_csv(path, header, rows, comments=()):
 
 @contextmanager
 def _accessing(what: str, path, verb: str = "read"):
-    """Turn a failure to open, decode or write `path` into a ConfigError."""
+    """Turn a failure to open, decode or write `path` into a SettingError."""
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot {verb} {what} {path}: {exc}") from exc
+        raise SettingError(f"cannot {verb} {what} {path}: {exc}") from exc
 
 
 def _check_output_dir(path: Path) -> None:
@@ -69,8 +69,8 @@ def _check_output_dir(path: Path) -> None:
     created or written: its nearest existing ancestor must be a writable directory."""
     there = next(p for p in (path, *path.parents) if p.exists())
     if not (there.is_dir() and os.access(there, os.W_OK | os.X_OK)):
-        raise ConfigError(f"cannot write output directory {path}: {there} is not a writable "
-                          "directory")
+        raise SettingError(f"cannot write output directory {path}: {there} is not a writable "
+                           "directory")
 
 
 def _read_config_file(path) -> dict:
@@ -82,12 +82,12 @@ def _read_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise SettingError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
             if key in out:
-                raise ConfigError(f"{path}:{lineno}: {key.replace('_', '-')} was already "
-                                  f"given on line {out[key][0]}")
+                raise SettingError(f"{path}:{lineno}: {key.replace('_', '-')} was already "
+                                   f"given on line {out[key][0]}")
             out[key] = (lineno, value.strip())
     return out
 
@@ -127,8 +127,8 @@ def _resolve(args: argparse.Namespace, table: dict[str, Setting]) -> SimpleNames
     entries = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(entries) - set(table))
     if unknown:
-        raise ConfigError(f"{args.config}: {args.command} takes no key {unknown[0]!r}; "
-                          f"it takes {', '.join(table)}")
+        raise SettingError(f"{args.config}: {args.command} takes no key {unknown[0]!r}; "
+                           f"it takes {', '.join(table)}")
     cfg = SimpleNamespace()
     for name, setting in table.items():
         flag = name.replace("_", "-")
@@ -143,29 +143,22 @@ def _resolve(args: argparse.Namespace, table: dict[str, Setting]) -> SimpleNames
                     raise ValueError(value)
             except (KeyError, ValueError):
                 kind = " or ".join(setting.choices) or setting.type.__name__
-                raise ConfigError(f"{where}{flag} must be {kind}, got {value!r}") from None
+                raise SettingError(f"{where}{flag} must be {kind}, got {value!r}") from None
         if value is None:
             value = setting.default
         if value is REQUIRED:
-            raise ConfigError(f"{args.command} requires --{flag}")
+            raise SettingError(f"{args.command} requires --{flag}")
         if setting.rule and value is not None and not _RULES[setting.rule](value):
-            raise ConfigError(f"{flag} must be {setting.rule}, got {value}")
+            raise SettingError(f"{flag} must be {setting.rule}, got {value}")
         setattr(cfg, name, value)
     return cfg
 
 
-def _pick(table: dict, name: str, what: str):
-    if name not in table:
-        raise ConfigError(f"unknown {what} {name!r}; choose from {sorted(table)}")
-    return table[name]
-
-
 def cmd_analytic(cfg) -> int:
     reg = analytic.registry()
-    names = list(reg) if cfg.function == "all" else [cfg.function]
     failures = []
-    for name in names:
-        fn = _pick(reg, name, "function")
+    for name in reg if cfg.function == "all" else [cfg.function]:
+        fn = reg[name]
         result = analytic.run_comparison(fn, stages=cfg.stages)
         comments = [fn.constants_header()]
         if name == "linear":
@@ -222,12 +215,10 @@ _POSE_HEADER = (
 
 def cmd_pose(cfg) -> int:
     table = pose.builtin_models()
-    names = list(table) if cfg.model == "all" else [cfg.model]
-    models = [_pick(table, name, "model") for name in names]
     lines = [f"{'model':8s} {'rot_err_deg':>22s} {'trans_err_mm':>22s} {'est_ms':>8s}"]
-    for name, model in zip(names, models):
+    for name in pose.MODELS if cfg.model == "all" else [cfg.model]:
         _, records = pose.run_protocol(
-            model, cfg.seed,
+            table[name], cfg.seed,
             test_noise_variance=cfg.noise if cfg.test_noise else 0.0,
             test_rot_step_deg=cfg.test_rot_step, test_trans_step_mm=cfg.test_trans_step,
             subsample=cfg.subsample, with_gauss_newton=cfg.gauss_newton,
@@ -284,10 +275,10 @@ def cmd_train(cfg) -> int:
     # by default, as many stages as the `pose` or `analytic` command trains
     stages = COMMANDS[cfg.problem][2]["stages"].default if cfg.stages is None else cfg.stages
     if cfg.problem == "pose":
-        seq = pose.train_protocol(_pick(pose.builtin_models(), cfg.model, "model"), cfg.seed,
+        seq = pose.train_protocol(pose.builtin_models()[cfg.model], cfg.seed,
                                   **_pose_training(cfg, stages, cfg.noise))
     else:
-        fn = _pick(analytic.registry(), cfg.function, "function")
+        fn = analytic.registry()[cfg.function]
         seq = train(analytic.build_training_set(fn),
                     TrainerConfig(stages=stages, ridge=0.0 if cfg.ridge is None else cfg.ridge))
     with _accessing("model file", cfg.out, "write"):
@@ -305,17 +296,17 @@ def _read_inputs(path, width: int) -> tuple[list[np.ndarray], list[int]]:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
     if not rows:
-        raise ConfigError(f"inputs file {path} has no header row")
+        raise SettingError(f"inputs file {path} has no header row")
     values = []
     for lineno, row in rows[1:]:
         if len(row) != width:
-            raise ConfigError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
+            raise SettingError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
         try:
             values.append(np.array([float(v) for v in row]))
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: expected numbers, got {row}") from None
+            raise SettingError(f"{path}:{lineno}: expected numbers, got {row}") from None
         if not np.isfinite(values[-1]).all():
-            raise ConfigError(f"{path}:{lineno}: expected finite numbers, got {row}")
+            raise SettingError(f"{path}:{lineno}: expected finite numbers, got {row}")
     return values, [lineno for lineno, _ in rows[1:]]
 
 
@@ -323,13 +314,13 @@ def cmd_apply(cfg) -> int:
     with _accessing("model file", cfg.model_file):
         seq = model_io.load_sequence(cfg.model_file)
     if cfg.problem == "pose":
-        model = _pick(pose.builtin_models(), cfg.model, "model")
+        model = pose.builtin_models()[cfg.model]
         smap = model.feature_map
     else:
-        fn = _pick(analytic.registry(), cfg.function, "function")
+        fn = analytic.registry()[cfg.function]
         smap = fn.smooth_map()
     if (seq.param_dim, seq.feature_dim) != (smap.param_dim, smap.feature_dim):
-        raise ConfigError(f"model file maps {seq.param_dim} parameters to {seq.feature_dim} "
+        raise SettingError(f"model file maps {seq.param_dim} parameters to {seq.feature_dim} "
                           f"features, {smap.name} maps {smap.param_dim} to {smap.feature_dim}")
     # all input rows in one cascade run, each from the problem's start point
     rows, lines = _read_inputs(cfg.inputs, seq.feature_dim)
@@ -369,20 +360,21 @@ _POSE_TRAINING = {
 
 _PROBLEM = {
     "problem": Setting("pose", help="pose or analytic", choices=("pose", "analytic")),
-    "model": Setting("cube", help="built-in pose object: cube, body or face"),
-    "function": Setting("cube", help="analytic registry name"),
+    "model": Setting("cube", help="built-in pose object: cube, body or face", choices=pose.MODELS),
+    "function": Setting("cube", help="analytic registry name", choices=tuple(analytic.registry())),
 }
 
 # command -> (handler, help, settings table)
 COMMANDS = {
     "analytic": (cmd_analytic, "scalar-function convergence comparison", {
         **_SHARED,
-        "function": Setting("all", help="registry name or 'all'"),
+        "function": Setting("all", help="registry name or 'all'",
+                            choices=(*analytic.registry(), "all")),
         "stages": Setting(10, int, "> 0"),
     }),
     "pose": (cmd_pose, "synthetic pose-estimation experiment", {
         **_SHARED,
-        "model": Setting("cube", help="cube, body, face, or 'all'"),
+        "model": Setting("cube", help="cube, body, face, or 'all'", choices=(*pose.MODELS, "all")),
         "stages": Setting(4, int, "> 0"),
         **_POSE_TRAINING,
         "subsample": Setting(2000, int, ">= 0", "test poses to draw; 0 = full grid"),
@@ -421,9 +413,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a SettingError, for `main` to report."""
+
+    def error(self, message):
+        raise SettingError(message)
+
+
 @cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdm-bench",
         description="Benchmarks for learned descent maps on nonlinear least squares.",
     )
@@ -442,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, _, table = COMMANDS[args.command]
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        handler, _, table = COMMANDS[args.command]
         cfg = _resolve(args, table)
         _check_output_dir(cfg.output_dir)
         code = handler(cfg)
@@ -455,7 +454,7 @@ def main(argv=None) -> int:
             log = cfg.output_dir / "run.log"
             with _accessing("run log", log, "write"), open(log, "a") as f:
                 f.write(f"{args.command} exit={code} elapsed_s={elapsed:.3f}\n")
-    except (ConfigError, SettingError) as exc:  # a refused setting, wherever it is detected
+    except SettingError as exc:  # a refused setting, wherever it is detected
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SdmError as exc:

@@ -17,7 +17,9 @@ class DimensionMismatchError(SdmError, ValueError):
 
 
 class SettingError(SdmError, ValueError):
-    """A setting outside its range, such as a negative seed. Also a ValueError."""
+    """A refused setting: a value outside its range, such as a negative seed,
+    a malformed command line or config line, or a file that a setting names
+    and that cannot be read or written. Also a ValueError."""
 
 
 class DivergedError(SdmError):
@@ -76,7 +78,3 @@ class PartitionError(SdmError):
 
 class ModelFormatError(SdmError):
     """A serialized model file is malformed or has an unsupported version."""
-
-
-class ConfigError(SdmError):
-    """Invalid command-line or config-file settings."""

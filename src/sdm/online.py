@@ -175,8 +175,9 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
     weights move by the prediction error times the gain ``S phi / denom``,
     ``denom = forgetting + phi' S phi``, and the next stage's residual dx
     uses them. All stages' weights are computed before anything is
-    written, so NumericalBreakdownError (a non-finite map value, or denom
-    not in (0, inf)) or a failing map leaves `state` as it was.
+    written, so NumericalBreakdownError (a non-finite map value, denom
+    not in (0, inf), or a fold that would overflow) or a failing map
+    leaves `state` as it was.
     Then S becomes ``(S - g g') / forgetting``
     with ``g = S phi / sqrt(denom)``: ``g / sqrt(scale)`` is appended to
     Q, scale is divided by the forgetting factor, the stages the module
@@ -207,15 +208,25 @@ def rls_ingest(state: OnlineState, x_opt, x0, map: SmoothMap) -> OnlineState:
         downdates.append(Sphi / np.sqrt(denom * scale))
         dx = dx - W_new @ phi
 
+    scales = [scale / lam for scale in state._scale]
+    folds = [k for k, scale in enumerate(scales) if scale > _MAX_SCALE]
+    rows = [0 if k in folds else c + 1 for k, c in enumerate(count)]  # held after the folds
+    fullest = max(range(state.n_stages), key=rows.__getitem__)
+    if rows[fullest] >= _FOLD:
+        folds.append(fullest)
+    for k in folds:
+        # S_base - Q'Q and Q'Q are PSD, so no entry of either passes S_base's largest
+        # diagonal entry, and twice that bounds each entry that the fold scales
+        if not 2 * scales[k] * float(state._base[k].diagonal().max()) < np.inf:
+            raise NumericalBreakdownError(f"folding stage {k} at scale {scales[k]} would "
+                                          "overflow")
+
     for k, q in enumerate(downdates):
         state._pending[k, count[k]] = q
         count[k] += 1
-        state._scale[k] /= lam
-        if state._scale[k] > _MAX_SCALE:
-            state._fold(k)
-    fullest = max(range(state.n_stages), key=count.__getitem__)
-    if count[fullest] >= _FOLD:
-        state._fold(fullest)
+    state._scale[:] = scales
+    for k in folds:
+        state._fold(k)
     state.weights[:] = new_weights
     return state
 
@@ -224,9 +235,7 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     """Relative Frobenius deviation of one stage over a zero generalized
     cascade, after ingesting n samples (a linear map A (m x p), then n
     starts, then n optima, drawn from `rng`), from the exponentially
-    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one).
-    A ridge so large that the batch weights' norm underflows to zero
-    raises SettingError."""
+    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one)."""
     A = rng.normal(size=(m, p))
     smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
     zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
@@ -240,7 +249,8 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     weights = forgetting ** np.arange(n - 1, -1, -1)
     gram = feats.T @ (weights[:, None] * feats) + (forgetting**n) * ridge * np.eye(m + 1)
     W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * (optima - starts))).T
-    size = np.linalg.norm(W_batch, "fro")
-    if size == 0:  # every weight is zero, or so small that its square underflows
-        raise SettingError(f"ridge {ridge} leaves the batch weights too small to compare")
-    return float(np.linalg.norm(state.weights[0] - W_batch, "fro") / size)
+    # both over the power of two of the largest batch weight, which is exact, so
+    # that no square in the norms underflows at a large ridge
+    shift = -np.frexp(np.abs(W_batch).max())[1]
+    W_online, W_batch = np.ldexp(state.weights[0], shift), np.ldexp(W_batch, shift)
+    return float(np.linalg.norm(W_online - W_batch, "fro") / np.linalg.norm(W_batch, "fro"))

@@ -404,10 +404,13 @@ def load_model_file(path) -> ObjectModel:
     return ObjectModel(points=np.array(pts).T, name=name)
 
 
+MODELS = ("cube", "body", "face")  # the names of `builtin_models`
+
+
 def builtin_models() -> dict[str, ObjectModel]:
     """Bundled synthetic objects: cube, stick-figure body, face point set."""
     out = {}
-    for name in ("cube", "body", "face"):
+    for name in MODELS:
         ref = resources.files("sdm.data").joinpath(f"{name}.txt")
         with resources.as_file(ref) as path:
             out[name] = load_model_file(path)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -191,13 +191,22 @@ class TestOnlineDemoCommand:
     def test_forgetting_out_of_range_is_config_error(self, tmp_path):
         assert main(["online-demo", "--forgetting", "1.5", "--output-dir", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("ridge", ["1e200", "1e300", "1e308"])
-    def test_ridge_too_large_to_compare_is_config_error(self, tmp_path, capsys, ridge):
-        assert main(["online-demo", "--ridge", ridge, "--output-dir", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("ridge", ["1e150", "1e160", "1e200", "1e300", "1e308"])
+    def test_a_large_ridge_is_measured(self, tmp_path, capsys, ridge):
+        # the batch weights are near 1 / ridge, and the squares of their
+        # difference from the recursive weights would underflow unscaled
+        assert main(["online-demo", "--ridge", ridge, "--output-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        worst = float(out.splitlines()[-1].split()[2])
+        assert 0 < worst <= 1e-12
+
+    def test_a_forgetting_factor_that_overflows_the_state_fails(self, tmp_path, capsys):
+        argv = ["online-demo", "--forgetting", "1e-300", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"configuration error: ridge {float(ridge)} leaves the batch weights "
-                       "too small to compare\n")
+        assert err.startswith("error: folding stage 0 at scale ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_deviation_that_is_not_finite_fails(self, tmp_path, monkeypatch, capsys, bad):
@@ -232,7 +241,8 @@ class TestPoseCommand:
         assert main(["pose", "--model", "nope", "--output-dir", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "configuration error: unknown model 'nope'" in err
+        assert err == ("configuration error: model must be cube or body or face or all, "
+                       "got 'nope'\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("steps", [
@@ -462,6 +472,24 @@ class TestUnwritableOutput:
         assert out == ""  # refused before the command runs or prints
         assert err.startswith("configuration error: cannot write ")
         assert path.format(f=afile) in err
+
+    @pytest.mark.parametrize("argv, choices", [
+        (["analytic", "--function", "nope"],
+         "function must be linear or cube or exp or erf or all"),
+        (["pose", "--model", "nope"], "model must be cube or body or face or all"),
+        (["train", "--model", "nope", "--out", "{d}/m.sdm"], "model must be cube or body or face"),
+        (["apply", "--problem", "analytic", "--function", "nope", "--model-file", "{d}/m.sdm",
+          "--inputs", "{d}/in.csv", "--out", "{d}/out.csv"],
+         "function must be linear or cube or exp or erf"),
+    ], ids=["analytic", "pose", "train", "apply"])
+    def test_an_unknown_name_is_refused_before_the_output_directory(self, tmp_path, capsys,
+                                                                     argv, choices):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert main([*argv, "--output-dir", str(afile / "sub")]) == 2
+        assert capsys.readouterr() == ("", f"configuration error: {choices}, got 'nope'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 class TestOutOfRangeSettings:
@@ -709,7 +737,7 @@ def converts(setting, text):
 
 def run_in_scratch(command, args, config_text=None):
     """Run `command` in a fresh directory with `args`, its required settings
-    and, when given, a config file; returns (exit code, stderr, files written)."""
+    and, when given, a config file; returns (exit code, stdout, stderr, files written)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv = [command, *args, "--output-dir", str(tmp / "results")]
@@ -719,11 +747,11 @@ def run_in_scratch(command, args, config_text=None):
         if config_text is not None:
             (tmp / "bench.cfg").write_text(config_text)
             argv += ["--config", str(tmp / "bench.cfg")]
-        err = io.StringIO()
-        with redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         written = sorted(p.name for p in tmp.rglob("*") if p.name != "bench.cfg")
-    return code, err.getvalue(), written
+    return code, out.getvalue(), err.getvalue(), written
 
 
 class TestSettingsTable:
@@ -747,13 +775,13 @@ class TestSettingsTable:
             value = data.draw(ints if setting.type is int else floats)
         flag = name.replace("_", "-")
         if as_flag:
-            code, err, written = run_in_scratch(command, [f"--{flag}={value}"])
+            code, out, err, written = run_in_scratch(command, [f"--{flag}={value}"])
         else:
             key = data.draw(st.sampled_from([name, flag]))
-            code, err, written = run_in_scratch(command, [], f"{key} = {value}\n")
+            code, out, err, written = run_in_scratch(command, [], f"{key} = {value}\n")
         assert code == 2
         assert err.startswith("configuration error:") and f"{flag} must be {setting.rule}" in err
-        assert written == []
+        assert out == "" and written == []
 
     @pytest.mark.parametrize("command,name,setting", TYPED, ids=ids(TYPED))
     @settings(max_examples=15, deadline=None)
@@ -769,11 +797,32 @@ class TestSettingsTable:
         if setting.type is not bool:
             sources.append(([f"--{flag}={text}"], None))
         for args, config_text in sources:
-            code, err, written = run_in_scratch(command, args, config_text)
+            code, out, err, written = run_in_scratch(command, args, config_text)
             assert code == 2
             assert err.startswith("configuration error:") and err.count("\n") == 1
             assert f"{flag} must be" in err and err.endswith(f", got {text!r}\n")
-            assert written == []
+            assert out == "" and written == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--seed"], "argument --seed: expected one argument"),
+        (["verify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["pose", "--no-gauss-newton=1"], "argument --no-gauss-newton: ignored explicit "
+                                          "argument '1'"),
+    ], ids=["missing-value", "unknown-flag", "no-command", "unknown-command", "switch-value"])
+    def test_a_malformed_command_line_exits_2_from_main(self, argv, message, tmp_path,
+                                                        monkeypatch):
+        """argparse's errors take the path of every refused setting: `main`
+        returns 2, with no SystemExit, and one stderr line."""
+        monkeypatch.chdir(tmp_path)  # the default output directory, which nothing may create
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert err.getvalue().startswith(f"configuration error: {message}")
+        assert err.getvalue().count("\n") == 1
+        assert out.getvalue() == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_help_lists_every_flag(self, command, capsys):

@@ -1,5 +1,4 @@
 import copy
-import re
 import time
 import tracemalloc
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdm.core import DescentSequence, DescentStep, Mode, SmoothMap
-from sdm.errors import NumericalBreakdownError, PartitionError, SdmError, SettingError
+from sdm.errors import NumericalBreakdownError, PartitionError, SdmError
 from sdm.online import _FOLD, _MAX_SCALE, OnlineState, batch_deviation, init_online, rls_ingest
 from sdm.trainer import solve_stage
 
@@ -126,13 +125,31 @@ class TestRlsIngest:
         rng = np.random.default_rng(200 + n)
         assert batch_deviation(rng, n, m=4, p=2, forgetting=0.9, ridge=1e-2) <= 1e-8
 
-    @pytest.mark.parametrize("ridge", [1e200, 1e300, 1e308])
+    @pytest.mark.parametrize("ridge", [1e150, 1e160, 1e200, 1e300, 1e308])
     @pytest.mark.parametrize("forgetting", [1.0, 0.9])
-    def test_ridge_too_large_to_compare_is_refused(self, ridge, forgetting):
-        # the batch weights, near 1 / ridge, have a Frobenius norm that underflows to 0
-        with pytest.raises(SettingError, match=re.escape(f"ridge {ridge} leaves the batch")):
-            batch_deviation(np.random.default_rng(0), 10, m=6, p=3, forgetting=forgetting,
-                            ridge=ridge)
+    def test_a_large_ridge_is_measured(self, ridge, forgetting):
+        # the batch weights are near 1 / ridge: unscaled, the squares of their
+        # difference from the recursive weights underflow, and from about 1e170
+        # the squares of the weights themselves
+        dev = batch_deviation(np.random.default_rng(0), 10, m=6, p=3, forgetting=forgetting,
+                              ridge=ridge)
+        assert 0 < dev <= 1e-12
+
+    @pytest.mark.filterwarnings("error")  # the refusal comes before the fold would warn
+    def test_a_fold_that_would_overflow_leaves_state_as_a_clone(self):
+        rng = np.random.default_rng(20)
+        p, m = 3, 6
+        smap = linear_map(rng.normal(size=(m, p)))
+        state = init_online(empty_sequence(p, m, stages=2), ridge=1e-3, forgetting=1e-300)
+        rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)  # S_base near 1e303
+        clone = copy.deepcopy(state)
+        with pytest.raises(NumericalBreakdownError, match="^folding stage 0 at scale "):
+            rls_ingest(state, rng.normal(size=p), rng.normal(size=p), smap)
+        assert state._count == clone._count and state._scale == clone._scale
+        for k in range(2):
+            for got, want in ((state.weights[k], clone.weights[k]),
+                              (state.inv_cov[k], clone.inv_cov[k])):
+                assert np.array_equal(got, want) and np.isfinite(got).all()
 
     def test_zero_innovation_leaves_gain_unchanged(self):
         rng = np.random.default_rng(3)
