@@ -26,6 +26,10 @@ Array = np.ndarray
 # step of `central_differences` along coordinate i: JACOBIAN_FD_STEP * max(1, |x_i|)
 JACOBIAN_FD_STEP = 1e-6
 
+# The most rows of one kernel call: `SmoothMap` runs more rows in blocks of this many, so
+# a kernel's intermediates stay a few megabytes and, by the row contract, keep their bits.
+BLOCK_ROWS = 4096
+
 
 def every(mask: Array) -> bool:
     """``mask.all()`` in one C call: `ndarray.all` goes through a Python
@@ -100,11 +104,11 @@ class SmoothMap:
     """A map h: R^p -> R^m given by one array kernel.
 
     The kernel takes one point x (p,) or the rows of an (N, p) array, and
-    must give each row the bits it gives that row alone. ``kernel(X)`` is
-    h, of shape (m,) or (N, m). A map of `order` k >= 1 also gives its
-    derivatives: ``kernel(X, d)`` for 1 <= d <= k is the tuple h, J
-    (..., m, p) and, for d = 2, the component second derivatives
-    (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
+    must give each row the bits it gives that row alone: it runs on blocks
+    of `BLOCK_ROWS` rows. ``kernel(X)`` is h, of shape (m,) or (N, m). A
+    map of `order` k >= 1 also gives its derivatives: ``kernel(X, d)`` for
+    1 <= d <= k is the tuple h, J (..., m, p) and, for d = 2, the
+    component second derivatives (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
     the bits of ``kernel(X)``: the solvers take h from their derivative
     call. Derivatives the map does not declare come from central
     differences on rows (see `derivatives`). A non-finite row, one with a
@@ -136,11 +140,26 @@ class SmoothMap:
             raise DimensionMismatchError("feature", expected=shape, got=value.shape)
         return value
 
+    def _values(self, X: Array, order: int) -> list[Array]:
+        """h and its first `order` derivatives from the kernel, checked; more
+        than `BLOCK_ROWS` rows run in blocks, each written into one output."""
+        if X.ndim == 2 and len(X) > BLOCK_ROWS:
+            out = [np.empty((len(X), self.feature_dim, *(self.param_dim,) * d))
+                   for d in range(order + 1)]
+            for lo in range(0, len(X), BLOCK_ROWS):
+                for o, v in zip(out, self._values(X[lo:lo + BLOCK_ROWS], order)):
+                    o[lo:lo + BLOCK_ROWS] = v
+            return out
+        out, shape = [], (*X.shape[:-1], self.feature_dim)
+        for value in self.kernel(X, order) if order else (self.kernel(X),):
+            out.append(self._checked(value, shape))
+            shape += (self.param_dim,)  # h, then each derivative one axis of p longer
+        return out
+
     def evaluate(self, X) -> Array:
         """The map at one point x (p,), shape (m,), or at every row of an
         (N, p) array, shape (N, m)."""
-        X = self._points(X)
-        return self._checked(self.kernel(X), (*X.shape[:-1], self.feature_dim))
+        return self._values(self._points(X), 0)[0]
 
     def derivatives(self, X, order: int = 1) -> tuple[Array, ...]:
         """h, J and, for `order` 2, the second derivatives at one point or at
@@ -151,11 +170,7 @@ class SmoothMap:
             return (self.evaluate(X),)
         X = self._points(X)
         if order <= self.order:
-            out, shape = [], (*X.shape[:-1], self.feature_dim)
-            for value in self.kernel(X, order):  # h, then each derivative one axis of p longer
-                out.append(self._checked(value, shape))
-                shape += (self.param_dim,)
-            return tuple(out)
+            return tuple(self._values(X, order))
         D = central_differences(lambda Z: self.derivatives(Z, order - 1)[-1], X)
         top = (D + D.swapaxes(-1, -2)) / 2.0 if order == 2 else D
         return (*self.derivatives(X, order - 1), top)
@@ -309,6 +324,8 @@ def advance_regions(steps, X: Array, Phi: Array, blocks) -> Array:
     ``steps[r]``."""
     out = np.empty_like(X)
     for step, rows in zip(steps, blocks):
+        if rows.size == len(X):  # one block of every row, in order: advanced without copies
+            return step.advance(X, Phi)
         out[rows] = step.advance(X[rows], Phi[rows])
     return out
 

@@ -68,7 +68,7 @@ class TrainingDivergedError(SdmError):
 
 
 class NumericalBreakdownError(SdmError):
-    """An internal invariant of a recursive update was violated."""
+    """A recursive update broke an internal invariant, or a solve met a singular matrix."""
 
 
 class PartitionError(SdmError):

@@ -235,7 +235,8 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     """Relative Frobenius deviation of one stage over a zero generalized
     cascade, after ingesting n samples (a linear map A (m x p), then n
     starts, then n optima, drawn from `rng`), from the exponentially
-    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one)."""
+    weighted ridge solve over ``[h; 1]`` (at forgetting 1, the plain one),
+    or NumericalBreakdownError if that solve's Gram matrix is singular."""
     A = rng.normal(size=(m, p))
     smap = SmoothMap(p, m, lambda X: matvec_rows(A, X), name="demo-linear")
     zero = DescentStep(gain=np.zeros((p, m)), bias=np.zeros(p))
@@ -248,7 +249,10 @@ def batch_deviation(rng, n: int, m: int, p: int, forgetting: float, ridge: float
     # ridge over all augmented coefficients, decayed as the recursive state's is
     weights = forgetting ** np.arange(n - 1, -1, -1)
     gram = feats.T @ (weights[:, None] * feats) + (forgetting**n) * ridge * np.eye(m + 1)
-    W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * (optima - starts))).T
+    try:
+        W_batch = np.linalg.solve(gram, feats.T @ (weights[:, None] * (optima - starts))).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdownError(f"singular batch Gram matrix of {n} samples") from exc
     # both over the power of two of the largest batch weight, which is exact, so
     # that no square in the norms underflows at a large ridge
     shift = -np.frexp(np.abs(W_batch).max())[1]

@@ -341,9 +341,11 @@ def train_pose_sdm(
             f"training pose euler={poses[i, :3].tolist()} t={poses[i, 3:].tolist()} "
             "is invalid: ",
         )
+    del depth  # a view of the camera frame of every point: lower peak memory
     targets = pixel_features(px, cam)
-    del px, depth  # the pixels and the camera frame behind the depths: lower peak memory
+    del px
     tset = TrainingSet.reversed_targets(model.feature_map, base_pose.vector(), poses, targets)
+    del poses, targets  # the training set holds its own copies
     return train(tset, config, partition=partition)
 
 

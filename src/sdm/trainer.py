@@ -263,16 +263,17 @@ def train(
     report = [mean_sq_residual()]
     steps: list[DescentStep] = []
     for k in range(config.stages):
-        H = tset.map.evaluate(X)
-        diverged = np.flatnonzero(~np.isfinite(H).all(axis=1))
+        Phi = tset.map.evaluate(X)  # h, dropped once y - h is formed
+        Phi = -Phi if generalized else tset.targets - Phi
+        # the targets are finite, so Phi is not finite exactly where h is not
+        diverged = np.flatnonzero(~np.isfinite(Phi).all(axis=1))
         if diverged.size:
             raise TrainingDivergedError(stage=k, sample=int(diverged[0]))
-        D = tset.optima - X
-        Phi = -H if generalized else tset.targets - H
         blocks = region_rows(region_index(X, partition, center), n_regions)
-        stage = _solve_regions(D, Phi, blocks, with_bias=generalized, config=config)
+        stage = _solve_regions(tset.optima - X, Phi, blocks, with_bias=generalized, config=config)
         steps.extend(stage)
         X = advance_regions(stage, X, Phi, blocks)
+        del Phi  # one residual array at a time: this stage's goes before the next is formed
         report.append(mean_sq_residual())
 
     return DescentSequence(

@@ -208,6 +208,23 @@ class TestOnlineDemoCommand:
         assert out == ""
         assert err.startswith("error: folding stage 0 at scale ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("forgetting", ["1e-50", "1e-20", "1e-10"])
+    def test_a_singular_batch_gram_matrix_fails(self, tmp_path, capsys, forgetting):
+        argv = ["online-demo", "--forgetting", forgetting, "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: singular batch Gram matrix of 5 samples\n"
+
+    @pytest.mark.parametrize("forgetting", ["1e-3", "1e-2", "0.1"])
+    def test_a_run_that_fails_prints_nothing_to_stdout(self, tmp_path, capsys, forgetting):
+        # each fails at a later size than the first, which once printed its line
+        argv = ["online-demo", "--forgetting", forgetting, "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_deviation_that_is_not_finite_fails(self, tmp_path, monkeypatch, capsys, bad):
         devs = iter([1e-9, bad, 1e-9])

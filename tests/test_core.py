@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import sdm
+from sdm import core
 from sdm.analytic import registry
 from sdm.core import (
     DescentSequence,
@@ -364,6 +367,37 @@ class TestSmoothMap:
         smap = SmoothMap(1, 2, lambda x: np.array([x[0]]))
         with pytest.raises(DimensionMismatchError):
             smap.evaluate([1.0])
+
+
+class TestBlockedEvaluation:
+    """An (N, p) array of more than `core.BLOCK_ROWS` rows runs the kernel
+    block by block into one output; by the row contract every row keeps the
+    bits of its one-point call. Small block sizes take cheap examples down
+    the blocked path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(registry())), st.sampled_from([1, 3, 7]),
+           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+    def test_blocked_rows_equal_one_point_calls(self, name, block_rows, offsets):
+        fn = registry()[name]
+        X = fn.x0 + np.array(offsets)[:, None]
+        inner, rows_per_call = fn.smooth_map(), []
+
+        def kernel(X, *order):
+            rows_per_call.append(len(X) if X.ndim == 2 else 1)
+            return inner.kernel(X, *order)
+
+        smap = dataclasses.replace(inner, kernel=kernel)
+        with mock.patch.object(core, "BLOCK_ROWS", block_rows):
+            for d in (0, 1):
+                rows_per_call.clear()
+                got = smap.derivatives(X, d)
+                assert rows_per_call == [min(block_rows, len(X) - lo)
+                                         for lo in range(0, len(X), block_rows)]
+                assert [a.shape for a in got] == [(len(X), 1), (len(X), 1, 1)][:d + 1]
+                for i, x in enumerate(X):
+                    for a, b in zip(got, smap.derivatives(x, d), strict=True):
+                        assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes()
 
 
 def _kernel_contract_cases():

@@ -135,6 +135,12 @@ class TestRlsIngest:
                               ridge=ridge)
         assert 0 < dev <= 1e-12
 
+    def test_a_singular_batch_gram_matrix_is_a_breakdown(self):
+        # at forgetting 1e-10 the sample weights run from 1 down to 1e-40
+        with pytest.raises(NumericalBreakdownError,
+                           match="^singular batch Gram matrix of 5 samples$"):
+            batch_deviation(np.random.default_rng(0), 5, m=6, p=3, forgetting=1e-10, ridge=1e-3)
+
     @pytest.mark.filterwarnings("error")  # the refusal comes before the fold would warn
     def test_a_fold_that_would_overflow_leaves_state_as_a_clone(self):
         rng = np.random.default_rng(20)

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdm import core
 from sdm import pose as pose_module
 from sdm import trainer as trainer_module
 from sdm.errors import DimensionMismatchError, DivergedError, InvalidProjectionError, SettingError
@@ -192,6 +195,43 @@ class TestProjection:
         with np.errstate(divide="ignore", invalid="ignore"):
             got = fmap.evaluate(P)
         assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["cube", "body", "face"]), st.sampled_from([1, 3, 7]),
+           st.lists(st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi),
+                              st.floats(-np.pi, np.pi), st.floats(-500.0, 500.0),
+                              st.floats(-500.0, 500.0), st.floats(-3000.0, 3000.0)),
+                    min_size=1, max_size=20))
+    def test_blocked_rows_equal_one_point_calls(self, name, block_rows, poses):
+        """With blocks of `block_rows` rows (see `core.BLOCK_ROWS`), each row
+        of the value and of the Jacobian has the bits of its one-point call."""
+        fmap = builtin_models()[name].feature_map
+        P = np.array(poses)
+        with mock.patch.object(core, "BLOCK_ROWS", block_rows), np.errstate(all="ignore"):
+            for d in (0, 1):
+                got = fmap.derivatives(P, d)
+                for i, p in enumerate(P):
+                    for a, b in zip(got, fmap.derivatives(p, d), strict=True):
+                        assert np.array_equal(a[i], b, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [8193, 12345, 30001, 42875])
+    def test_rows_of_large_arrays_equal_one_point_calls(self, n):
+        """At these sizes, one kernel call on all rows at once gave the last
+        row of body and face bits other than its one-point call under a
+        single-threaded OpenBLAS; in blocks of `core.BLOCK_ROWS` rows it does
+        not. Checked: the first and last row of every block, and 64 others."""
+        rng = np.random.default_rng(n)
+        P = DEFAULT_BASE_POSE.vector() + rng.normal(size=(n, 6)) * np.array([0.3] * 3 + [50.0] * 3)
+        starts = np.arange(0, n, core.BLOCK_ROWS)
+        rows = np.unique(np.concatenate([starts, starts[1:] - 1, [n - 1],
+                                         rng.integers(0, n, 64)]))
+        for model in builtin_models().values():
+            fmap = model.feature_map
+            for d in (0, 1):
+                got = fmap.derivatives(P, d)
+                for i in rows:
+                    for a, b in zip(got, fmap.derivatives(P[i], d), strict=True):
+                        assert np.array_equal(a[i], b)
 
     def test_behind_camera_features_are_nan(self):
         fmap = projection_feature_map(tetra_model())
@@ -762,9 +802,33 @@ def same_records(got, want):
         for a, b in zip(got, want))
 
 
+# The most memory that `train_protocol(cube, 42)` may trace, in bytes. It
+# traced 57 MB when every map call ran on all 42,875 grid rows at once and
+# each stage held h, y - h and (y - h)^2 together, and 26 MB with calls in
+# blocks of `core.BLOCK_ROWS` rows and one residual array per stage (numpy
+# 2.4, x86-64). The bound fails the first and leaves room for the second.
+TRAIN_PEAK_BYTES = 40e6
+
+
 class TestProtocol:
     # the training grid of the pose command's coarse runs
     COARSE = dict(rot_step_deg=15.0, trans_step_mm=400.0)
+
+    def test_training_peak_memory_is_bounded(self):
+        cube = builtin_models()["cube"]
+        pose_module.train_protocol(cube, 42, **self.COARSE)  # builds what is cached
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            pose_module.train_protocol(cube, 42)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < TRAIN_PEAK_BYTES
 
     @pytest.mark.parametrize("name", ["cube", "body", "face"])
     def test_run_protocol_is_the_written_out_protocol(self, seed42_objects, name):
