@@ -147,13 +147,16 @@ class SmoothMap:
             out = [np.empty((len(X), self.feature_dim, *(self.param_dim,) * d))
                    for d in range(order + 1)]
             for lo in range(0, len(X), BLOCK_ROWS):
-                for o, v in zip(out, self._values(X[lo:lo + BLOCK_ROWS], order)):
+                for o, v in zip(out, self._values(X[lo:lo + BLOCK_ROWS], order), strict=True):
                     o[lo:lo + BLOCK_ROWS] = v
             return out
-        out, shape = [], (*X.shape[:-1], self.feature_dim)
-        for value in self.kernel(X, order) if order else (self.kernel(X),):
+        shape = (*X.shape[:-1], self.feature_dim)
+        if not order:  # the value alone, without the loop: a point's latency counts
+            return [self._checked(self.kernel(X), shape)]
+        out = []
+        for value in self.kernel(X, order):  # h, then each derivative one axis of p longer
             out.append(self._checked(value, shape))
-            shape += (self.param_dim,)  # h, then each derivative one axis of p longer
+            shape += (self.param_dim,)
         return out
 
     def evaluate(self, X) -> Array:
