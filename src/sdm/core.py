@@ -104,11 +104,12 @@ class SmoothMap:
     """A map h: R^p -> R^m given by one array kernel.
 
     The kernel takes one point x (p,) or the rows of an (N, p) array, and
-    must give each row the bits it gives that row alone: it runs on blocks
-    of `BLOCK_ROWS` rows. ``kernel(X)`` is h, of shape (m,) or (N, m). A
-    map of `order` k >= 1 also gives its derivatives: ``kernel(X, d)`` for
-    1 <= d <= k is the tuple h, J (..., m, p) and, for d = 2, the
-    component second derivatives (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
+    must give each row the bits it gives that row alone (so it may run on
+    blocks of `BLOCK_ROWS` rows). ``kernel(X)`` is
+    h, of shape (m,) or (N, m). A map of `order` k >= 1 also gives its
+    derivatives: ``kernel(X, d)`` for 1 <= d <= k is the tuple h, J
+    (..., m, p) and, for d = 2, the component second derivatives
+    (..., m, p, p). For every d, the value ``kernel(X, d)`` returns has
     the bits of ``kernel(X)``: the solvers take h from their derivative
     call. Derivatives the map does not declare come from central
     differences on rows (see `derivatives`). A non-finite row, one with a
